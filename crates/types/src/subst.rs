@@ -1,7 +1,7 @@
 //! Substitutions: finite maps from type variables to types.
 
 use crate::ty::{TyVar, Type};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Binding failed because the substitution would exceed its node
 /// budget. This happens only on adversarial inputs whose solved types
@@ -11,8 +11,13 @@ use std::collections::HashMap;
 pub struct SubstOverflow;
 
 /// An idempotent substitution. The invariant is that no type in the
-/// range mentions a variable in the domain (ranges are rewritten on
-/// every [`Subst::bind`]), which makes [`Subst::apply`] a single pass.
+/// range mentions a variable in the domain, which makes
+/// [`Subst::apply`] a single pass.
+///
+/// [`Subst::bind`] keeps the invariant by rewriting the range entries
+/// that mention the newly bound variable. A reverse occurrence index
+/// finds those entries, so a bind costs the size of what it rewrites,
+/// not the size of the whole substitution.
 ///
 /// Idempotent substitutions can grow exponentially on pathological
 /// unification problems, so the total number of stored type nodes is
@@ -21,6 +26,12 @@ pub struct SubstOverflow;
 #[derive(Debug, Clone, Default)]
 pub struct Subst {
     map: HashMap<TyVar, Type>,
+    /// Reverse occurrence index. For every domain key `k` and every
+    /// variable `w` in `map[k]`, `occurs[w]` lists `k`. A list may also
+    /// repeat keys or hold keys whose range no longer mentions `w`;
+    /// `bind` dedups the list and filters it with `contains_var`. A
+    /// variable's list is dropped once that variable is bound.
+    occurs: HashMap<TyVar, Vec<TyVar>>,
     /// Total `Type::size()` over all range entries.
     nodes: usize,
     /// Bumped on every successful `bind`; lets callers skip re-applying
@@ -59,27 +70,46 @@ impl Subst {
         let mut budget = Self::MAX_NODES.saturating_sub(self.nodes);
         let t = rewrite(&t, |w| self.map.get(&w), &mut budget).ok_or(SubstOverflow)?;
 
-        // Rewrite existing entries so no range type mentions `v`.
-        // Compute all updates first so a mid-way overflow leaves the
-        // substitution untouched.
+        // Rewrite the entries the index names so no range type mentions
+        // `v`. Compute all updates first so a mid-way overflow leaves
+        // the substitution untouched.
+        let users: &[TyVar] = match self.occurs.get_mut(&v) {
+            Some(users) => {
+                users.sort_unstable();
+                users.dedup();
+                users
+            }
+            None => &[],
+        };
         let mut updates: Vec<(TyVar, Type)> = Vec::new();
-        for (k, old) in self.map.iter() {
-            if old.contains_var(v) {
+        for k in users {
+            if let Some(old) = self.map.get(k).filter(|old| old.contains_var(v)) {
                 let new = rewrite(old, |w| if w == v { Some(&t) } else { None }, &mut budget)
                     .ok_or(SubstOverflow)?;
                 updates.push((*k, new));
             }
         }
+        // Drop `v`'s list before storing: if `t` mentions `v`, storing
+        // rebuilds it from the entries that now do.
+        self.occurs.remove(&v);
+        let vars = t.free_vars();
         for (k, new) in updates {
-            let added = new.size();
-            let removed = self.map.insert(k, new).map(|o| o.size()).unwrap_or(0);
-            self.nodes = self.nodes.saturating_add(added).saturating_sub(removed);
+            self.store(k, new, &vars);
         }
-        let added = t.size();
-        let removed = self.map.insert(v, t).map(|o| o.size()).unwrap_or(0);
-        self.nodes = self.nodes.saturating_add(added).saturating_sub(removed);
+        self.store(v, t, &vars);
         self.generation = self.generation.wrapping_add(1);
         Ok(())
+    }
+
+    /// Insert `k := ty`, indexing `k` under `vars` (every variable `ty`
+    /// may have gained) and keeping the node count.
+    fn store(&mut self, k: TyVar, ty: Type, vars: &BTreeSet<TyVar>) {
+        for w in vars {
+            self.occurs.entry(*w).or_default().push(k);
+        }
+        let added = ty.size();
+        let removed = self.map.insert(k, ty).map(|o| o.size()).unwrap_or(0);
+        self.nodes = self.nodes.saturating_add(added).saturating_sub(removed);
     }
 
     /// Monotone counter of successful binds; see the field docs.

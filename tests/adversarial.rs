@@ -92,6 +92,47 @@ fn thousands_of_chained_bindings_compile_and_run() {
 }
 
 #[test]
+fn thousands_of_independent_recursive_bindings_compile_and_run() {
+    // 6,400 one-line recursive functions share one program-wide
+    // substitution. Finishing inside the bound needs elaboration linear
+    // in the number of bindings, so a bind may touch only the entries
+    // that mention the bound variable, never every solved one.
+    let mut src = String::new();
+    for i in 0..6_400 {
+        src.push_str(&format!(
+            "f{i} x = if primLeInt x 0 then 0 else f{i} (primSubInt x 1);\n"
+        ));
+    }
+    src.push_str("main = f0 3;\n");
+    let out = bounded_with(src, Options::default());
+    assert!(matches!(out, Outcome::Value(ref v) if v == "0"), "{out:?}");
+}
+
+#[test]
+fn exponential_type_family_is_rejected_as_too_large() {
+    // `f_i` applies `f_{i-1}` to its own result, so the factor by which
+    // `f_i`'s type outgrows its argument squares at every level. The
+    // substitution's node cap turns that into a "types too large"
+    // diagnostic (E0403) instead of a hang or an out-of-memory abort.
+    let mut src = String::from("f0 y = \\k -> k y y;\n");
+    for i in 1..40 {
+        src.push_str(&format!("f{i} y = f{} (f{} y);\n", i - 1, i - 1));
+    }
+    src.push_str("main = 1;\n");
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let r = run_source(&src, &Options::default());
+        let codes: Vec<&'static str> = r.check.diags.iter().map(|d| d.code).collect();
+        let _ = tx.send((codes, matches!(r.outcome, Outcome::CompileErrors)));
+    });
+    let (codes, compile_errors) = rx
+        .recv_timeout(WALL_CLOCK)
+        .expect("pipeline exceeded the wall-clock bound or panicked");
+    assert!(compile_errors, "{codes:?}");
+    assert!(codes.contains(&"E0403"), "expected E0403 among {codes:?}");
+}
+
+#[test]
 fn forcing_a_deep_global_chain_is_depth_limited() {
     // Forcing the chain END nests one interpreter frame per link —
     // the depth budget turns that into a structured error instead of

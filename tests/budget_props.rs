@@ -304,3 +304,249 @@ fn outcomes_are_deterministic() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential test: the indexed `Subst::bind` against the full-scan
+// bind it replaced.
+// ---------------------------------------------------------------------
+
+use std::collections::{BTreeSet, HashMap};
+use typeclasses::types::{Subst, SubstOverflow, TyVar};
+
+/// The substitution as it was before `Subst` grew its occurrence
+/// index: a bind applies the map to the new range, then scans every
+/// entry and rewrites those that mention the bound variable. The node
+/// accounting is `Subst`'s: a bind may create at most
+/// `MAX_NODES - nodes` nodes (the new range plus every rewritten
+/// entry), or it fails and changes nothing.
+#[derive(Default)]
+struct FullScanSubst {
+    map: HashMap<TyVar, Type>,
+    nodes: usize,
+}
+
+impl FullScanSubst {
+    fn bind(&mut self, v: TyVar, t: &Type) -> Result<(), SubstOverflow> {
+        let budget = Subst::MAX_NODES.saturating_sub(self.nodes);
+        // Count before building, so the bind that overflows never
+        // builds its oversized types.
+        let t_size = size_after(t, &|w| self.map.get(&w));
+        let users: Vec<TyVar> = self
+            .map
+            .iter()
+            .filter(|(_, range)| range.contains_var(v))
+            .map(|(k, _)| *k)
+            .collect();
+        let mut needed = t_size;
+        for k in &users {
+            let old = &self.map[k];
+            needed += old.size() + old.occurrences(v) * (t_size - 1);
+        }
+        if needed > budget {
+            return Err(SubstOverflow);
+        }
+        let t = rebuild(t, &|w| self.map.get(&w));
+        for k in users {
+            let new = rebuild(&self.map[&k], &|w| (w == v).then_some(&t));
+            self.put(k, new);
+        }
+        self.put(v, t);
+        Ok(())
+    }
+
+    fn put(&mut self, k: TyVar, range: Type) {
+        let added = range.size();
+        let removed = self.map.insert(k, range).map_or(0, |old| old.size());
+        self.nodes = self.nodes.saturating_add(added).saturating_sub(removed);
+    }
+
+    fn apply(&self, t: &Type) -> Type {
+        rebuild(t, &|w| self.map.get(&w))
+    }
+}
+
+/// `t` with each variable replaced by `lookup`'s answer, if any.
+fn rebuild<'a>(t: &Type, lookup: &dyn Fn(TyVar) -> Option<&'a Type>) -> Type {
+    match t {
+        Type::Var(w) => lookup(*w).cloned().unwrap_or_else(|| t.clone()),
+        Type::Con(_) => t.clone(),
+        Type::App(a, b) => Type::App(Box::new(rebuild(a, lookup)), Box::new(rebuild(b, lookup))),
+        Type::Fun(a, b) => Type::fun(rebuild(a, lookup), rebuild(b, lookup)),
+    }
+}
+
+/// `rebuild(t, lookup).size()`, without building it.
+fn size_after<'a>(t: &Type, lookup: &dyn Fn(TyVar) -> Option<&'a Type>) -> usize {
+    match t {
+        Type::Var(w) => lookup(*w).map_or(1, Type::size),
+        Type::Con(_) => 1,
+        Type::App(a, b) | Type::Fun(a, b) => 1 + size_after(a, lookup) + size_after(b, lookup),
+    }
+}
+
+/// Both substitutions, bound in lockstep and compared after each bind.
+struct Lockstep {
+    fast: Subst,
+    slow: FullScanSubst,
+    seen: BTreeSet<TyVar>,
+    overflows: usize,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            fast: Subst::new(),
+            slow: FullScanSubst::default(),
+            seen: BTreeSet::new(),
+            overflows: 0,
+        }
+    }
+
+    fn bind(&mut self, v: TyVar, t: Type) {
+        self.seen.insert(v);
+        self.seen.extend(t.free_vars());
+        let slow = self.slow.bind(v, &t);
+        let fast = self.fast.bind(v, t.clone());
+        assert_eq!(fast, slow, "bind {v} := {t}");
+        self.overflows += usize::from(fast.is_err());
+        assert_eq!(self.fast.len(), self.slow.map.len(), "len after {v} := {t}");
+        for &w in &self.seen {
+            assert_eq!(
+                self.fast.lookup(w),
+                self.slow.map.get(&w),
+                "lookup {w} after {v} := {t}"
+            );
+            let var = Type::Var(w);
+            assert_eq!(
+                self.fast.apply(&var),
+                self.slow.apply(&var),
+                "apply {w} after {v} := {t}"
+            );
+        }
+    }
+}
+
+fn pair(a: Type, b: Type) -> Type {
+    Type::App(
+        Box::new(Type::App(Box::new(Type::Con("Pair".into())), Box::new(a))),
+        Box::new(b),
+    )
+}
+
+/// A random range over variables `t0..t{vars}`.
+fn arbitrary_range(rng: &mut Rng, vars: u64, depth: usize) -> Type {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(5) {
+            0 => Type::int(),
+            1 => Type::bool(),
+            _ => Type::Var(TyVar(rng.below(vars) as u32)),
+        };
+    }
+    match rng.below(3) {
+        0 => Type::list(arbitrary_range(rng, vars, depth - 1)),
+        1 => Type::fun(
+            arbitrary_range(rng, vars, depth - 1),
+            arbitrary_range(rng, vars, depth - 1),
+        ),
+        _ => pair(
+            arbitrary_range(rng, vars, depth - 1),
+            arbitrary_range(rng, vars, depth - 1),
+        ),
+    }
+}
+
+#[test]
+fn indexed_bind_agrees_with_full_scan_on_random_sequences() {
+    let mut rng = Rng::new(0x5AB5_7175);
+    for _ in 0..150 {
+        // Few variables make many ranges share each one.
+        let vars = 4 + rng.below(36);
+        let mut s = Lockstep::new();
+        for _ in 0..40 {
+            let v = TyVar(rng.below(vars) as u32);
+            let t = arbitrary_range(&mut rng, vars, 3);
+            // Mostly the binds unification makes: `v` unbound and not
+            // in the solved range. One in eight is any bind at all,
+            // rebinding or self-referential, which the API allows too.
+            let unify_like = !s.slow.map.contains_key(&v) && !s.slow.apply(&t).contains_var(v);
+            if unify_like || rng.below(8) == 0 {
+                s.bind(v, t);
+            }
+        }
+    }
+}
+
+#[test]
+fn indexed_bind_agrees_with_full_scan_on_shared_variables_and_chains() {
+    let var = |i: u32| Type::Var(TyVar(i));
+
+    // Fifty entries share `t0`; binding it rewrites all of them at once.
+    let mut s = Lockstep::new();
+    for i in 1..=50 {
+        s.bind(TyVar(i), Type::fun(var(0), var(100 + i)));
+    }
+    s.bind(TyVar(0), Type::list(var(99)));
+    s.bind(TyVar(99), Type::int());
+
+    // A chain bound head first: every bind rewrites every entry so far.
+    let mut s = Lockstep::new();
+    for i in 0..150 {
+        s.bind(TyVar(i), Type::fun(var(i + 1), Type::int()));
+    }
+    s.bind(TyVar(150), Type::bool());
+
+    // The same chain bound tail first: no bind rewrites anything.
+    let mut s = Lockstep::new();
+    for i in (0..150).rev() {
+        s.bind(TyVar(i), Type::fun(var(i + 1), Type::int()));
+    }
+}
+
+#[test]
+fn indexed_bind_agrees_with_full_scan_on_the_overflowing_doubling_chain() {
+    // t_i := (t_{i+1}, t_{i+1}) doubles t0's entry on every bind until
+    // the node cap refuses one; both must refuse the same bind and stay
+    // unchanged by it, and later binds must still agree.
+    let var = |i: u32| Type::Var(TyVar(i));
+    let mut s = Lockstep::new();
+    let mut i = 0;
+    while s.overflows == 0 {
+        assert!(i < 64, "the doubling chain never hit the node cap");
+        s.bind(TyVar(i), pair(var(i + 1), var(i + 1)));
+        i += 1;
+    }
+    s.bind(TyVar(i - 1), Type::int());
+    s.bind(TyVar(i), Type::bool());
+    s.bind(TyVar(1000), Type::list(var(0)));
+}
+
+#[test]
+fn indexed_bind_counts_each_rewritten_entry_once_at_the_node_cap() {
+    // A balanced tree of pairs over `Int`, 4 * 2^depth - 3 nodes.
+    fn tree(depth: u32) -> Type {
+        if depth == 0 {
+            Type::int()
+        } else {
+            pair(tree(depth - 1), tree(depth - 1))
+        }
+    }
+    let var = |i: u32| Type::Var(TyVar(i));
+
+    // `t1` comes to mention `t0` twice through two binds, and a padding
+    // entry takes the node count to where binding `t0` to a large tree
+    // fits only if each rewritten entry is counted once.
+    let mut s = Lockstep::new();
+    s.bind(TyVar(9), tree(15));
+    s.bind(TyVar(1), pair(var(0), var(2)));
+    s.bind(TyVar(2), var(0));
+    s.bind(TyVar(0), tree(14));
+    assert_eq!(s.overflows, 0, "the bind fits when counted once");
+
+    // Rebinding `t1` leaves it with a range that no longer mentions
+    // `t0`; binding `t0` must not count that range against the cap.
+    let mut s = Lockstep::new();
+    s.bind(TyVar(1), pair(var(0), var(0)));
+    s.bind(TyVar(1), tree(15));
+    s.bind(TyVar(0), tree(16));
+    assert_eq!(s.overflows, 0, "the stale range was counted");
+}
