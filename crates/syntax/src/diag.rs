@@ -213,13 +213,17 @@ impl fmt::Display for Diagnostic {
 ///
 /// The cap is a robustness measure in its own right: a pathological
 /// input that produces one diagnostic per byte must not balloon memory.
-/// Once the cap is hit, further diagnostics are counted but dropped,
-/// and a final "too many errors" marker is appended.
+/// Once the cap is hit, further diagnostics are counted by severity but
+/// dropped, and a final "too many diagnostics" marker is appended. A
+/// warning never takes an error's place: at the cap, an incoming error
+/// evicts the latest held warning, so a run whose held items are all
+/// warnings has dropped no error.
 #[derive(Debug, Clone)]
 pub struct Diagnostics {
     items: Vec<Diagnostic>,
     cap: usize,
-    dropped: usize,
+    dropped_errors: usize,
+    dropped_warnings: usize,
 }
 
 impl Default for Diagnostics {
@@ -239,20 +243,37 @@ impl Diagnostics {
         Diagnostics {
             items: Vec::new(),
             cap: cap.max(1),
-            dropped: 0,
+            dropped_errors: 0,
+            dropped_warnings: 0,
         }
     }
 
     pub fn push(&mut self, d: Diagnostic) {
         if self.items.len() < self.cap {
             self.items.push(d);
+            return;
+        }
+        if d.severity == Severity::Error {
+            match self
+                .items
+                .iter()
+                .rposition(|held| held.severity == Severity::Warning)
+            {
+                Some(i) => {
+                    self.items.remove(i);
+                    self.dropped_warnings += 1;
+                    self.items.push(d);
+                }
+                None => self.dropped_errors += 1,
+            }
         } else {
-            self.dropped += 1;
+            self.dropped_warnings += 1;
         }
     }
 
     pub fn extend(&mut self, other: Diagnostics) {
-        self.dropped += other.dropped;
+        self.dropped_errors += other.dropped_errors;
+        self.dropped_warnings += other.dropped_warnings;
         for d in other.items {
             self.push(d);
         }
@@ -273,28 +294,29 @@ impl Diagnostics {
     }
 
     pub fn has_errors(&self) -> bool {
-        self.items.iter().any(|d| d.severity == Severity::Error) || self.dropped > 0
+        self.dropped_errors > 0 || self.items.iter().any(|d| d.severity == Severity::Error)
     }
 
+    /// Errors reported, held or dropped.
     pub fn error_count(&self) -> usize {
         self.items
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .count()
-            + self.dropped
+            + self.dropped_errors
     }
 
-    /// Number of warnings currently held (dropped diagnostics are
-    /// counted as errors, never as warnings).
+    /// Warnings reported, held or dropped.
     pub fn warning_count(&self) -> usize {
         self.items
             .iter()
             .filter(|d| d.severity == Severity::Warning)
             .count()
+            + self.dropped_warnings
     }
 
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty() && self.dropped == 0
+        self.items.is_empty() && self.dropped() == 0
     }
 
     pub fn len(&self) -> usize {
@@ -303,7 +325,7 @@ impl Diagnostics {
 
     /// Number of diagnostics dropped because the cap was reached.
     pub fn dropped(&self) -> usize {
-        self.dropped
+        self.dropped_errors + self.dropped_warnings
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &Diagnostic> {
@@ -319,8 +341,8 @@ impl Diagnostics {
     pub fn render_all(&self, src: &str) -> String {
         let lm = LineMap::new(src);
         let mut blocks: Vec<String> = self.items.iter().map(|d| d.render(src, &lm)).collect();
-        if self.dropped > 0 {
-            blocks.push(Self::dropped_trailer(self.dropped));
+        if self.dropped() > 0 {
+            blocks.push(self.dropped_trailer());
         }
         blocks.join("\n")
     }
@@ -342,8 +364,8 @@ impl Diagnostics {
             )
         });
         let mut blocks: Vec<String> = sorted.iter().map(|d| d.render(src, &lm)).collect();
-        if self.dropped > 0 {
-            blocks.push(Self::dropped_trailer(self.dropped));
+        if self.dropped() > 0 {
+            blocks.push(self.dropped_trailer());
         }
         if !blocks.is_empty() {
             blocks.push(format!(
@@ -355,9 +377,17 @@ impl Diagnostics {
         blocks.join("\n")
     }
 
-    fn dropped_trailer(dropped: usize) -> String {
+    /// The "too many diagnostics" marker, labelled an error only when
+    /// an error was among the dropped.
+    fn dropped_trailer(&self) -> String {
+        let label = if self.dropped_errors > 0 {
+            "error"
+        } else {
+            "warning"
+        };
         format!(
-            "error[driver/E0000]: too many diagnostics; {dropped} further diagnostic(s) suppressed"
+            "{label}[driver/E0000]: too many diagnostics; {} further diagnostic(s) suppressed",
+            self.dropped()
         )
     }
 }
@@ -384,6 +414,47 @@ mod tests {
         assert_eq!(bag.dropped(), 3);
         assert_eq!(bag.error_count(), 5);
         assert!(bag.has_errors());
+    }
+
+    #[test]
+    fn dropped_warnings_are_not_errors() {
+        let mut bag = Diagnostics::with_cap(3);
+        for i in 0..5 {
+            bag.warning(Stage::Lint, "L0004", format!("w{i}"), Span::DUMMY);
+        }
+        assert_eq!(bag.dropped(), 2);
+        assert!(!bag.has_errors());
+        assert_eq!((bag.error_count(), bag.warning_count()), (0, 5));
+        let r = bag.render_all_sorted("");
+        assert!(r.contains("warning[driver/E0000]"), "{r}");
+        assert!(r.contains("0 error(s), 5 warning(s) emitted"), "{r}");
+    }
+
+    #[test]
+    fn an_error_at_the_cap_evicts_the_latest_warning() {
+        let mut bag = Diagnostics::with_cap(3);
+        for i in 0..4 {
+            bag.warning(Stage::Lint, "L0004", format!("w{i}"), Span::DUMMY);
+        }
+        bag.error(Stage::TypeCheck, "E0401", "late", Span::DUMMY);
+        assert!(bag.has_errors());
+        let held: Vec<String> = bag.iter().map(|d| d.message.clone()).collect();
+        assert_eq!(held, ["w0", "w1", "late"]);
+        assert_eq!((bag.error_count(), bag.warning_count()), (1, 4));
+        // Once only errors are held, further errors are dropped and
+        // still counted as errors.
+        bag.error(Stage::TypeCheck, "E0401", "e1", Span::DUMMY);
+        bag.error(Stage::TypeCheck, "E0401", "e2", Span::DUMMY);
+        bag.error(Stage::TypeCheck, "E0401", "e3", Span::DUMMY);
+        assert_eq!(bag.error_count(), 4);
+        assert_eq!(
+            bag.iter().filter(|d| d.severity == Severity::Error).count(),
+            3
+        );
+        let mut merged = Diagnostics::with_cap(3);
+        merged.extend(bag);
+        assert_eq!((merged.error_count(), merged.warning_count()), (4, 4));
+        assert!(merged.render_all("").contains("error[driver/E0000]"));
     }
 
     #[test]

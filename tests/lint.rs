@@ -286,3 +286,59 @@ fn overlap_error_code_is_stable_end_to_end() {
     );
     assert!(!check.ok(), "prelude duplicates are deny by default");
 }
+
+/// A class of `n` methods and an `Int` instance whose methods all
+/// ignore their argument: one unused-parameter warning (`L0004`) per
+/// method, and nothing else.
+fn many_unused_parameters(n: usize) -> String {
+    let mut src = String::from("class Many a where {\n");
+    for i in 0..n {
+        src.push_str(&format!("  m{i} :: a -> Int;\n"));
+    }
+    src.push_str("};\ninstance Many Int where {\n");
+    for i in 0..n {
+        src.push_str(&format!("  m{i} = \\x -> {i};\n"));
+    }
+    src.push_str("};\n");
+    src
+}
+
+#[test]
+fn warnings_past_the_diagnostic_cap_never_fail_a_compile() {
+    let src = format!("{}main = m200 1;", many_unused_parameters(201));
+    let check = lint_source(&src, &Options::default());
+    assert_eq!(check.diags.warning_count(), 201);
+    assert_eq!(check.diags.error_count(), 0);
+    assert!(check.diags.dropped() > 0, "the cap was reached");
+    assert!(check.ok(), "{}", check.render_diagnostics());
+    let rendered = check.render_diagnostics();
+    assert!(
+        rendered.ends_with("0 error(s), 201 warning(s) emitted"),
+        "{rendered}"
+    );
+    let r = run_checked(check, &Options::default());
+    assert!(
+        matches!(r.outcome, Outcome::Value(ref v) if v == "200"),
+        "{:?}",
+        r.outcome
+    );
+}
+
+#[test]
+fn an_error_after_the_diagnostic_cap_still_fails() {
+    // 250 warnings fill the cap; the constant-condition `if` is an
+    // unreachable-arm finding, denied here, reported after them.
+    let src = format!(
+        "{}bad = if True then 1 else 2;\nmain = m0 1;",
+        many_unused_parameters(250)
+    );
+    let opts = Options {
+        lint_levels: LintConfig::default().with(Rule::UnreachableArm, LintLevel::Deny),
+        ..Options::default()
+    };
+    let check = lint_source(&src, &opts);
+    assert!(!check.ok(), "{}", check.render_diagnostics());
+    assert_eq!(check.diags.error_count(), 1);
+    assert_eq!(check.diags.warning_count(), 250);
+    assert!(check.diags.iter().any(|d| d.code == "L0006"));
+}

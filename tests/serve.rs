@@ -354,6 +354,32 @@ fn check_req(id: u64, program: &str, check_laws: bool, prelude: bool) -> String 
 }
 
 #[test]
+fn check_command_with_warnings_past_the_cap_is_ok() {
+    // 201 unused-parameter warnings (lint is on for `check`): more
+    // than the diagnostic cap holds, but not one of them is an error.
+    let mut src = String::from("class Many a where {\n");
+    for i in 0..201 {
+        src.push_str(&format!("  m{i} :: a -> Int;\n"));
+    }
+    src.push_str("};\ninstance Many Int where {\n");
+    for i in 0..201 {
+        src.push_str(&format!("  m{i} = \\x -> {i};\n"));
+    }
+    src.push_str("};\nmain = m0 1;");
+    let (out, summary) = serve_lines(&[check_req(1, &src, false, true)], &ServeConfig::default());
+    assert_eq!(summary.ok(), 1, "{out:?}");
+    let v = &parse_all(&out)[0];
+    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+    let diags = v
+        .get("diagnostics")
+        .and_then(|d| d.as_array())
+        .unwrap_or_else(|| panic!("diagnostics array: {v:?}"));
+    assert!(diags
+        .iter()
+        .all(|d| d.get("severity").and_then(|s| s.as_str()) == Some("warning")));
+}
+
+#[test]
 fn check_command_surfaces_overlap_with_counterexample() {
     // Two user instances whose heads unify: the coherence checker
     // reports L0008 (deny by default) and the message carries the
