@@ -26,6 +26,7 @@ pub use share::{count_constructions, share_program, share_program_metered, Share
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use tc_syntax::Span;
 use tc_types::Pred;
 
@@ -239,22 +240,77 @@ impl CoreExpr {
 
 /// A fully elaborated program: top-level bindings (one mutually
 /// recursive namespace) and the entry-point name, if any.
+///
+/// A program compiled on top of another (a request on top of the
+/// prelude) is linked to it: `binds` holds the program's own bindings,
+/// and [`CoreProgram::linked`] shares the base's, which are not copied.
+/// The whole-program views ([`CoreProgram::all_binds`], `lookup`,
+/// `as_map`, `node_count`, `verify_converted`) cover both, in the order
+/// compiling the two as one text gives.
 #[derive(Debug, Clone, Default)]
 pub struct CoreProgram {
     pub binds: Vec<(String, CoreExpr)>,
     pub main: Option<String>,
+    pub linked: Option<Link>,
+}
+
+/// A base program linked under a [`CoreProgram`].
+#[derive(Debug, Clone)]
+pub struct Link {
+    pub base: Arc<LinkedBase>,
+    /// How many of the program's own `binds` come from binding groups;
+    /// the rest are instance dictionaries.
+    pub group_binds: usize,
+}
+
+/// A compiled base program, shared by every program linked to it.
+#[derive(Debug)]
+pub struct LinkedBase {
+    pub core: CoreProgram,
+    /// How many of `core.binds` come from binding groups; the rest are
+    /// instance dictionaries.
+    pub group_binds: usize,
+    nodes: u64,
+}
+
+impl LinkedBase {
+    pub fn new(core: CoreProgram, group_binds: usize) -> Self {
+        LinkedBase {
+            nodes: core.node_count(),
+            core,
+            group_binds,
+        }
+    }
 }
 
 impl CoreProgram {
+    /// Every binding, the linked base's included: binding groups (the
+    /// base's, then the program's), then dictionaries (likewise).
+    pub fn all_binds(&self) -> impl Iterator<Item = &(String, CoreExpr)> {
+        let (base_groups, base_dicts, own_groups, own_dicts) = match &self.linked {
+            Some(link) => {
+                let base = &link.base.core.binds;
+                let (bg, bd) = base.split_at(link.base.group_binds.min(base.len()));
+                let (og, od) = self.binds.split_at(link.group_binds.min(self.binds.len()));
+                (bg, bd, og, od)
+            }
+            None => (&[][..], &[][..], &self.binds[..], &[][..]),
+        };
+        base_groups
+            .iter()
+            .chain(own_groups)
+            .chain(base_dicts)
+            .chain(own_dicts)
+    }
+
     pub fn lookup(&self, name: &str) -> Option<&CoreExpr> {
-        self.binds.iter().find(|(n, _)| n == name).map(|(_, e)| e)
+        self.all_binds().find(|(n, _)| n == name).map(|(_, e)| e)
     }
 
     /// Check the "no placeholders remain" invariant; returns the names
     /// of offending bindings (empty = converted).
     pub fn verify_converted(&self) -> Vec<&str> {
-        self.binds
-            .iter()
+        self.all_binds()
             .filter(|(_, e)| e.first_placeholder().is_some())
             .map(|(n, _)| n.as_str())
             .collect()
@@ -262,12 +318,13 @@ impl CoreProgram {
 
     /// Bindings as a map view (names are unique after elaboration).
     pub fn as_map(&self) -> HashMap<&str, &CoreExpr> {
-        self.binds.iter().map(|(n, e)| (n.as_str(), e)).collect()
+        self.all_binds().map(|(n, e)| (n.as_str(), e)).collect()
     }
 
     /// Total IR nodes across all bindings (telemetry size counter).
     pub fn node_count(&self) -> u64 {
-        self.binds.iter().map(|(_, e)| e.node_count()).sum()
+        let base = self.linked.as_ref().map_or(0, |l| l.base.nodes);
+        base + self.binds.iter().map(|(_, e)| e.node_count()).sum::<u64>()
     }
 }
 
@@ -400,6 +457,7 @@ mod tests {
                 ("b".into(), CoreExpr::Lit(Literal::Int(1))),
             ],
             main: None,
+            linked: None,
         };
         assert_eq!(prog.verify_converted(), vec!["a"]);
     }
@@ -421,6 +479,7 @@ mod tests {
                 ("b".into(), CoreExpr::Lit(Literal::Int(1))),
             ],
             main: None,
+            linked: None,
         };
         assert_eq!(prog.node_count(), 7);
     }

@@ -330,6 +330,7 @@ mod tests {
         CoreProgram {
             binds: binds.into_iter().map(|(n, e)| (n.to_string(), e)).collect(),
             main: None,
+            linked: None,
         }
     }
 

@@ -18,22 +18,24 @@
 
 use crate::{Emitter, LintInput, Rule};
 use std::collections::HashMap;
-use tc_syntax::{Expr, Span};
+use tc_syntax::{Expr, Program, Span};
 
-pub(crate) fn check(input: &LintInput<'_>, em: &mut Emitter<'_>) {
+pub(crate) fn check(input: &LintInput<'_>, base: &Program, em: &mut Emitter<'_>) {
     if !em.enabled(Rule::UnusedBinding) && !em.enabled(Rule::ShadowedBinding) {
         return;
     }
-    // Top-level names a local binding can shadow: program bindings and
-    // class methods. (Shadowing *builtins* is already reported by the
-    // elaborator as E0414, so it is not duplicated here.)
+    // Top-level names a local binding can shadow: bindings and class
+    // methods, the base program's first, so a later definition of the
+    // same name is the one a note points at. (Shadowing *builtins* is
+    // already reported by the elaborator as E0414, so it is not
+    // duplicated here.)
     let mut globals: HashMap<&str, Span> = HashMap::new();
-    for c in &input.program.classes {
+    for c in base.classes.iter().chain(&input.program.classes) {
         for m in &c.methods {
             globals.insert(&m.name, m.span);
         }
     }
-    for b in &input.program.bindings {
+    for b in base.bindings.iter().chain(&input.program.bindings) {
         globals.insert(&b.name, b.span);
     }
     let mut walker = Walker {

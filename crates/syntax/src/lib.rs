@@ -29,7 +29,7 @@ pub mod token;
 
 pub use ast::*;
 pub use diag::{Diagnostic, Diagnostics, LintLevel, Severity, Stage};
-pub use lexer::lex;
+pub use lexer::{lex, lex_continuing};
 pub use parser::{parse_program, parse_program_with, ParseOptions, ParseStats};
 pub use span::Span;
 pub use token::{Token, TokenKind};

@@ -36,6 +36,19 @@ impl VarGen {
         self.next = self.next.saturating_add(1);
         v
     }
+
+    /// How many variables have been allocated so far.
+    pub fn allocated(&self) -> u32 {
+        self.next
+    }
+
+    /// Pass over `n` variable numbers without handing them out. A
+    /// program compiled on top of an earlier one skips the numbers the
+    /// earlier one used in each phase, so its own variables keep the
+    /// numbers they would have had with both compiled as one text.
+    pub fn skip(&mut self, n: u32) {
+        self.next = self.next.saturating_add(n);
+    }
 }
 
 /// Monotypes.
