@@ -503,3 +503,30 @@ fn serve_honors_per_request_option_overrides() {
     assert!(hits(memo_on) > 0);
     assert_eq!(hits(memo_off), 0);
 }
+
+#[test]
+fn a_deep_request_cannot_abort_the_server() {
+    // Evaluation depth lives on the heap, so a request may ask for far
+    // more depth than a worker's native stack would hold; the next
+    // request is answered as usual.
+    let lines = vec![
+        "{\"id\": 1, \"program\": \"main = sum (enumFromTo 1 10000);\", \"max_depth\": 200000}"
+            .to_string(),
+        req(2, "main = 1;"),
+    ];
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let (out, summary) = serve_lines(&lines, &cfg);
+    let vals = parse_all(&out);
+    assert_eq!(vals.len(), 2, "{out:?}");
+    for (id, want) in [(1, "50005000"), (2, "1")] {
+        let v = vals
+            .iter()
+            .find(|v| v.get("id").and_then(|n| n.as_u64()) == Some(id))
+            .unwrap_or_else(|| panic!("missing id {id}: {out:?}"));
+        assert_eq!(v.get("value").and_then(|s| s.as_str()), Some(want), "{v:?}");
+    }
+    assert_eq!(summary.responses, 2, "{summary:?}");
+}
