@@ -12,7 +12,8 @@
 //! Either way it writes `BENCH_resolve.json` to the current directory
 //! (the workspace root under cargo) with per-workload counters from
 //! [`tc_classes::ResolveStats`], wall-clock times, and per-stage
-//! pipeline timings harvested from [`typeclasses::Telemetry`], and it
+//! pipeline timings paired from the run's flight-recorder events
+//! ([`typeclasses::trace::events::stage_spans`]), and it
 //! *asserts* the headline acceptance numbers: on the deep instance
 //! tower the memo table must reach a >=90% hit rate and cut dictionary
 //! constructions by >=2x versus cache-off.
@@ -29,8 +30,9 @@ use std::time::Instant;
 use typeclasses::classes::{build_class_env, ClassEnv, ReduceBudget, ResolveCache};
 use typeclasses::serve::{serve_lines, ServeConfig};
 use typeclasses::syntax::Span;
+use typeclasses::trace::events::stage_spans;
 use typeclasses::types::{Pred, Type, VarGen};
-use typeclasses::{JsonWriter, Options};
+use typeclasses::{EventLog, JsonWriter, Options};
 
 /// Build a [`ClassEnv`] from Mini-Haskell class/instance declarations.
 fn env_from_source(src: &str) -> ClassEnv {
@@ -66,7 +68,7 @@ struct Row {
     nanos_on: u128,
     nanos_off: u128,
     /// Per-stage pipeline timings `(stage name, duration in ns)`.
-    /// Example workloads harvest them from telemetry; raw-resolution
+    /// Example workloads pair them from recorded events; raw-resolution
     /// workloads never run the front end, so they carry a single
     /// synthetic `resolve` stage covering the cache-on loop.
     stages: Vec<(String, u64)>,
@@ -154,18 +156,22 @@ fn bench_resolution(name: &'static str, cenv: &ClassEnv, pred: &Pred, iters: usi
 
 /// Compile one example program with the optimizations on vs off.
 ///
-/// The optimized run compiles with `trace_timing` enabled so the row
-/// carries per-stage timings from the pipeline's telemetry spans.
+/// The optimized run records into a flight recorder of its own, so
+/// the row carries per-stage timings paired from its stage events.
 fn bench_example(name: &'static str, src: &str) -> Row {
+    let log = EventLog::with_capacity(4096);
     let on_opts = Options {
-        trace_timing: true,
         collect_metrics: true,
+        events: log.scope(1),
         ..Options::default()
     };
     let t0 = Instant::now();
     let on = typeclasses::check_source(src, &on_opts);
     let nanos_on = t0.elapsed().as_nanos();
     assert!(on.ok(), "{name}: {}", on.render_diagnostics());
+    let events = log
+        .extract_whole(1)
+        .expect("the ring holds an example's run");
 
     let off_opts = Options::unoptimized();
     let t1 = Instant::now();
@@ -185,9 +191,7 @@ fn bench_example(name: &'static str, src: &str) -> Row {
             / on.stats.resolve.dicts_constructed.max(1) as f64,
         nanos_on,
         nanos_off,
-        stages: on
-            .telemetry
-            .spans()
+        stages: stage_spans(&events)
             .iter()
             .map(|s| (s.stage.name().to_string(), s.duration_ns))
             .collect(),

@@ -37,5 +37,5 @@ pub use data::{build_data_env, ConInfo, DataEnv, DataInfo};
 pub use env::{ClassEnv, ClassInfo, ClassVarCounts, Instance, MethodInfo};
 pub use lower::{lower_qual_type, lower_type, LowerCtx};
 pub use resolve::{
-    DictDeriv, GoalSpanLog, ReduceBudget, ResolveCache, ResolveError, ResolveStats, ResolveTraceLog,
+    DictDeriv, ReduceBudget, ResolveCache, ResolveError, ResolveStats, ResolveTraceLog,
 };

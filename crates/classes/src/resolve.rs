@@ -51,10 +51,9 @@
 use crate::env::ClassEnv;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::time::Instant;
 use tc_trace::{
-    CancelToken, CounterId, EventKind, EventScope, GaugeId, HistogramId, MetricsRegistry,
-    SpanEvent, Stage, TraceNode,
+    CancelToken, CounterId, EventKind, EventScope, GaugeId, HistogramId, MetricsRegistry, Stage,
+    TraceNode,
 };
 use tc_types::{Interner, NameId, Pred, Type, TypeId};
 
@@ -302,22 +301,6 @@ impl ResolveTraceLog {
     }
 }
 
-/// Wall-clock span sink for top-level resolution goals, timed against
-/// a shared epoch (normally the pipeline telemetry's start instant) so
-/// the spans land inside the enclosing `elaborate` stage span in a
-/// Chrome trace. Heap-allocated behind an `Option` so that, like the
-/// explain-trace, it costs nothing when off.
-#[derive(Debug)]
-pub struct GoalSpanLog {
-    epoch: Instant,
-    events: Vec<SpanEvent>,
-}
-
-/// Saturating `u128 -> u64` for nanosecond readings.
-fn saturate_ns(v: u128) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
-}
-
 /// The memo table for instance resolution: hash-consed goal keys to
 /// completed closed derivations, plus session counters. One cache is
 /// intended to live for a whole elaboration run (and may live longer —
@@ -342,9 +325,6 @@ pub struct ResolveCache {
     /// unbounded; `Some(n)` evicts an arbitrary tabled derivation
     /// before each insert that would exceed `n` entries.
     capacity: Option<usize>,
-    /// Per-goal wall-clock span sink; `None` means span collection is
-    /// off and resolution never reads the clock.
-    goal_spans: Option<Box<GoalSpanLog>>,
     /// Cooperative cancellation, polled every [`CANCEL_POLL_GOALS`]
     /// goals inside the search loop. `None` (the default) costs one
     /// branch per poll site.
@@ -428,25 +408,6 @@ impl ResolveCache {
         self.events = events;
     }
 
-    /// Start recording one wall-clock [`SpanEvent`] per *top-level*
-    /// resolution goal, timed relative to `epoch`. Pass the pipeline
-    /// telemetry's epoch so the spans nest inside the `elaborate`
-    /// stage span in a Chrome trace. Idempotent (keeps the first
-    /// epoch).
-    pub fn enable_goal_spans(&mut self, epoch: Instant) {
-        if self.goal_spans.is_none() {
-            self.goal_spans = Some(Box::new(GoalSpanLog {
-                epoch,
-                events: Vec::new(),
-            }));
-        }
-    }
-
-    /// Detach the accumulated goal spans (span collection turns off).
-    pub fn take_goal_spans(&mut self) -> Vec<SpanEvent> {
-        self.goal_spans.take().map(|b| b.events).unwrap_or_default()
-    }
-
     /// Fold the session totals — resolution counters, interner
     /// traffic, and end-of-run table sizes — into the metrics
     /// registry. Call once, when the cache's session ends: the fold is
@@ -522,33 +483,8 @@ impl<'e> Search<'e> {
     /// [`Search::resolve_step`]; with tracing on it brackets the step
     /// with a subgoal-collection frame and records a [`TraceNode`]
     /// labelled with the goal's sequence number, predicate, and how it
-    /// was (or failed to be) discharged. Top-level goals (depth 0) are
-    /// additionally wall-clock timed when goal-span collection is on.
+    /// was (or failed to be) discharged.
     fn resolve(&mut self, pred: &Pred, depth: usize) -> Result<DictDeriv, ResolveError> {
-        let span_start = if depth == 0 && self.cache.goal_spans.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let result = self.resolve_traced(pred, depth);
-        if let Some(start) = span_start {
-            if let Some(log) = self.cache.goal_spans.as_mut() {
-                // `duration_since` saturates to zero if `start` somehow
-                // precedes the epoch — no panic path.
-                log.events.push(SpanEvent {
-                    name: pred.to_string(),
-                    cat: "resolve",
-                    start_ns: saturate_ns(start.duration_since(log.epoch).as_nanos()),
-                    duration_ns: saturate_ns(start.elapsed().as_nanos()),
-                });
-            }
-        }
-        result
-    }
-
-    /// [`Search::resolve`] minus the goal-span bracket: dispatches on
-    /// whether explain-tracing is on.
-    fn resolve_traced(&mut self, pred: &Pred, depth: usize) -> Result<DictDeriv, ResolveError> {
         if !self.tracing {
             let mut via = None;
             return self.resolve_step(pred, depth, &mut via);
@@ -1475,37 +1411,6 @@ mod tests {
         let fresh = e.resolve(&tower(6), &[], Default::default());
         let capped = e.resolve_with(&tower(6), &[], Default::default(), &mut cache);
         assert_eq!(fresh, capped);
-    }
-
-    #[test]
-    fn goal_spans_record_top_level_goals_only() {
-        let e = env();
-        let mut cache = ResolveCache::new();
-        let epoch = Instant::now();
-        cache.enable_goal_spans(epoch);
-        e.resolve_with(&tower(3), &[], Default::default(), &mut cache)
-            .unwrap();
-        e.resolve_with(&tower(1), &[], Default::default(), &mut cache)
-            .unwrap();
-        let spans = cache.take_goal_spans();
-        // One span per *top-level* goal, not per subgoal.
-        assert_eq!(spans.len(), 2, "{spans:?}");
-        assert!(spans.iter().all(|s| s.cat == "resolve"));
-        assert!(spans[0].name.contains("Eq"), "{spans:?}");
-        // Monotone: the second goal starts at or after the first.
-        assert!(spans[1].start_ns >= spans[0].start_ns);
-        // Collection turned itself off with take.
-        assert!(cache.take_goal_spans().is_empty());
-    }
-
-    #[test]
-    fn goal_spans_off_reads_no_clock_state() {
-        let e = env();
-        let mut cache = ResolveCache::new();
-        e.resolve_with(&tower(2), &[], Default::default(), &mut cache)
-            .unwrap();
-        assert!(cache.goal_spans.is_none());
-        assert!(cache.take_goal_spans().is_empty());
     }
 
     #[test]

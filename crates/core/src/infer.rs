@@ -33,7 +33,7 @@ use tc_classes::{
 };
 use tc_coreir::{CoreExpr, CoreProgram, LinkedBase, Literal, PlaceholderKind, PlaceholderTable};
 use tc_syntax::{Diagnostics, Expr, Program, Span, Stage};
-use tc_trace::{MetricsRegistry, SpanEvent};
+use tc_trace::MetricsRegistry;
 use tc_types::{Pred, Qual, Scheme, Subst, TyVar, Type, TypeErrorKind, VarGen};
 
 use crate::builtins::builtin_env;
@@ -131,14 +131,10 @@ pub struct Elaboration {
     /// (flushed from the cache) iff [`ElabOptions::collect_metrics`]
     /// was set; otherwise off and allocation-free.
     pub metrics: MetricsRegistry,
-    /// One wall-clock span per top-level resolution goal, timed
-    /// against [`ElabOptions::goal_span_epoch`]; empty unless an epoch
-    /// was supplied.
-    pub goal_spans: Vec<SpanEvent>,
     /// The run's resolve cache, handed back so a later elaboration in
     /// the same session (the coherence law harness) can reuse the warm
-    /// memo table via [`elaborate_over`]. Trace/metrics/span
-    /// sinks have already been drained into the fields above.
+    /// memo table via [`elaborate_over`]. Its trace and metrics sinks
+    /// have already been drained into the fields above.
     pub cache: Option<ResolveCache>,
 }
 
@@ -157,11 +153,6 @@ pub struct ElabOptions {
     /// [`Elaboration::metrics`]. Off by default; when off, the
     /// instrumented paths allocate nothing.
     pub collect_metrics: bool,
-    /// When set, record one wall-clock [`SpanEvent`] per top-level
-    /// resolution goal relative to this epoch (pass the pipeline
-    /// telemetry's epoch so the spans nest inside the `elaborate`
-    /// stage span of a Chrome trace).
-    pub goal_span_epoch: Option<std::time::Instant>,
     /// Cooperative cancellation: installed on the resolve cache so a
     /// deadline interrupts deep instance searches mid-run (surfacing
     /// as `E0423` diagnostics).
@@ -183,7 +174,6 @@ impl Default for ElabOptions {
             memoize: true,
             trace_resolution: false,
             collect_metrics: false,
-            goal_span_epoch: None,
             cancel: None,
             cache_capacity: None,
             events: tc_trace::EventScope::off(),
@@ -653,9 +643,6 @@ pub fn elaborate_over(
     if opts.collect_metrics {
         cache.enable_metrics();
     }
-    if let Some(epoch) = opts.goal_span_epoch {
-        cache.enable_goal_spans(epoch);
-    }
     if let Some(token) = opts.cancel.clone() {
         cache.set_cancel(token);
     }
@@ -969,7 +956,6 @@ pub fn elaborate_over(
             stats: cache.stats,
             resolution_trace: cache.take_trace(),
             metrics: std::mem::take(&mut cache.metrics),
-            goal_spans: cache.take_goal_spans(),
             cache: Some(cache),
         },
         inf.diags,

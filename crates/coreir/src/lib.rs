@@ -212,7 +212,7 @@ impl CoreExpr {
     }
 
     /// Number of IR nodes in the expression (iterative). Used by the
-    /// telemetry layer as a cheap size counter for the core program.
+    /// timing views as a cheap size counter for the core program.
     pub fn node_count(&self) -> u64 {
         let mut n = 0u64;
         let mut stack = vec![self];
@@ -321,7 +321,8 @@ impl CoreProgram {
         self.all_binds().map(|(n, e)| (n.as_str(), e)).collect()
     }
 
-    /// Total IR nodes across all bindings (telemetry size counter).
+    /// Total IR nodes across all bindings (the timing views' size
+    /// counter).
     pub fn node_count(&self) -> u64 {
         let base = self.linked.as_ref().map_or(0, |l| l.base.nodes);
         base + self.binds.iter().map(|(_, e)| e.node_count()).sum::<u64>()

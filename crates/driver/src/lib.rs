@@ -66,8 +66,8 @@ use tc_eval::{Budget, EvalError, EvalOptions, LoweredProgram};
 use tc_lint::LintInput;
 use tc_syntax::{Diagnostics, ParseOptions, Program, Span, Stage as DiagStage};
 use tc_trace::{
-    CancelToken, CounterId, EventScope, HistogramId, JsonWriter, MetricsRegistry, SpanEvent,
-    Stage as TraceStage, Telemetry,
+    CancelToken, CounterId, Event, EventScope, HistogramId, JsonWriter, MetricsRegistry,
+    Stage as TraceStage,
 };
 use tc_types::VarGen;
 
@@ -219,10 +219,6 @@ pub struct Options {
     /// bindings after conversion (and before linting, so `L0007` sees
     /// the shared program). On by default.
     pub share_dictionaries: bool,
-    /// Record per-stage wall-clock spans and pipeline counters in
-    /// [`Check::telemetry`]. Off by default; when off, the telemetry
-    /// handle allocates nothing.
-    pub trace_timing: bool,
     /// Record an explain-trace of every instance resolution in
     /// [`Elaboration::resolution_trace`] (rendered by
     /// [`Check::render_explain`]). Off by default and zero-cost when
@@ -238,12 +234,6 @@ pub struct Options {
     /// [`PipelineStats::metrics`]. Off by default; when off, every
     /// instrumented path is a single branch and allocates nothing.
     pub collect_metrics: bool,
-    /// Record one wall-clock span per top-level resolution goal (for
-    /// the Chrome trace export, [`Check::chrome_trace_json`]). Off by
-    /// default and allocation-free when off. Goal spans share the
-    /// telemetry epoch, so enable [`Options::trace_timing`] too if the
-    /// spans should nest inside the stage spans.
-    pub trace_goal_spans: bool,
     /// Cooperative cancellation token (usually deadline-backed, from
     /// the serve layer). Checked at stage boundaries, inside the
     /// resolver's search loop, and inside the evaluator's fuel loop;
@@ -262,8 +252,10 @@ pub struct Options {
     /// stage boundaries, resolver goals, cache evictions, evaluator
     /// budget checkpoints, deadline cancellations, and fault firings
     /// each record one fixed-size event into the scope's ring buffer.
-    /// Off by default — every site is a single branch and allocates
-    /// nothing.
+    /// This is the run's only timing record: the stage timing table,
+    /// the Chrome trace, and [`RunResult::trace_json`] are views over
+    /// its events ([`tc_trace::events::stage_spans`]). Off by default —
+    /// every site is a single branch and allocates nothing.
     pub events: EventScope,
 }
 
@@ -280,11 +272,9 @@ impl Default for Options {
             law_budget: Budget::small(),
             memoize_resolution: true,
             share_dictionaries: true,
-            trace_timing: false,
             trace_resolution: false,
             profile_eval: false,
             collect_metrics: false,
-            trace_goal_spans: false,
             cancel: None,
             cache_capacity: None,
             faults: Faults::none(),
@@ -403,13 +393,6 @@ pub struct Check {
     pub diags: Diagnostics,
     /// Resolution and sharing counters for this run.
     pub stats: PipelineStats,
-    /// Per-stage spans and counters; disabled (and allocation-free)
-    /// unless [`Options::trace_timing`] was set.
-    pub telemetry: Telemetry,
-    /// One wall-clock span per top-level resolution goal, on the same
-    /// epoch as the telemetry stage spans; empty unless
-    /// [`Options::trace_goal_spans`] was set.
-    pub goal_spans: Vec<SpanEvent>,
     /// What the program was compiled on top of.
     snapshot: &'static Snapshot,
 }
@@ -448,15 +431,14 @@ impl Check {
         self.elab.resolution_trace.as_ref().map(|t| t.render())
     }
 
-    /// Serialize the run as a Chrome trace-event JSON document —
-    /// loadable in Perfetto / `chrome://tracing` — with one complete
-    /// (`"ph":"X"`) event per pipeline stage span and one per
-    /// top-level resolution goal. Meaningful when
-    /// [`Options::trace_timing`] was set (and
-    /// [`Options::trace_goal_spans`] for the per-goal events); always
-    /// a valid document, possibly with an empty event list.
-    pub fn chrome_trace_json(&self) -> String {
-        tc_trace::chrome_trace_json(&self.telemetry, &self.goal_spans)
+    /// The counters a timing view lists after its stages: core
+    /// bindings and nodes (the prelude's included) and diagnostics.
+    pub fn counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("core_bindings", self.elab.core.all_binds().count() as u64),
+            ("core_nodes", self.elab.core.node_count()),
+            ("diagnostics", self.diags.len() as u64),
+        ]
     }
 
     /// Pretty-print the whole converted core program (for debugging
@@ -498,12 +480,30 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Serialize the whole run — stage spans, counters, pipeline
-    /// stats, profile, outcome — as one JSON object.
-    pub fn trace_json(&self) -> String {
+    /// Serialize the whole run — the finished stage spans of `events`
+    /// (the run's recorded trace; empty when nothing was recorded),
+    /// [`Check::counters`], pipeline stats, profile, outcome — as one
+    /// JSON object.
+    pub fn trace_json(&self, events: &[Event]) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        self.check.telemetry.write_json(&mut w);
+        w.begin_array_field("spans");
+        for s in tc_trace::events::stage_spans(events) {
+            if s.finished {
+                w.begin_object();
+                w.field_str("stage", s.stage.name());
+                w.field_u64("start_ns", s.start_ns);
+                w.field_u64("duration_ns", s.duration_ns);
+                w.field_u64("diags", s.diags);
+                w.end_object();
+            }
+        }
+        w.end_array();
+        w.begin_object_field("counters");
+        for (name, value) in self.check.counters() {
+            w.field_u64(name, value);
+        }
+        w.end_object();
         w.begin_object_field("stats");
         self.check.stats.write_json(&mut w);
         w.end_object();
@@ -590,11 +590,6 @@ fn deadline_tripped(
 
 /// Shared pipeline body behind [`check_source`] and [`lint_source`].
 fn compile(src: &str, opts: &Options, lint: bool) -> Check {
-    let mut telemetry = if opts.trace_timing {
-        Telemetry::new()
-    } else {
-        Telemetry::off()
-    };
     let snap = Snapshot::get(opts.use_prelude);
     let user_offset = snap.user_start;
     let full_source = if opts.use_prelude {
@@ -603,10 +598,8 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
         src.to_string()
     };
 
-    let timer = telemetry.start();
     opts.events.stage_start(TraceStage::Lex);
     let (toks, mut diags) = tc_syntax::lex_continuing(src, user_offset, snap.tokens);
-    telemetry.record(TraceStage::Lex, timer, diags.len() as u64);
     opts.events.stage_end(TraceStage::Lex, diags.len() as u64);
     let mut seen = diags.len();
 
@@ -624,12 +617,10 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     // a real stage bug would.
     let mut cancelled = false;
 
-    let timer = telemetry.start();
     opts.events.stage_start(TraceStage::Parse);
     let _ = opts.faults.fire_traced(FaultSite::Parse, &opts.events);
     let (prog, pd, pstats) = tc_syntax::parse_program_with(&toks, opts.parse.clone());
     diags.extend(pd);
-    telemetry.record(TraceStage::Parse, timer, (diags.len() - seen) as u64);
     opts.events
         .stage_end(TraceStage::Parse, (diags.len() - seen) as u64);
     metrics.add(CounterId::ParseRecoveries, pstats.recoveries);
@@ -639,12 +630,10 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     let cenv = if deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::ClassEnv) {
         Cow::Borrowed(&snap.cenv)
     } else {
-        let timer = telemetry.start();
         opts.events.stage_start(TraceStage::ClassEnv);
         let _ = opts.faults.fire_traced(FaultSite::ClassEnv, &opts.events);
         let (cenv, cd) = extend_class_env(&snap.cenv, &prog, &mut gen);
         diags.extend(cd);
-        telemetry.record(TraceStage::ClassEnv, timer, (diags.len() - seen) as u64);
         opts.events
             .stage_end(TraceStage::ClassEnv, (diags.len() - seen) as u64);
         seen = diags.len();
@@ -656,7 +645,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     // available even when a tripped deadline skips elaboration. No
     // fault site here — the pass is pure table-walking over the env.
     if !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Coherence) {
-        let timer = telemetry.start();
         opts.events.stage_start(TraceStage::Coherence);
         diags.extend(tc_coherence::check_coherence(
             &CoherenceInput {
@@ -666,7 +654,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             &opts.coherence_levels,
             &mut metrics,
         ));
-        telemetry.record(TraceStage::Coherence, timer, (diags.len() - seen) as u64);
         opts.events
             .stage_end(TraceStage::Coherence, (diags.len() - seen) as u64);
         seen = diags.len();
@@ -676,7 +663,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     let mut elab = if !elaborated {
         Elaboration::default()
     } else {
-        let timer = telemetry.start();
         opts.events.stage_start(TraceStage::Elaborate);
         let mut reduce = opts.reduce;
         if opts.faults.fire_traced(FaultSite::Elaborate, &opts.events) == FaultOutcome::Budget {
@@ -697,12 +683,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
                 memoize: opts.memoize_resolution,
                 trace_resolution: opts.trace_resolution,
                 collect_metrics: opts.collect_metrics,
-                // Goal spans share the telemetry epoch so they nest inside
-                // the `elaborate` stage span; with timing off they get
-                // their own epoch and still order correctly.
-                goal_span_epoch: opts
-                    .trace_goal_spans
-                    .then(|| telemetry.epoch().unwrap_or_else(std::time::Instant::now)),
                 cancel: opts.cancel.clone(),
                 cache_capacity: opts.cache_capacity,
                 events: opts.events.clone(),
@@ -710,7 +690,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             None,
         );
         diags.extend(ed);
-        telemetry.record(TraceStage::Elaborate, timer, (diags.len() - seen) as u64);
         opts.events
             .stage_end(TraceStage::Elaborate, (diags.len() - seen) as u64);
         seen = diags.len();
@@ -719,9 +698,7 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
 
     // Dictionary sharing runs between conversion and linting: `L0007`
     // must see the shared program, or it would report constructions
-    // the pass has already hoisted. The span is recorded even with
-    // sharing off, so the stage sequence is stable across configs.
-    let timer = telemetry.start();
+    // the pass has already hoisted.
     let share = if opts.share_dictionaries
         && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Share)
     {
@@ -733,10 +710,8 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     } else {
         ShareStats::default()
     };
-    telemetry.record(TraceStage::Share, timer, 0);
 
     if lint && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Lint) {
-        let timer = telemetry.start();
         opts.events.stage_start(TraceStage::Lint);
         let _ = opts.faults.fire_traced(FaultSite::Lint, &opts.events);
         diags.extend(tc_lint::run_lints_over(
@@ -749,7 +724,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             &snap.program,
             &opts.lint_levels,
         ));
-        telemetry.record(TraceStage::Lint, timer, (diags.len() - seen) as u64);
         opts.events
             .stage_end(TraceStage::Lint, (diags.len() - seen) as u64);
     }
@@ -758,14 +732,15 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     // elaboration's warm resolve cache (seeded below, so law goals
     // resolve in O(1)) and only makes sense for programs that compile
     // — law verdicts on an erroneous program would blame dictionaries
-    // that were never built. Its findings land under the same
-    // `Coherence` stage as the structural checks.
+    // that were never built. It runs as a second `Coherence` stage,
+    // the structural checks' stage, so its goal events fall inside a
+    // stage span like every other goal's.
     if opts.check_laws
         && !diags.has_errors()
         && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Coherence)
     {
         let before = diags.len();
-        let timer = telemetry.start();
+        opts.events.stage_start(TraceStage::Coherence);
         diags.extend(tc_coherence::check_laws(
             &LawInput {
                 program: &prog,
@@ -784,7 +759,8 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             &mut gen,
             &mut metrics,
         ));
-        telemetry.record(TraceStage::Coherence, timer, (diags.len() - before) as u64);
+        opts.events
+            .stage_end(TraceStage::Coherence, (diags.len() - before) as u64);
     }
 
     // Final boundary: a deadline that expired during the last stage
@@ -799,17 +775,10 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             group_binds: elab.group_binds,
         });
     }
-    if telemetry.is_enabled() {
-        telemetry.counter("core_bindings", elab.core.all_binds().count() as u64);
-        telemetry.counter("core_nodes", elab.core.node_count());
-        telemetry.counter("diagnostics", diags.len() as u64);
-    }
-
     // Fold the elaboration's resolver/interner metrics into the
     // pipeline registry (counters add; gauges and histograms come only
     // from the elaboration side, so the merge is lossless).
     metrics.merge(&elab.metrics);
-    let goal_spans = std::mem::take(&mut elab.goal_spans);
 
     let stats = PipelineStats {
         resolve: elab.stats,
@@ -823,8 +792,6 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
         elab,
         diags,
         stats,
-        telemetry,
-        goal_spans,
         snapshot: snap,
     }
 }
@@ -846,8 +813,8 @@ pub fn lint_source(src: &str, opts: &Options) -> Check {
 
 /// Run an already-compiled program: if it is error-free and has a
 /// `main`, evaluate it under the evaluator budget. Evaluation is
-/// timed into the check's telemetry, and its resource counters land
-/// in [`PipelineStats::eval`].
+/// recorded as the `eval` stage in [`Options::events`], and its
+/// resource counters land in [`PipelineStats::eval`].
 pub fn run_checked(mut check: Check, opts: &Options) -> RunResult {
     let mut profile = None;
     let outcome = if !check.ok() {
@@ -856,7 +823,6 @@ pub fn run_checked(mut check: Check, opts: &Options) -> RunResult {
         match check.elab.core.main.clone() {
             None => Outcome::NoMain,
             Some(entry) => {
-                let timer = check.telemetry.start();
                 opts.events.stage_start(TraceStage::Eval);
                 // Metrics want the per-binding fuel histogram, which
                 // only the profiler collects — profile internally when
@@ -885,7 +851,6 @@ pub fn run_checked(mut check: Check, opts: &Options) -> RunResult {
                         events: opts.events.clone(),
                     },
                 );
-                check.telemetry.record(TraceStage::Eval, timer, 0);
                 opts.events.stage_end(TraceStage::Eval, 0);
                 check.stats.eval = Some(run.stats);
                 if metrics_on {
@@ -1020,7 +985,7 @@ mod tests {
         };
         let b = e.budget().expect("fuel errors carry a snapshot");
         assert_eq!(b.fuel_left, 0);
-        let json = r.trace_json();
+        let json = r.trace_json(&[]);
         assert!(json.contains("\"code\": \"fuel-exhausted\""), "{json}");
         assert!(json.contains("\"fuel_left\": 0"), "{json}");
     }
@@ -1119,7 +1084,6 @@ mod tests {
     fn metrics_off_by_default_and_allocation_free() {
         let r = run("main = eq (cons 1 nil) (cons 1 nil);");
         assert!(r.check.stats.metrics.allocates_nothing());
-        assert!(r.check.goal_spans.is_empty());
         // The stats JSON still carries an (explicitly null) metrics field.
         let json = r.check.stats.to_json();
         assert!(json.contains("\"metrics\": null"), "{json}");
@@ -1181,7 +1145,7 @@ mod tests {
             src,
             &Options {
                 collect_metrics: true,
-                trace_goal_spans: true,
+                events: tc_trace::EventLog::with_capacity(1024).scope(1),
                 ..Options::default()
             },
         );
@@ -1192,22 +1156,6 @@ mod tests {
         assert_eq!(plain.check.stats.resolve, metered.check.stats.resolve);
         assert_eq!(plain.check.stats.share, metered.check.stats.share);
         assert_eq!(plain.check.stats.eval, metered.check.stats.eval);
-    }
-
-    #[test]
-    fn goal_spans_cover_top_level_goals() {
-        let opts = Options {
-            trace_timing: true,
-            trace_goal_spans: true,
-            ..Options::default()
-        };
-        let c = check_source("main = eq (cons 1 nil) (cons 2 nil);", &opts);
-        assert!(c.ok(), "{}", c.render_diagnostics());
-        assert!(!c.goal_spans.is_empty());
-        assert!(c.goal_spans.iter().all(|s| s.cat == "resolve"));
-        let trace = c.chrome_trace_json();
-        tc_trace::json::check(&trace).unwrap_or_else(|e| panic!("{e}\n{trace}"));
-        assert!(trace.contains("\"ph\": \"X\""), "{trace}");
     }
 
     #[test]

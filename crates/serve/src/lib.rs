@@ -21,9 +21,10 @@
 //!   fixed-capacity queue: a full queue answers
 //!   `{"error":"overloaded","retry_after_ms":...}` immediately. Under
 //!   partial load the server degrades before it sheds — at ≥50%
-//!   occupancy optional observability (explain traces, goal spans,
-//!   profiling) is dropped; at ≥75% the resolution memo table is
-//!   capped so memory stays bounded.
+//!   occupancy optional observability (explain traces and the
+//!   evaluator profile) is dropped, while the flight recorder stays
+//!   on; at ≥75% the resolution memo table is capped so memory stays
+//!   bounded.
 //! - **Deterministic fault injection.** A [`FaultPlan`] makes workers
 //!   panic / stall / exhaust budgets at named pipeline sites, keyed by
 //!   the request sequence number — the chaos suite replays the exact
@@ -1443,8 +1444,6 @@ impl Core {
             // instrument that explains exactly these degraded
             // requests.
             job.opts.trace_resolution = false;
-            job.opts.trace_goal_spans = false;
-            job.opts.trace_timing = false;
             job.opts.profile_eval = false;
         }
         if job.degrade_cache {

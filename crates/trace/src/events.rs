@@ -1,14 +1,13 @@
 //! The flight recorder: request-scoped event tracing over fixed-size
-//! ring buffers.
+//! ring buffers, and the per-request timing views derived from it.
 //!
-//! Where [`crate::Telemetry`] answers "where did the time go" for one
-//! pipeline run and [`crate::metrics::MetricsRegistry`] answers "how
-//! much work happened" in aggregate, the [`EventLog`] answers "what
-//! happened *inside this request*": a monotonic-clock-stamped sequence
-//! of statically-keyed events (stage boundaries, resolver goals, cache
-//! evictions, evaluator budget checkpoints, cancellations, injected
-//! faults) tagged with a per-request `trace_id`. The design constraints
-//! mirror the other two instruments:
+//! Where [`crate::metrics::MetricsRegistry`] answers "how much work
+//! happened" in aggregate, the [`EventLog`] answers "what happened
+//! *inside this request*, and when": a monotonic-clock-stamped
+//! sequence of statically-keyed events (stage boundaries, resolver
+//! goals, cache evictions, evaluator budget checkpoints,
+//! cancellations, injected faults) tagged with a per-request
+//! `trace_id`. The design constraints mirror the metrics registry:
 //!
 //! * **Static keys.** Every event is an [`EventKind`] variant with two
 //!   `u64` payload slots whose meaning is fixed per kind. No strings on
@@ -26,8 +25,13 @@
 //! where ids come from; a tail sampler later extracts one request's
 //! events with [`EventLog::extract`] when the request turns out to be
 //! worth keeping.
+//!
+//! Every per-request timing view reads one trace's events through a
+//! single pairing function, [`stage_spans`]: the stage timing table
+//! ([`timing_table`]), the Chrome trace-event export ([`chrome_spans`]
+//! and [`traces_chrome_json`], behind both `report --chrome` and the
+//! example runner's `--chrome-trace`), and the runner's `--trace-json`.
 
-use crate::chrome::SpanEvent;
 use crate::json::JsonWriter;
 use crate::Stage;
 use std::sync::{Arc, Mutex};
@@ -65,7 +69,8 @@ pub enum EventKind {
     /// [`Stage::ALL`].
     StageStart,
     /// A pipeline stage ended. `arg0` = stage index, `arg1` =
-    /// diagnostics produced so far.
+    /// diagnostics the stage itself produced (always 0 for `share` and
+    /// `eval`, which produce none).
     StageEnd,
     /// The resolver answered one goal. `arg0` = backward-chaining
     /// depth, `arg1` = 0 memo miss / 1 memo hit / 2 not cacheable.
@@ -309,6 +314,27 @@ impl EventLog {
         out
     }
 
+    /// One request's events, as [`EventLog::extract`] returns them,
+    /// provided the ring has overwritten nothing yet. Once it has, the
+    /// trace may be missing its oldest events, and `Err` carries a
+    /// notice saying how many were lost: views that must see a request
+    /// whole (a stage table, a trace file) report the loss instead of
+    /// showing a shorter trace.
+    pub fn extract_whole(&self, trace_id: u64) -> Result<Vec<Event>, String> {
+        if let Some(inner) = self.inner.as_ref() {
+            let r = lock_ring(inner);
+            let lost = r.recorded - r.len as u64;
+            if lost > 0 {
+                return Err(format!(
+                    "the flight recorder's ring holds {} events and overwrote the oldest \
+                     {lost} of the {} recorded, so the trace is incomplete",
+                    r.capacity, r.recorded
+                ));
+            }
+        }
+        Ok(self.extract(trace_id))
+    }
+
     /// A recording scope bound to one request's `trace_id`.
     pub fn scope(&self, trace_id: u64) -> EventScope {
         EventScope {
@@ -360,16 +386,149 @@ impl EventScope {
     }
 }
 
-/// Pair a trace's events into Chrome spans, rebased so the trace's
-/// first event sits at t=0: `StageStart`/`StageEnd` become stage
-/// spans, `RequestStart`/`RequestEnd` a whole-request span, and point
-/// events (goals, checkpoints, faults, ...) zero-duration markers.
+/// One stage of a trace, paired from its `StageStart` and `StageEnd`
+/// events by [`stage_spans`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageSpan {
+    pub stage: Stage,
+    /// Nanoseconds after the trace's first event.
+    pub start_ns: u64,
+    pub duration_ns: u64,
+    /// Diagnostics the stage produced (the `StageEnd` payload).
+    pub diags: u64,
+    /// False for a stage that started and never ended (a panic, a
+    /// tripped deadline): it runs to the trace's last event.
+    pub finished: bool,
+}
+
+impl StageSpan {
+    /// Nanosecond offset at which the span ended.
+    pub fn end_ns(&self) -> u64 {
+        self.start_ns.saturating_add(self.duration_ns)
+    }
+}
+
+/// Pair a trace's stage boundaries into spans, rebased so the trace's
+/// first event sits at t=0: the finished stages in the order they
+/// ended (the pipeline's order, since stages do not nest), then the
+/// unfinished ones. Boundaries naming no [`Stage`] are ignored. This is
+/// the one pairing every per-request timing view reads.
+pub fn stage_spans(events: &[Event]) -> Vec<StageSpan> {
+    let t0 = events.first().map_or(0, |e| e.ts_ns);
+    let end = events.last().map_or(0, |e| e.ts_ns.saturating_sub(t0));
+    let mut spans = Vec::new();
+    let mut open: Vec<(Stage, u64)> = Vec::new();
+    for e in events {
+        let stage = match e.kind {
+            EventKind::StageStart | EventKind::StageEnd => Stage::ALL.get(e.arg0 as usize),
+            _ => None,
+        };
+        let Some(&stage) = stage else {
+            continue;
+        };
+        let ts = e.ts_ns.saturating_sub(t0);
+        if e.kind == EventKind::StageStart {
+            open.push((stage, ts));
+        } else if let Some(pos) = open.iter().rposition(|&(s, _)| s == stage) {
+            let (_, start) = open.remove(pos);
+            spans.push(StageSpan {
+                stage,
+                start_ns: start,
+                duration_ns: ts.saturating_sub(start),
+                diags: e.arg1,
+                finished: true,
+            });
+        }
+    }
+    spans.extend(open.into_iter().map(|(stage, start)| StageSpan {
+        stage,
+        start_ns: start,
+        duration_ns: end.saturating_sub(start),
+        diags: 0,
+        finished: false,
+    }));
+    spans
+}
+
+/// The per-stage timing table of one trace: a row per finished stage
+/// in the order the stages ran, a `total` row, then `counters` after a
+/// `--` line.
+///
+/// ```text
+/// stage              time       %   diags
+/// lex             0.041ms    3.1%       0
+/// ...
+/// total           1.315ms               2
+/// ```
+pub fn timing_table(events: &[Event], counters: &[(&str, u64)]) -> String {
+    use std::fmt::Write as _;
+    let spans: Vec<StageSpan> = stage_spans(events)
+        .into_iter()
+        .filter(|s| s.finished)
+        .collect();
+    let total: u64 = spans.iter().map(|s| s.duration_ns).sum();
+    let ms = |ns: u64| format!("{:.3}ms", ns as f64 / 1e6);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<12} {:>10} {:>7} {:>7}",
+        "stage", "time", "%", "diags"
+    );
+    for s in &spans {
+        let _ = writeln!(
+            out,
+            "{:<12} {:>10} {:>6.1}% {:>7}",
+            s.stage.name(),
+            ms(s.duration_ns),
+            s.duration_ns as f64 * 100.0 / total.max(1) as f64,
+            s.diags,
+        );
+    }
+    let diags: u64 = spans.iter().map(|s| s.diags).sum();
+    let _ = writeln!(
+        out,
+        "{:<12} {:>10} {:>7} {:>7}",
+        "total",
+        ms(total),
+        "",
+        diags
+    );
+    if !counters.is_empty() {
+        let _ = writeln!(out, "--");
+        for (name, value) in counters {
+            let _ = writeln!(out, "{name:<24} {value}");
+        }
+    }
+    out
+}
+
+/// One generic named span for the Chrome trace-event export,
+/// nanoseconds relative to its track's start. [`chrome_spans`] derives
+/// them from a trace's events; other producers (the benchmark's
+/// layer-by-layer replay) build them directly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanEvent {
+    /// Event name shown in the viewer (a stage, `goal`, ...).
+    pub name: String,
+    /// Event category (`"stage"`, `"event"`, ...), filterable in the
+    /// viewer.
+    pub cat: &'static str,
+    /// Start offset, nanoseconds.
+    pub start_ns: u64,
+    /// Duration, nanoseconds.
+    pub duration_ns: u64,
+}
+
+/// A trace's events as Chrome spans, rebased so the trace's first
+/// event sits at t=0: [`stage_spans`]' stages become stage spans
+/// (`(unfinished)` for a stage that never ended, so the failing stage
+/// is visible in the viewer), `RequestStart`/`RequestEnd` a
+/// whole-request span, and point events (goals, checkpoints, faults,
+/// ...) zero-duration markers.
 pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
     let t0 = events.first().map_or(0, |e| e.ts_ns);
     let mut spans = Vec::new();
-    let mut open_stages: Vec<(u64, u64)> = Vec::new(); // (stage index, start)
     let mut request_start: Option<u64> = None;
-    let last_ts = events.last().map_or(0, |e| e.ts_ns);
     for e in events {
         let ts = e.ts_ns.saturating_sub(t0);
         match e.kind {
@@ -383,18 +542,7 @@ pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
                     duration_ns: ts.saturating_sub(start),
                 });
             }
-            EventKind::StageStart => open_stages.push((e.arg0, ts)),
-            EventKind::StageEnd => {
-                if let Some(pos) = open_stages.iter().rposition(|&(s, _)| s == e.arg0) {
-                    let (s, start) = open_stages.remove(pos);
-                    spans.push(SpanEvent {
-                        name: stage_name(s).to_string(),
-                        cat: "stage",
-                        start_ns: start,
-                        duration_ns: ts.saturating_sub(start),
-                    });
-                }
-            }
+            EventKind::StageStart | EventKind::StageEnd => {}
             _ => spans.push(SpanEvent {
                 name: e.kind.name().to_string(),
                 cat: "event",
@@ -403,18 +551,8 @@ pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
             }),
         }
     }
-    // A stage that never ended (panic, deadline) still gets a span so
-    // the failing stage is visible in the viewer.
-    let end = last_ts.saturating_sub(t0);
-    for (s, start) in open_stages {
-        spans.push(SpanEvent {
-            name: format!("{} (unfinished)", stage_name(s)),
-            cat: "stage",
-            start_ns: start,
-            duration_ns: end.saturating_sub(start),
-        });
-    }
     if let Some(start) = request_start {
+        let end = events.last().map_or(0, |e| e.ts_ns.saturating_sub(t0));
         spans.push(SpanEvent {
             name: "request (unfinished)".to_string(),
             cat: "request",
@@ -422,6 +560,16 @@ pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
             duration_ns: end.saturating_sub(start),
         });
     }
+    spans.extend(stage_spans(events).into_iter().map(|s| SpanEvent {
+        name: if s.finished {
+            s.stage.name().to_string()
+        } else {
+            format!("{} (unfinished)", s.stage.name())
+        },
+        cat: "stage",
+        start_ns: s.start_ns,
+        duration_ns: s.duration_ns,
+    }));
     spans.sort_by_key(|s| s.start_ns);
     spans
 }
@@ -564,5 +712,111 @@ mod tests {
         json::check(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
         assert!(doc.contains("\"ph\": \"X\""), "{doc}");
         assert!(doc.contains("\"pid\": 5"), "{doc}");
+    }
+
+    fn ev(ts_ns: u64, kind: EventKind, arg0: u64, arg1: u64) -> Event {
+        Event {
+            trace_id: 1,
+            ts_ns,
+            kind,
+            arg0,
+            arg1,
+        }
+    }
+
+    /// A trace that lexes, elaborates with three errors, passes a
+    /// boundary naming no stage, and dies in `eval`.
+    fn unfinished_trace() -> Vec<Event> {
+        vec![
+            ev(1_000, EventKind::StageStart, Stage::Lex as u64, 0),
+            ev(1_400, EventKind::StageEnd, Stage::Lex as u64, 0),
+            ev(1_500, EventKind::StageStart, Stage::Elaborate as u64, 0),
+            ev(1_600, EventKind::Goal, 0, 1),
+            ev(2_500, EventKind::StageEnd, Stage::Elaborate as u64, 3),
+            ev(2_600, EventKind::StageStart, 99, 0),
+            ev(2_700, EventKind::StageEnd, 99, 5),
+            ev(3_000, EventKind::StageStart, Stage::Eval as u64, 0),
+            ev(3_500, EventKind::EvalCheckpoint, 256, 1),
+        ]
+    }
+
+    #[test]
+    fn stage_spans_are_rebased_paired_and_carry_their_diagnostics() {
+        let span = |stage, start_ns, duration_ns, diags, finished| StageSpan {
+            stage,
+            start_ns,
+            duration_ns,
+            diags,
+            finished,
+        };
+        assert_eq!(
+            stage_spans(&unfinished_trace()),
+            [
+                span(Stage::Lex, 0, 400, 0, true),
+                span(Stage::Elaborate, 500, 1_000, 3, true),
+                span(Stage::Eval, 2_000, 500, 0, false),
+            ],
+            "rebased to the first event; stage 99 ignored; eval runs to the last event"
+        );
+        assert!(stage_spans(&[]).is_empty());
+    }
+
+    #[test]
+    fn timing_table_lists_finished_stages_in_order_then_counters() {
+        let table = timing_table(
+            &unfinished_trace(),
+            &[("core_nodes", 7), ("diagnostics", 3)],
+        );
+        assert_eq!(
+            table,
+            "stage              time       %   diags\n\
+             lex             0.000ms   28.6%       0\n\
+             elaborate       0.001ms   71.4%       3\n\
+             total           0.001ms               3\n\
+             --\n\
+             core_nodes               7\n\
+             diagnostics              3\n",
+            "the unfinished eval stage has no row"
+        );
+        assert!(
+            !timing_table(&[], &[]).contains("--"),
+            "no counters, no separator"
+        );
+    }
+
+    #[test]
+    fn chrome_spans_show_the_unfinished_stage_the_table_leaves_out() {
+        let spans = chrome_spans(&unfinished_trace());
+        let named: Vec<(&str, &str, u64)> = spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.cat, s.start_ns))
+            .collect();
+        assert_eq!(
+            named,
+            [
+                ("lex", "stage", 0),
+                ("elaborate", "stage", 500),
+                ("goal", "event", 600),
+                ("eval (unfinished)", "stage", 2_000),
+                ("eval-checkpoint", "event", 2_500),
+            ]
+        );
+    }
+
+    #[test]
+    fn extract_whole_reports_a_ring_that_overwrote_events() {
+        let log = EventLog::with_capacity(4);
+        let s = log.scope(1);
+        for _ in 0..4 {
+            s.record(EventKind::Goal, 0, 0);
+        }
+        assert_eq!(log.extract_whole(1).map(|e| e.len()), Ok(4));
+        s.record(EventKind::Goal, 0, 0);
+        let notice = log.extract_whole(1).unwrap_err();
+        assert!(
+            notice.contains("holds 4 events and overwrote the oldest 1 of the 5"),
+            "{notice}"
+        );
+        assert_eq!(EventLog::off().extract_whole(1), Ok(Vec::new()));
     }
 }

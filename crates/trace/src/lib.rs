@@ -3,28 +3,30 @@
 //! Zero-dependency observability primitives shared by every stage of
 //! the dictionary-passing pipeline:
 //!
-//! * [`Telemetry`] — a handle collecting per-stage **spans** (wall-clock
-//!   start offset, duration, diagnostics emitted) plus arbitrary named
-//!   counters, rendered as a human timing table
-//!   ([`Telemetry::render_table`]) or serialized into one JSON object
-//!   ([`Telemetry::write_json`]). A disabled handle
-//!   ([`Telemetry::off`], the default) records nothing and **allocates
-//!   nothing** — timing an opt-out run costs one branch per stage.
+//! * [`EventLog`] — the flight recorder ([`events`]): one request's
+//!   stage boundaries, resolver goals, evaluator checkpoints,
+//!   cancellations and injected faults as fixed-size events in a
+//!   ring, keyed by `trace_id`. Every per-request timing view reads
+//!   it: [`events::stage_spans`] pairs a trace's stage boundaries into
+//!   [`StageSpan`]s, which the timing table
+//!   ([`events::timing_table`]), the Chrome trace-event export
+//!   ([`events::chrome_spans`], [`events::traces_chrome_json`]) and
+//!   the example runner's `--trace-json` all derive from. A disabled
+//!   log ([`EventLog::off`], the default) records nothing and
+//!   **allocates nothing** — an untraced run pays one branch per site.
 //! * [`TraceNode`] — a generic labelled tree, used by the resolver's
 //!   explain-traces to render instance derivations as an indented goal
 //!   tree ([`TraceNode::render`]). Rendering is iterative, so
 //!   adversarially deep derivations cannot overflow the native stack.
 //! * [`MetricsRegistry`] — statically-keyed **counters, gauges, and
 //!   log2-bucketed histograms** ([`metrics`]), threaded through every
-//!   crate with the same zero-cost-when-off discipline as telemetry:
-//!   one branch + one add when enabled, no allocation when disabled.
+//!   crate with the same zero-cost-when-off discipline as the
+//!   recorder: one branch + one add when enabled, no allocation when
+//!   disabled.
 //! * [`CancelToken`] — a cooperative cancellation flag with an
 //!   optional deadline ([`cancel`]), polled by the resolver and
 //!   evaluator budget loops and at stage boundaries so a server can
 //!   bound a request's wall-clock time without killing threads.
-//! * [`chrome`] — the Chrome trace-event exporter: stage spans and
-//!   per-goal resolution spans ([`SpanEvent`]) as `"ph": "X"` complete
-//!   events, loadable in Perfetto.
 //! * [`json`] — the shared [`json::JsonWriter`], the [`json::check`]
 //!   well-formedness validator, and the [`json::parse`] value parser,
 //!   so stats, trace, and bench output cannot drift into invalid JSON
@@ -40,14 +42,12 @@
 #![cfg_attr(not(test), deny(clippy::panic))]
 
 pub mod cancel;
-pub mod chrome;
 pub mod events;
 pub mod json;
 pub mod metrics;
 
 pub use cancel::CancelToken;
-pub use chrome::{chrome_trace_json, SpanEvent};
-pub use events::{Event, EventKind, EventLog, EventScope};
+pub use events::{Event, EventKind, EventLog, EventScope, SpanEvent, StageSpan};
 pub use json::JsonWriter;
 pub use metrics::{
     bucket_index, bucket_lo, CounterId, GaugeId, Histogram, HistogramId, HistogramSnapshot,
@@ -55,7 +55,6 @@ pub use metrics::{
 };
 
 use std::fmt;
-use std::time::Instant;
 
 /// The pipeline stages a span can describe, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -101,198 +100,6 @@ impl fmt::Display for Stage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// One completed stage: when it started (nanoseconds after the
-/// telemetry handle was created), how long it ran, and how many
-/// diagnostics it emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageSpan {
-    pub stage: Stage,
-    pub start_ns: u64,
-    pub duration_ns: u64,
-    pub diags: u64,
-}
-
-impl StageSpan {
-    /// Nanosecond offset at which the span ended.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns.saturating_add(self.duration_ns)
-    }
-}
-
-/// An in-flight stage measurement, handed out by [`Telemetry::start`]
-/// and consumed by [`Telemetry::record`]. For a disabled handle it is
-/// inert (`None` inside), so instrumentation sites need no `if`s.
-#[derive(Debug, Clone, Copy)]
-pub struct StageTimer(Option<Instant>);
-
-/// The telemetry handle threaded through one pipeline run.
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    enabled: bool,
-    /// Creation time; span starts are offsets from this. `None` iff
-    /// disabled.
-    epoch: Option<Instant>,
-    spans: Vec<StageSpan>,
-    counters: Vec<(&'static str, u64)>,
-}
-
-impl Telemetry {
-    /// An enabled handle; spans recorded from now on.
-    pub fn new() -> Self {
-        Telemetry {
-            enabled: true,
-            epoch: Some(Instant::now()),
-            spans: Vec::new(),
-            counters: Vec::new(),
-        }
-    }
-
-    /// The disabled handle: records nothing, allocates nothing.
-    pub fn off() -> Self {
-        Telemetry::default()
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The instant span offsets are measured from (`None` when
-    /// disabled). Other span producers — the resolver's per-goal spans
-    /// — time against this same epoch so their events nest correctly
-    /// inside the stage spans in a Chrome trace.
-    pub fn epoch(&self) -> Option<Instant> {
-        self.epoch
-    }
-
-    /// True iff the handle is disabled *and* holds no heap memory —
-    /// the zero-cost-when-off guarantee, asserted by tests.
-    pub fn allocates_nothing(&self) -> bool {
-        !self.enabled && self.spans.capacity() == 0 && self.counters.capacity() == 0
-    }
-
-    /// Begin timing a stage. Cheap and infallible either way; on a
-    /// disabled handle the returned timer is inert.
-    pub fn start(&self) -> StageTimer {
-        StageTimer(if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        })
-    }
-
-    /// Close a stage span opened by [`Telemetry::start`], attributing
-    /// `diags` diagnostics to it. No-op on a disabled handle.
-    pub fn record(&mut self, stage: Stage, timer: StageTimer, diags: u64) {
-        let (Some(epoch), Some(t0)) = (self.epoch, timer.0) else {
-            return;
-        };
-        self.spans.push(StageSpan {
-            stage,
-            start_ns: saturating_ns(t0.duration_since(epoch).as_nanos()),
-            duration_ns: saturating_ns(t0.elapsed().as_nanos()),
-            diags,
-        });
-    }
-
-    /// Record a named counter (core node counts, cache sizes, ...).
-    /// No-op on a disabled handle.
-    pub fn counter(&mut self, name: &'static str, value: u64) {
-        if self.enabled {
-            self.counters.push((name, value));
-        }
-    }
-
-    pub fn spans(&self) -> &[StageSpan] {
-        &self.spans
-    }
-
-    pub fn counters(&self) -> &[(&'static str, u64)] {
-        &self.counters
-    }
-
-    /// Sum of all recorded span durations.
-    pub fn total_ns(&self) -> u64 {
-        self.spans
-            .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.duration_ns))
-    }
-
-    /// Human-readable per-stage timing table.
-    ///
-    /// ```text
-    /// stage         time        %   diags
-    /// lex          0.041ms   3.1%       0
-    /// ...
-    /// total        1.315ms    —        2
-    /// ```
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let total = self.total_ns().max(1);
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10} {:>7} {:>7}",
-            "stage", "time", "%", "diags"
-        );
-        let mut diags_total = 0u64;
-        for s in &self.spans {
-            diags_total += s.diags;
-            let _ = writeln!(
-                out,
-                "{:<12} {:>10} {:>6.1}% {:>7}",
-                s.stage.name(),
-                fmt_ns(s.duration_ns),
-                s.duration_ns as f64 * 100.0 / total as f64,
-                s.diags,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10} {:>7} {:>7}",
-            "total",
-            fmt_ns(self.total_ns()),
-            "",
-            diags_total,
-        );
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "--");
-            for (name, value) in &self.counters {
-                let _ = writeln!(out, "{name:<24} {value}");
-            }
-        }
-        out
-    }
-
-    /// Serialize the spans and counters as two fields (`"spans"`,
-    /// `"counters"`) of the writer's current object.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_array_field("spans");
-        for s in &self.spans {
-            w.begin_object();
-            w.field_str("stage", s.stage.name());
-            w.field_u64("start_ns", s.start_ns);
-            w.field_u64("duration_ns", s.duration_ns);
-            w.field_u64("diags", s.diags);
-            w.end_object();
-        }
-        w.end_array();
-        w.begin_object_field("counters");
-        for (name, value) in &self.counters {
-            w.field_u64(name, *value);
-        }
-        w.end_object();
-    }
-}
-
-fn saturating_ns(n: u128) -> u64 {
-    n.min(u64::MAX as u128) as u64
-}
-
-/// Render nanoseconds as fixed-width milliseconds.
-fn fmt_ns(ns: u64) -> String {
-    format!("{:.3}ms", ns as f64 / 1e6)
 }
 
 /// A labelled tree node: the building block of resolution
@@ -356,61 +163,6 @@ impl TraceNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn off_handle_allocates_nothing_and_records_nothing() {
-        let mut t = Telemetry::off();
-        assert!(!t.is_enabled());
-        assert!(t.allocates_nothing());
-        let timer = t.start();
-        t.record(Stage::Lex, timer, 3);
-        t.counter("core_nodes", 17);
-        assert!(t.spans().is_empty());
-        assert!(t.counters().is_empty());
-        assert!(t.allocates_nothing(), "record/counter must not allocate");
-    }
-
-    #[test]
-    fn enabled_handle_records_monotone_spans() {
-        let mut t = Telemetry::new();
-        for stage in [Stage::Lex, Stage::Parse, Stage::Elaborate] {
-            let timer = t.start();
-            // A tiny bit of work so durations are nonzero on coarse clocks.
-            let mut x = 0u64;
-            for i in 0..1000 {
-                x = x.wrapping_add(i);
-            }
-            std::hint::black_box(x);
-            t.record(stage, timer, 1);
-        }
-        let spans = t.spans();
-        assert_eq!(spans.len(), 3);
-        for w in spans.windows(2) {
-            assert!(w[1].start_ns >= w[0].start_ns, "{spans:?}");
-            assert!(w[1].start_ns >= w[0].end_ns(), "spans overlap: {spans:?}");
-        }
-        assert!(t.total_ns() > 0);
-        let table = t.render_table();
-        assert!(table.contains("elaborate"), "{table}");
-        assert!(table.contains("total"), "{table}");
-    }
-
-    #[test]
-    fn telemetry_json_is_well_formed() {
-        let mut t = Telemetry::new();
-        let timer = t.start();
-        t.record(Stage::Eval, timer, 0);
-        t.counter("core_nodes", 99);
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        t.write_json(&mut w);
-        w.end_object();
-        let s = w.finish();
-        let res = json::check(&s);
-        assert!(res.is_ok(), "{res:?}\n{s}");
-        assert!(s.contains("\"stage\": \"eval\""), "{s}");
-        assert!(s.contains("\"core_nodes\": 99"), "{s}");
-    }
 
     #[test]
     fn trace_tree_renders_indented() {

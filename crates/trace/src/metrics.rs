@@ -1,10 +1,10 @@
 //! Statically-keyed pipeline metrics: counters, gauges, and
 //! log2-bucketed histograms.
 //!
-//! Telemetry spans answer "where did the time go"; this module answers
-//! "how much work happened" — cache hits, interner allocations, parser
-//! recoveries, thunks forced. The design constraints mirror
-//! [`crate::Telemetry`]:
+//! The flight recorder ([`crate::events`]) answers "where did the time
+//! go"; this module answers "how much work happened" — cache hits,
+//! interner allocations, parser recoveries, thunks forced. The design
+//! constraints mirror the recorder's:
 //!
 //! * **Static keys.** Every metric is a variant of [`CounterId`],
 //!   [`GaugeId`], or [`HistogramId`], with its name and unit in a

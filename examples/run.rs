@@ -27,7 +27,20 @@
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use typeclasses::serve::ServeConfig;
-use typeclasses::{run_checked, Budget, FaultPlan, LintConfig, LintLevel, Options, Outcome};
+use typeclasses::trace::events::{chrome_spans, stage_spans, timing_table, traces_chrome_json};
+use typeclasses::{
+    run_checked, Budget, EventLog, FaultPlan, LintConfig, LintLevel, Options, Outcome,
+};
+
+/// Ring size of the recorder behind `--time`/`--trace`, `--trace-json`
+/// and `--chrome-trace` (2.5 MiB, allocated only when one of them is
+/// given). A run that overflows it is reported, never shown short; the
+/// largest shipped example records 29 events (237 with `--check-laws`).
+const TIMING_RING: usize = 1 << 16;
+
+/// The trace id the runner records its one run under (the Chrome
+/// trace's `pid`).
+const TIMING_TRACE: u64 = 1;
 
 /// One command-line option: its name, argument shape (if any), and
 /// help line. `USAGE` is generated from this table, so the two cannot
@@ -1018,7 +1031,6 @@ fn pct(sorted: &[u64], q: f64) -> u64 {
 /// latency / error / cache-behavior report, optionally also writing
 /// the traces as a Chrome trace-event document.
 fn report_main(args: &[String]) -> ExitCode {
-    use typeclasses::trace::events::{chrome_spans, traces_chrome_json};
     use typeclasses::trace::json;
     use typeclasses::EventKind;
 
@@ -1163,8 +1175,8 @@ fn report_main(args: &[String]) -> ExitCode {
 
     // Stage behavior: completed spans with mean duration, plus the
     // stages that never finished (panics, deadlines).
-    let mut stage_spans: BTreeMap<String, (u64, u64)> = BTreeMap::new(); // (count, total_ns)
-    let mut unfinished: BTreeMap<String, u64> = BTreeMap::new();
+    let mut stages: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // (count, total_ns)
+    let mut unfinished: BTreeMap<&str, u64> = BTreeMap::new();
     let mut goals = 0u64;
     let mut hits = 0u64;
     let mut misses = 0u64;
@@ -1174,17 +1186,13 @@ fn report_main(args: &[String]) -> ExitCode {
     let mut cancelled: BTreeMap<String, u64> = BTreeMap::new();
     let mut sheds = 0u64;
     for t in &traces {
-        for s in chrome_spans(&t.events) {
-            if s.cat != "stage" {
-                continue;
-            }
-            match s.name.strip_suffix(" (unfinished)") {
-                Some(stage) => *unfinished.entry(stage.to_string()).or_default() += 1,
-                None => {
-                    let e = stage_spans.entry(s.name.clone()).or_default();
-                    e.0 += 1;
-                    e.1 += s.duration_ns;
-                }
+        for s in stage_spans(&t.events) {
+            if s.finished {
+                let e = stages.entry(s.stage.name()).or_default();
+                e.0 += 1;
+                e.1 += s.duration_ns;
+            } else {
+                *unfinished.entry(s.stage.name()).or_default() += 1;
             }
         }
         for e in &t.events {
@@ -1225,7 +1233,7 @@ fn report_main(args: &[String]) -> ExitCode {
         "  {:<12} {:>6} {:>10}\n",
         "stage", "spans", "mean_us"
     ));
-    for (stage, (count, total_ns)) in &stage_spans {
+    for (stage, (count, total_ns)) in &stages {
         report.push_str(&format!(
             "  {:<12} {:>6} {:>10.1}\n",
             stage,
@@ -1342,10 +1350,7 @@ fn main() -> ExitCode {
                 lint = true;
                 opts.lint_levels = LintConfig::all(LintLevel::Deny);
             }
-            "--time" | "--trace" => {
-                opts.trace_timing = true;
-                show_timing = true;
-            }
+            "--time" | "--trace" => show_timing = true,
             "--explain" => {
                 opts.trace_resolution = true;
                 explain = true;
@@ -1361,12 +1366,9 @@ fn main() -> ExitCode {
             }
             "--no-metrics" => opts.collect_metrics = false,
             _ if arg.starts_with("--chrome-trace=") => {
-                opts.trace_timing = true;
-                opts.trace_goal_spans = true;
                 chrome_trace_path = Some(arg["--chrome-trace=".len()..].to_string());
             }
             _ if arg.starts_with("--trace-json=") => {
-                opts.trace_timing = true;
                 trace_json_path = Some(arg["--trace-json=".len()..].to_string());
             }
             _ if arg.starts_with("--law-budget=") => {
@@ -1439,6 +1441,13 @@ fn main() -> ExitCode {
         }
     };
 
+    // The timing views read the run's flight recording.
+    let timing = if show_timing || trace_json_path.is_some() || chrome_trace_path.is_some() {
+        EventLog::with_capacity(TIMING_RING)
+    } else {
+        EventLog::off()
+    };
+    opts.events = timing.scope(TIMING_TRACE);
     let check = if lint {
         typeclasses::lint_source(&src, &opts)
     } else {
@@ -1476,8 +1485,15 @@ fn main() -> ExitCode {
     if metrics {
         eprint!("{}", r.check.stats.metrics.render_table());
     }
+    let events = match timing.extract_whole(TIMING_TRACE) {
+        Ok(events) => events,
+        Err(notice) => {
+            eprintln!("error: {notice}");
+            return ExitCode::from(2);
+        }
+    };
     if show_timing {
-        eprint!("{}", r.check.telemetry.render_table());
+        eprint!("{}", timing_table(&events, &r.check.counters()));
     }
     if profile {
         match &r.profile {
@@ -1486,13 +1502,14 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &trace_json_path {
-        if let Err(e) = std::fs::write(p, r.trace_json()) {
+        if let Err(e) = std::fs::write(p, r.trace_json(&events)) {
             eprintln!("error: cannot write {p}: {e}");
             return ExitCode::from(2);
         }
     }
     if let Some(p) = &chrome_trace_path {
-        if let Err(e) = std::fs::write(p, r.check.chrome_trace_json()) {
+        let doc = traces_chrome_json(&[(TIMING_TRACE, chrome_spans(&events))]);
+        if let Err(e) = std::fs::write(p, doc) {
             eprintln!("error: cannot write {p}: {e}");
             return ExitCode::from(2);
         }

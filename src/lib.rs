@@ -36,7 +36,7 @@ pub use tc_serve::{
 };
 pub use tc_syntax::LintLevel;
 pub use tc_trace::{
-    bucket_index, chrome_trace_json, CancelToken, CounterId, Event, EventKind, EventLog,
-    EventScope, GaugeId, Histogram, HistogramId, HistogramSnapshot, JsonWriter, MetricsRegistry,
-    MetricsSnapshot, SpanEvent, Stage, StageSpan, Telemetry, TraceNode,
+    bucket_index, CancelToken, CounterId, Event, EventKind, EventLog, EventScope, GaugeId,
+    Histogram, HistogramId, HistogramSnapshot, JsonWriter, MetricsRegistry, MetricsSnapshot,
+    SpanEvent, Stage, StageSpan, TraceNode,
 };

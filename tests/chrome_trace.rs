@@ -1,19 +1,29 @@
-//! Integration tests for the Chrome trace-event export: document
-//! validity against the in-tree RFC 8259 checker, the complete-event
-//! shape Perfetto expects, and the time-nesting of per-goal resolution
-//! spans inside the `elaborate` stage span.
+//! Integration tests for the Chrome trace-event export of a run's
+//! flight recording: document validity against the in-tree RFC 8259
+//! checker, the complete-event shape Perfetto expects, and the
+//! time-nesting of per-goal markers inside the `elaborate` stage span.
 
+use typeclasses::trace::events::{chrome_spans, traces_chrome_json};
 use typeclasses::trace::json::{self, parse, Value};
-use typeclasses::{check_source, run_source, Options, Outcome};
+use typeclasses::{check_source, run_source, EventLog, Options, Outcome};
 
 const MEMBER_MAIN: &str = "main = member 3 (enumFromTo 1 5);";
 
-fn traced() -> Options {
-    Options {
-        trace_timing: true,
-        trace_goal_spans: true,
+/// Options that record the run into a log of its own, and the log.
+fn traced() -> (Options, EventLog) {
+    let log = EventLog::with_capacity(1 << 12);
+    let opts = Options {
+        events: log.scope(1),
         ..Options::default()
-    }
+    };
+    (opts, log)
+}
+
+/// The recorded run as a Chrome trace-event document, as the example
+/// runner's `--chrome-trace` writes it.
+fn chrome(log: &EventLog) -> String {
+    let events = log.extract_whole(1).expect("the ring holds the whole run");
+    traces_chrome_json(&[(1, chrome_spans(&events))])
 }
 
 /// Parse a trace document and return its `traceEvents` as
@@ -39,13 +49,13 @@ fn events(doc: &str) -> Vec<(String, String, String, f64, f64)> {
 
 #[test]
 fn trace_is_checker_valid_with_tracing_on_and_off() {
-    let on = run_source(MEMBER_MAIN, &traced());
-    let doc = on.check.chrome_trace_json();
+    let (opts, log) = traced();
+    run_source(MEMBER_MAIN, &opts);
+    let doc = chrome(&log);
     json::check(&doc).expect("traced document");
 
-    // With everything off the document is still valid — just empty.
-    let off = run_source(MEMBER_MAIN, &Options::default());
-    let empty = off.check.chrome_trace_json();
+    // With recording off the document is still valid — just empty.
+    let empty = chrome(&EventLog::off());
     json::check(&empty).expect("untraced document");
     assert!(events(&empty).is_empty());
     let v = parse(&empty).unwrap();
@@ -54,9 +64,10 @@ fn trace_is_checker_valid_with_tracing_on_and_off() {
 
 #[test]
 fn one_complete_event_per_pipeline_stage() {
-    let r = run_source(MEMBER_MAIN, &traced());
+    let (opts, log) = traced();
+    let r = run_source(MEMBER_MAIN, &opts);
     assert!(matches!(r.outcome, Outcome::Value(_)));
-    let evs = events(&r.check.chrome_trace_json());
+    let evs = events(&chrome(&log));
     let stages: Vec<&str> = evs
         .iter()
         .filter(|(_, cat, _, _, _)| cat == "stage")
@@ -83,8 +94,9 @@ fn one_complete_event_per_pipeline_stage() {
 
 #[test]
 fn events_are_monotone_and_goals_nest_in_elaborate() {
-    let r = run_source(MEMBER_MAIN, &traced());
-    let evs = events(&r.check.chrome_trace_json());
+    let (opts, log) = traced();
+    run_source(MEMBER_MAIN, &opts);
+    let evs = events(&chrome(&log));
 
     // Stage events are monotone and non-overlapping.
     let stages: Vec<_> = evs.iter().filter(|(_, c, _, _, _)| c == "stage").collect();
@@ -100,18 +112,15 @@ fn events_are_monotone_and_goals_nest_in_elaborate() {
         );
     }
 
-    // Every per-goal resolution span sits inside the elaborate stage
-    // span (they share the telemetry epoch). The 0.01us slack absorbs
-    // the 3-decimal microsecond rounding of the serializer.
+    // Every goal marker sits inside the elaborate stage span (both
+    // come from the same recording). The 0.01us slack absorbs the
+    // 3-decimal microsecond rounding of the serializer.
     let elab = stages
         .iter()
         .find(|(n, _, _, _, _)| n == "elaborate")
         .expect("elaborate stage present");
     let (ets, edur) = (elab.3, elab.4);
-    let goals: Vec<_> = evs
-        .iter()
-        .filter(|(_, c, _, _, _)| c == "resolve")
-        .collect();
+    let goals: Vec<_> = evs.iter().filter(|(n, _, _, _, _)| n == "goal").collect();
     assert!(!goals.is_empty(), "member resolves at least one goal");
     for (name, _, _, ts, dur) in &goals {
         assert!(
@@ -123,7 +132,7 @@ fn events_are_monotone_and_goals_nest_in_elaborate() {
             "goal {name} (ts {ts} dur {dur}) outlives elaborate (ts {ets} dur {edur})"
         );
     }
-    // And the goal spans themselves are monotone by start time.
+    // And the goal markers themselves are monotone by start time.
     for pair in goals.windows(2) {
         assert!(pair[1].3 >= pair[0].3, "goal starts must be nondecreasing");
     }
@@ -135,9 +144,10 @@ fn shipped_examples_export_valid_traces() {
     for name in ["member.mh", "maxlist.mh", "sumsquares.mh"] {
         let src = std::fs::read_to_string(format!("{dir}/{name}"))
             .unwrap_or_else(|e| panic!("cannot read {name}: {e}"));
-        let c = check_source(&src, &traced());
+        let (opts, log) = traced();
+        let c = check_source(&src, &opts);
         assert!(c.ok(), "{name}: {}", c.render_diagnostics());
-        let doc = c.chrome_trace_json();
+        let doc = chrome(&log);
         json::check(&doc).unwrap_or_else(|e| panic!("{name}: invalid trace: {e}"));
         let evs = events(&doc);
         // check_source never runs eval, so six stage events (lex,
@@ -145,8 +155,8 @@ fn shipped_examples_export_valid_traces() {
         let stage_count = evs.iter().filter(|(_, c, _, _, _)| c == "stage").count();
         assert_eq!(stage_count, 6, "{name}");
         assert!(
-            evs.iter().any(|(_, c, _, _, _)| c == "resolve"),
-            "{name}: no per-goal spans"
+            evs.iter().any(|(n, _, _, _, _)| n == "goal"),
+            "{name}: no goal markers"
         );
     }
 }
