@@ -186,7 +186,10 @@ impl ClassEnv {
 
     /// Does an instance exist whose head could ever apply to `pred`?
     /// (One-way match of the instance head pattern onto the type.)
-    pub fn matching_instance(&self, pred: &Pred) -> Option<(&Instance, tc_types::Subst)> {
+    pub fn matching_instance(
+        &self,
+        pred: &Pred,
+    ) -> Option<(&Instance, std::collections::HashMap<tc_types::TyVar, Type>)> {
         for inst in self.instances_of(&pred.class) {
             if let Ok(s) = tc_types::match_types(&inst.head.ty, &pred.ty) {
                 return Some((inst, s));

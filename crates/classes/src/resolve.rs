@@ -635,7 +635,7 @@ impl<'e> Search<'e> {
             .preds
             .iter()
             .map(|p| {
-                let mut sp = p.apply(&subst);
+                let mut sp = p.substitute(&subst);
                 // Blame the original use site, not the instance decl.
                 sp.span = pred.span;
                 sp
@@ -831,7 +831,7 @@ impl ClassEnv {
             match self.matching_instance(&p) {
                 Some((inst, subst)) => {
                     for sub in inst.preds.iter().rev() {
-                        let mut sp = sub.apply(&subst);
+                        let mut sp = sub.substitute(&subst);
                         sp.span = p.span;
                         work.push((sp, depth + 1));
                     }

@@ -539,9 +539,10 @@ fn data_samples(ty: &Type, depth: usize, datas: &DataEnv) -> Vec<Sample> {
         }
         // Instantiate the constructor's field types at this type's
         // ground arguments.
-        let mut subst = tc_types::Subst::new();
+        let (mut types, mut subst) = (tc_types::Interner::new(), tc_types::Subst::new());
         for (v, a) in ci.scheme.vars.iter().zip(&args) {
-            if subst.bind(*v, (*a).clone()).is_err() {
+            let a = types.intern(a);
+            if subst.bind(&mut types, *v, a).is_err() {
                 return Vec::new();
             }
         }
@@ -550,7 +551,8 @@ fn data_samples(ty: &Type, depth: usize, datas: &DataEnv) -> Vec<Sample> {
         for _ in 0..ci.arity {
             match t {
                 Type::Fun(a, b) => {
-                    field_tys.push(subst.apply(a));
+                    let a = types.intern(a);
+                    field_tys.push(subst.apply_tree(&types, a));
                     t = b;
                 }
                 _ => return Vec::new(),

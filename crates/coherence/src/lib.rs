@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use tc_classes::{ClassEnv, Instance};
 use tc_syntax::{Diagnostic, Diagnostics, LintLevel, Severity, Span, Stage};
 use tc_trace::{CounterId, MetricsRegistry};
-use tc_types::{unify, Pred, Subst};
+use tc_types::{unify, Interner, Pred, Subst};
 
 pub use laws::{check_laws, LawInput, LawOptions};
 pub use tc_syntax::LintLevel as Level;
@@ -258,11 +258,12 @@ fn check_overlaps(input: &CoherenceInput<'_>, em: &mut Emitter<'_>, metrics: &mu
         for (i, a) in insts.iter().enumerate() {
             for b in &insts[first_own.max(i + 1)..] {
                 metrics.incr(CounterId::CoherencePairsUnified);
-                let mut s = Subst::new();
-                if unify(&mut s, &a.head.ty, &b.head.ty).is_err() {
+                let (mut types, mut s) = (Interner::new(), Subst::new());
+                let (ta, tb) = (types.intern(&a.head.ty), types.intern(&b.head.ty));
+                if unify(&mut types, &mut s, ta, tb).is_err() {
                     continue;
                 }
-                let counterexample = s.apply(&a.head.ty);
+                let counterexample = s.apply_tree(&types, ta);
                 report_overlap(em, class, a, b, &counterexample, input.user_start);
             }
         }

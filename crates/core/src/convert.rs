@@ -21,39 +21,52 @@ use std::cell::RefCell;
 use tc_classes::{ClassEnv, DictDeriv, ReduceBudget, ResolveCache, ResolveError};
 use tc_coreir::{CoreExpr, PlaceholderKind, PlaceholderTable};
 use tc_syntax::{Diagnostics, Stage};
-use tc_types::{Pred, Subst, Type};
+use tc_types::{IdPred, Interner, Pred, Subst, Type};
 
 /// Everything a conversion pass over one binding needs.
 pub struct ConvertCtx<'a> {
     pub cenv: &'a ClassEnv,
     pub table: &'a PlaceholderTable,
+    /// The type store the placeholders' predicates live in, and the
+    /// final substitution that zonks them.
+    pub types: &'a Interner,
     pub subst: &'a Subst,
     /// The elaboration-wide resolution memo table, shared across every
     /// binding so a dictionary proved once is proved once. Interior
     /// mutability because conversion contexts are otherwise read-only.
     pub cache: &'a RefCell<ResolveCache>,
     /// Dictionary assumptions in scope (zonked), in parameter order.
-    pub assumptions: Vec<Pred>,
+    pub assumptions: &'a [Pred],
     /// Parameter names, parallel to `assumptions`.
-    pub dict_params: Vec<String>,
+    pub dict_params: &'a [String],
     /// Signature-less members of the current binding group (targets of
     /// `RecCall` placeholders).
-    pub group_members: Vec<String>,
-    /// The group's retained context — the dictionary arguments every
-    /// `RecCall` must supply.
-    pub group_retained: Vec<Pred>,
+    pub group_members: &'a [String],
+    /// The group's retained context (zonked) — the dictionary
+    /// arguments every `RecCall` must supply.
+    pub group_retained: &'a [Pred],
     pub budget: ReduceBudget,
 }
 
 impl ConvertCtx<'_> {
-    /// Resolve a predicate against the assumptions and spell out the
-    /// resulting dictionary expression. Public because the instance
+    /// Zonk a placeholder's predicate into the tree the resolver takes,
+    /// and resolve it.
+    fn resolve_placeholder(&self, pred: &IdPred, diags: &mut Diagnostics) -> CoreExpr {
+        let zonked = Pred::new(
+            self.types.name(pred.class).unwrap_or("?"),
+            self.subst.apply_tree(self.types, pred.ty),
+            pred.span,
+        );
+        self.resolve_pred(&zonked, diags)
+    }
+
+    /// Resolve a zonked predicate against the assumptions and spell out
+    /// the resulting dictionary expression. Public because the instance
     /// pass resolves superclass slots directly.
-    pub fn resolve_pred(&self, pred: &Pred, diags: &mut Diagnostics) -> CoreExpr {
-        let zonked = pred.apply(self.subst);
+    pub fn resolve_pred(&self, zonked: &Pred, diags: &mut Diagnostics) -> CoreExpr {
         let resolved = self.cenv.resolve_with(
-            &zonked,
-            &self.assumptions,
+            zonked,
+            self.assumptions,
             self.budget,
             &mut self.cache.borrow_mut(),
         );
@@ -159,7 +172,7 @@ pub fn convert(e: &CoreExpr, cx: &ConvertCtx<'_>, diags: &mut Diagnostics) -> Co
         CoreExpr::Tuple(xs) => CoreExpr::Tuple(xs.iter().map(|x| convert(x, cx, diags)).collect()),
         CoreExpr::Proj(i, b) => CoreExpr::Proj(*i, Box::new(convert(b, cx, diags))),
         CoreExpr::Placeholder(id) => match cx.table.get(*id) {
-            Some(PlaceholderKind::Dict { pred }) => cx.resolve_pred(pred, diags),
+            Some(PlaceholderKind::Dict { pred }) => cx.resolve_placeholder(pred, diags),
             Some(PlaceholderKind::RecCall { name, .. }) => {
                 if cx.group_members.iter().any(|m| m == name) {
                     CoreExpr::apps(

@@ -8,22 +8,23 @@
 //! chained bindings must not overflow the native stack.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use tc_syntax::{Binding, Expr};
+use tc_syntax::{Binding, Expr, Scope};
 
 /// Free variable names of an expression (names not bound by enclosing
 /// lambdas or lets). Recursion depth is bounded by the parser's
 /// expression-depth budget, so a plain recursive walk is safe here.
+/// Binders are indexed by name, so a `let` of n bindings costs O(n).
 pub fn free_vars(e: &Expr) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    let mut bound: Vec<&str> = Vec::new();
+    let mut bound: Scope<'_, ()> = Scope::new();
     collect(e, &mut bound, &mut out);
     out
 }
 
-fn collect<'a>(e: &'a Expr, bound: &mut Vec<&'a str>, out: &mut BTreeSet<String>) {
+fn collect<'a>(e: &'a Expr, bound: &mut Scope<'a, ()>, out: &mut BTreeSet<String>) {
     match e {
         Expr::Var(n, _) => {
-            if !bound.iter().any(|b| b == n) {
+            if bound.get(n).is_none() {
                 out.insert(n.clone());
             }
         }
@@ -33,14 +34,14 @@ fn collect<'a>(e: &'a Expr, bound: &mut Vec<&'a str>, out: &mut BTreeSet<String>
             collect(x, bound, out);
         }
         Expr::Lam(p, b, _) => {
-            bound.push(p);
+            bound.push(p, ());
             collect(b, bound, out);
             bound.pop();
         }
         Expr::Let(binds, body, _) => {
             let before = bound.len();
             for b in binds {
-                bound.push(&b.name);
+                bound.push(&b.name, ());
             }
             for b in binds {
                 collect(&b.expr, bound, out);
@@ -60,13 +61,13 @@ fn collect<'a>(e: &'a Expr, bound: &mut Vec<&'a str>, out: &mut BTreeSet<String>
                 match &arm.pattern {
                     tc_syntax::Pattern::Var(n, _) => {
                         if n != "_" {
-                            bound.push(n);
+                            bound.push(n, ());
                         }
                     }
                     tc_syntax::Pattern::Con { binders, .. } => {
                         for (b, _) in binders {
                             if b != "_" {
-                                bound.push(b);
+                                bound.push(b, ());
                             }
                         }
                     }

@@ -24,6 +24,7 @@ pub mod derive;
 pub mod diag;
 pub mod lexer;
 pub mod parser;
+pub mod scope;
 pub mod span;
 pub mod token;
 
@@ -31,5 +32,6 @@ pub use ast::*;
 pub use diag::{Diagnostic, Diagnostics, LintLevel, Severity, Stage};
 pub use lexer::{lex, lex_continuing};
 pub use parser::{parse_program, parse_program_with, ParseOptions, ParseStats};
+pub use scope::Scope;
 pub use span::Span;
 pub use token::{Token, TokenKind};

@@ -1,8 +1,8 @@
 //! Class predicates and qualified types.
 
-use crate::subst::Subst;
+use crate::intern::{NameId, TypeId};
 use crate::ty::{TyVar, Type};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use tc_syntax::Span;
 
@@ -28,10 +28,12 @@ impl Pred {
         }
     }
 
-    pub fn apply(&self, s: &Subst) -> Pred {
+    /// The predicate with `map` substituted into its type (see
+    /// [`Type::substitute`]).
+    pub fn substitute(&self, map: &HashMap<TyVar, Type>) -> Pred {
         Pred {
             class: self.class.clone(),
-            ty: s.apply(&self.ty),
+            ty: self.ty.substitute(map),
             span: self.span,
         }
     }
@@ -84,6 +86,16 @@ impl fmt::Display for Pred {
     }
 }
 
+/// A class constraint over a type store: `class` and `ty` are ids of
+/// one [`crate::Interner`]. What inference collects; it leaves the
+/// elaborator as a [`Pred`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdPred {
+    pub class: NameId,
+    pub ty: TypeId,
+    pub span: Span,
+}
+
 /// A qualified thing: `preds => t`. Used for both qualified types
 /// (`Qual<Type>`) and instance heads (`Qual<Pred>`).
 #[derive(Debug, Clone, PartialEq)]
@@ -106,10 +118,12 @@ impl<T> Qual<T> {
 }
 
 impl Qual<Type> {
-    pub fn apply(&self, s: &Subst) -> Qual<Type> {
+    /// The qualified type with `map` substituted into every predicate
+    /// and the head (see [`Type::substitute`]).
+    pub fn substitute(&self, map: &HashMap<TyVar, Type>) -> Qual<Type> {
         Qual {
-            preds: self.preds.iter().map(|p| p.apply(s)).collect(),
-            head: s.apply(&self.head),
+            preds: self.preds.iter().map(|p| p.substitute(map)).collect(),
+            head: self.head.substitute(map),
         }
     }
 

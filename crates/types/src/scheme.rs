@@ -1,9 +1,8 @@
 //! Type schemes (polytypes).
 
 use crate::pred::{Pred, Qual};
-use crate::subst::Subst;
 use crate::ty::{TyVar, Type};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// `forall vars. preds => ty`.
@@ -43,16 +42,10 @@ impl Scheme {
         if self.vars.is_empty() {
             return (self.qual.preds.clone(), self.qual.head.clone());
         }
-        let mut s = Subst::new();
-        for v in &self.vars {
-            // Binding distinct quantified vars to fresh single-node
-            // types cannot overflow the node budget.
-            let _ = s.bind(*v, Type::Var(fresh()));
-        }
-        (
-            self.qual.preds.iter().map(|p| p.apply(&s)).collect(),
-            s.apply(&self.qual.head),
-        )
+        let map: HashMap<TyVar, Type> =
+            self.vars.iter().map(|v| (*v, Type::Var(fresh()))).collect();
+        let qual = self.qual.substitute(&map);
+        (qual.preds, qual.head)
     }
 
     /// Free (unquantified) variables — needed to compute the
@@ -64,28 +57,18 @@ impl Scheme {
         }
         fv
     }
-
-    /// Apply a substitution to the *free* part of the scheme. The
-    /// quantified variables are untouched (inference guarantees they
-    /// are never in the substitution's domain because they are
-    /// generalized only after zonking).
-    pub fn apply(&self, s: &Subst) -> Scheme {
-        Scheme {
-            vars: self.vars.clone(),
-            qual: self.qual.apply(s),
-        }
-    }
 }
 
 impl fmt::Display for Scheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Rename quantified variables to a, b, c ... for readability.
-        let mut s = Subst::new();
-        for (i, v) in self.vars.iter().enumerate() {
-            // Single-node constructors cannot overflow the node budget.
-            let _ = s.bind(*v, Type::Con(display_name(i)));
-        }
-        let shown = self.qual.apply(&s);
+        let names: HashMap<TyVar, Type> = self
+            .vars
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (*v, Type::Con(display_name(i))))
+            .collect();
+        let shown = self.qual.substitute(&names);
         write!(f, "{shown}")
     }
 }

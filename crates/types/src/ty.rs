@@ -1,6 +1,6 @@
 //! The internal type representation.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A type variable. Fresh variables are numbered by the inference
@@ -162,6 +162,48 @@ impl Type {
         n
     }
 
+    /// The type with each variable that `map` binds replaced by its
+    /// binding, in one pass: a renaming or instantiation of a closed
+    /// type, not a solved substitution (the bindings are not applied
+    /// to each other). Iterative, like the other traversals.
+    pub fn substitute(&self, map: &HashMap<TyVar, Type>) -> Type {
+        enum Step<'a> {
+            Visit(&'a Type),
+            App,
+            Fun,
+        }
+        let mut work = vec![Step::Visit(self)];
+        let mut out: Vec<Type> = Vec::new();
+        while let Some(step) = work.pop() {
+            match step {
+                Step::Visit(t) => match t {
+                    Type::Var(v) => out.push(map.get(v).unwrap_or(t).clone()),
+                    Type::Con(_) => out.push(t.clone()),
+                    Type::App(a, b) | Type::Fun(a, b) => {
+                        work.push(if matches!(t, Type::App(..)) {
+                            Step::App
+                        } else {
+                            Step::Fun
+                        });
+                        work.push(Step::Visit(b));
+                        work.push(Step::Visit(a));
+                    }
+                },
+                Step::App | Step::Fun => {
+                    let (Some(b), Some(a)) = (out.pop(), out.pop()) else {
+                        continue;
+                    };
+                    out.push(if matches!(step, Step::App) {
+                        Type::App(Box::new(a), Box::new(b))
+                    } else {
+                        Type::Fun(Box::new(a), Box::new(b))
+                    });
+                }
+            }
+        }
+        out.pop().unwrap_or_else(|| self.clone())
+    }
+
     /// The outermost constructor name, if the type is a (possibly
     /// applied) constructor: `List Int` → `Some("List")`.
     pub fn head_con(&self) -> Option<&str> {
@@ -267,6 +309,18 @@ mod tests {
         // chains recurses in rustc's generated Drop. Real pipeline
         // types never get this deep because unification is budgeted.
         std::mem::forget(t);
+    }
+
+    #[test]
+    fn substitute_renames_in_one_pass() {
+        let (a, b) = (TyVar(0), TyVar(1));
+        let t = Type::fun(Type::Var(a), Type::list(Type::Var(b)));
+        let map = HashMap::from([(a, Type::Var(b)), (b, Type::int())]);
+        // `a` becomes `b`, which is not rewritten again.
+        assert_eq!(
+            t.substitute(&map),
+            Type::fun(Type::Var(b), Type::list(Type::int()))
+        );
     }
 
     #[test]

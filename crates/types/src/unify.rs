@@ -1,8 +1,10 @@
-//! Unification and one-way matching, with typed errors and an explicit
-//! work budget.
+//! Unification on interned types, and one-way matching on trees, with
+//! typed errors and an explicit work budget.
 
+use crate::intern::{Interner, Node, TypeId};
 use crate::subst::Subst;
 use crate::ty::{TyVar, Type};
+use std::collections::HashMap;
 use std::fmt;
 use tc_syntax::Span;
 
@@ -32,6 +34,13 @@ impl TypeError {
         }
         self
     }
+
+    fn new(kind: TypeErrorKind) -> Self {
+        TypeError {
+            kind,
+            span: Span::DUMMY,
+        }
+    }
 }
 
 impl fmt::Display for TypeError {
@@ -51,124 +60,146 @@ impl fmt::Display for TypeError {
     }
 }
 
-/// Upper bound on unification work items for one `unify` call. Large
-/// enough for any sane program; small enough that an adversarial
-/// exponential blowup fails in microseconds.
+/// Upper bound on unification work items for one `unify` call: one per
+/// pair of nodes compared, as a walk over the two types as trees would
+/// visit them. Large enough for any sane program; small enough that an
+/// adversarial exponential blowup fails in microseconds.
 pub const UNIFY_BUDGET: usize = 100_000;
 
-/// Unify `a` and `b` under (and extending) `subst`.
+/// Unify `a` and `b`, two types of `types`, under (and extending)
+/// `subst`.
+///
+/// Each side of a pair is resolved shallowly (a bound variable becomes
+/// its binding, which the idempotent invariant keeps fully applied).
+/// Two equal ground ids are done at once, charged their tree size, which
+/// is what a walk over the two trees would spend comparing them. A
+/// variable is bound to the fully applied other side. Trees are built
+/// only for error messages, which show both sides fully applied.
 ///
 /// Uses an explicit worklist so native stack depth is constant, and a
 /// work budget so pathological inputs produce
 /// [`TypeErrorKind::BudgetExhausted`] instead of an effective hang.
-pub fn unify(subst: &mut Subst, a: &Type, b: &Type) -> Result<(), TypeError> {
-    // Work items carry the substitution generation they were normalized
-    // under; re-applying is skipped when no bind happened since, which
-    // keeps unification of large already-ground types linear.
-    let mut work: Vec<(Type, Type, u64)> = vec![(a.clone(), b.clone(), 0)];
+pub fn unify(
+    types: &mut Interner,
+    subst: &mut Subst,
+    a: TypeId,
+    b: TypeId,
+) -> Result<(), TypeError> {
+    let mut work = std::mem::take(&mut subst.work);
+    work.clear();
+    work.push((a, b));
+    let result = unify_pairs(types, subst, &mut work);
+    work.clear();
+    subst.work = work;
+    result
+}
+
+fn unify_pairs(
+    types: &mut Interner,
+    subst: &mut Subst,
+    work: &mut Vec<(TypeId, TypeId)>,
+) -> Result<(), TypeError> {
     let mut budget = UNIFY_BUDGET;
-    while let Some((x, y, gen)) = work.pop() {
+    while let Some((x, y)) = work.pop() {
         if budget == 0 {
-            return Err(TypeError {
-                kind: TypeErrorKind::BudgetExhausted,
-                span: Span::DUMMY,
-            });
+            return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
+        }
+        let (x, y) = (subst.resolve(types, x), subst.resolve(types, y));
+        if x == y && types.is_ground(x) {
+            let n = types.size(x);
+            if n > budget {
+                return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
+            }
+            budget -= n;
+            continue;
         }
         budget -= 1;
-        let cur_gen = subst.generation();
-        let (x, y) = if gen == cur_gen {
-            (x, y)
-        } else {
-            (subst.apply(&x), subst.apply(&y))
-        };
-        match (x, y) {
-            (Type::Var(v), Type::Var(w)) if v == w => {}
-            (Type::Var(v), t) | (t, Type::Var(v)) => {
-                if t.contains_var(v) {
-                    return Err(TypeError {
-                        kind: TypeErrorKind::Occurs { var: v, ty: t },
-                        span: Span::DUMMY,
-                    });
-                }
-                subst.bind(v, t).map_err(|_| TypeError {
-                    kind: TypeErrorKind::BudgetExhausted,
-                    span: Span::DUMMY,
-                })?;
+        match (types.node(x), types.node(y)) {
+            (Node::Var(v), Node::Var(w)) if v == w => {}
+            (Node::Var(v), _) => bind_var(types, subst, v, y)?,
+            (_, Node::Var(v)) => bind_var(types, subst, v, x)?,
+            (Node::Con(n), Node::Con(m)) if n == m => {}
+            (Node::App(f1, a1), Node::App(f2, a2)) => {
+                work.push((a1, a2));
+                work.push((f1, f2));
             }
-            (Type::Con(n), Type::Con(m)) if n == m => {}
-            (Type::App(f1, a1), Type::App(f2, a2)) => {
-                work.push((*a1, *a2, cur_gen));
-                work.push((*f1, *f2, cur_gen));
+            (Node::Fun(p1, r1), Node::Fun(p2, r2)) => {
+                work.push((r1, r2));
+                work.push((p1, p2));
             }
-            (Type::Fun(p1, r1), Type::Fun(p2, r2)) => {
-                work.push((*r1, *r2, cur_gen));
-                work.push((*p1, *p2, cur_gen));
-            }
-            (x, y) => {
-                return Err(TypeError {
-                    kind: TypeErrorKind::Mismatch {
-                        expected: x,
-                        found: y,
-                    },
-                    span: Span::DUMMY,
-                });
+            _ => {
+                return Err(TypeError::new(TypeErrorKind::Mismatch {
+                    expected: subst.apply_tree(types, x),
+                    found: subst.apply_tree(types, y),
+                }));
             }
         }
     }
     Ok(())
 }
 
+/// Bind the unbound variable `v` to `t`, after the occurs check.
+fn bind_var(types: &mut Interner, subst: &mut Subst, v: TyVar, t: TypeId) -> Result<(), TypeError> {
+    let t = subst.apply(types, t);
+    if types.contains_var(t, v) {
+        return Err(TypeError::new(TypeErrorKind::Occurs {
+            var: v,
+            ty: types.tree(t),
+        }));
+    }
+    subst
+        .bind_applied(types, v, t)
+        .map_err(|_| TypeError::new(TypeErrorKind::BudgetExhausted))
+}
+
 /// One-way matching: find `s` such that `s(pattern) == target`,
 /// binding only variables of `pattern`. Used for instance lookup
 /// (`Eq (List a)` against `Eq (List Int)`); the target's variables are
-/// treated as rigid.
-pub fn match_types(pattern: &Type, target: &Type) -> Result<Subst, TypeError> {
-    let mut out = Subst::new();
-    let mut work: Vec<(Type, Type)> = vec![(pattern.clone(), target.clone())];
+/// treated as rigid. Every variable is bound to a subtree of the
+/// target, and the bound trees together may hold at most
+/// [`Subst::MAX_NODES`] nodes.
+pub fn match_types(pattern: &Type, target: &Type) -> Result<HashMap<TyVar, Type>, TypeError> {
+    let mut out: HashMap<TyVar, Type> = HashMap::new();
+    let mut nodes = 0usize;
+    let mut work: Vec<(&Type, &Type)> = vec![(pattern, target)];
     let mut budget = UNIFY_BUDGET;
     while let Some((p, t)) = work.pop() {
         if budget == 0 {
-            return Err(TypeError {
-                kind: TypeErrorKind::BudgetExhausted,
-                span: Span::DUMMY,
-            });
+            return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
         }
         budget -= 1;
         match (p, t) {
-            (Type::Var(v), t) => match out.lookup(v) {
+            (Type::Var(v), t) => match out.get(v) {
                 Some(bound) => {
-                    if *bound != t {
-                        return Err(TypeError {
-                            kind: TypeErrorKind::Mismatch {
-                                expected: bound.clone(),
-                                found: t,
-                            },
-                            span: Span::DUMMY,
-                        });
+                    if bound != t {
+                        return Err(TypeError::new(TypeErrorKind::Mismatch {
+                            expected: bound.clone(),
+                            found: t.clone(),
+                        }));
                     }
                 }
-                None => out.bind(v, t).map_err(|_| TypeError {
-                    kind: TypeErrorKind::BudgetExhausted,
-                    span: Span::DUMMY,
-                })?,
+                None => {
+                    nodes = nodes.saturating_add(t.size());
+                    if nodes > Subst::MAX_NODES {
+                        return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
+                    }
+                    out.insert(*v, t.clone());
+                }
             },
             (Type::Con(n), Type::Con(m)) if n == m => {}
             (Type::App(f1, a1), Type::App(f2, a2)) => {
-                work.push((*a1, *a2));
-                work.push((*f1, *f2));
+                work.push((a1, a2));
+                work.push((f1, f2));
             }
             (Type::Fun(p1, r1), Type::Fun(p2, r2)) => {
-                work.push((*r1, *r2));
-                work.push((*p1, *p2));
+                work.push((r1, r2));
+                work.push((p1, p2));
             }
             (p, t) => {
-                return Err(TypeError {
-                    kind: TypeErrorKind::Mismatch {
-                        expected: p,
-                        found: t,
-                    },
-                    span: Span::DUMMY,
-                });
+                return Err(TypeError::new(TypeErrorKind::Mismatch {
+                    expected: p.clone(),
+                    found: t.clone(),
+                }));
             }
         }
     }
@@ -179,36 +210,70 @@ pub fn match_types(pattern: &Type, target: &Type) -> Result<Subst, TypeError> {
 mod tests {
     use super::*;
 
+    /// Unify two trees in a fresh store and substitution.
+    fn unify_trees(a: &Type, b: &Type) -> (Result<(), TypeError>, Interner, Subst) {
+        let (mut i, mut s) = (Interner::new(), Subst::new());
+        let (a, b) = (i.intern(a), i.intern(b));
+        let r = unify(&mut i, &mut s, a, b);
+        (r, i, s)
+    }
+
+    fn solved(i: &mut Interner, s: &Subst, v: u32) -> Type {
+        let t = i.var(TyVar(v));
+        s.apply_tree(i, t)
+    }
+
     #[test]
     fn unify_simple() {
-        let mut s = Subst::new();
-        unify(&mut s, &Type::Var(TyVar(0)), &Type::int()).unwrap();
-        assert_eq!(s.apply(&Type::Var(TyVar(0))), Type::int());
+        let (r, mut i, s) = unify_trees(&Type::Var(TyVar(0)), &Type::int());
+        r.unwrap();
+        assert_eq!(solved(&mut i, &s, 0), Type::int());
     }
 
     #[test]
     fn unify_functions() {
-        let mut s = Subst::new();
         let a = Type::fun(Type::Var(TyVar(0)), Type::bool());
         let b = Type::fun(Type::int(), Type::Var(TyVar(1)));
-        unify(&mut s, &a, &b).unwrap();
-        assert_eq!(s.apply(&Type::Var(TyVar(0))), Type::int());
-        assert_eq!(s.apply(&Type::Var(TyVar(1))), Type::bool());
+        let (r, mut i, s) = unify_trees(&a, &b);
+        r.unwrap();
+        assert_eq!(solved(&mut i, &s, 0), Type::int());
+        assert_eq!(solved(&mut i, &s, 1), Type::bool());
     }
 
     #[test]
     fn occurs_check() {
-        let mut s = Subst::new();
         let t = Type::list(Type::Var(TyVar(0)));
-        let err = unify(&mut s, &Type::Var(TyVar(0)), &t).unwrap_err();
-        assert!(matches!(err.kind, TypeErrorKind::Occurs { .. }));
+        let (r, _, _) = unify_trees(&Type::Var(TyVar(0)), &t);
+        assert!(matches!(r.unwrap_err().kind, TypeErrorKind::Occurs { .. }));
     }
 
     #[test]
-    fn mismatch() {
-        let mut s = Subst::new();
-        let err = unify(&mut s, &Type::int(), &Type::bool()).unwrap_err();
-        assert!(matches!(err.kind, TypeErrorKind::Mismatch { .. }));
+    fn mismatch_shows_both_sides_applied() {
+        let a = Type::fun(Type::Var(TyVar(0)), Type::Var(TyVar(0)));
+        let b = Type::fun(Type::list(Type::int()), Type::bool());
+        let (r, _, _) = unify_trees(&a, &b);
+        let e = r.unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "type mismatch: expected `List Int`, found `Bool`"
+        );
+    }
+
+    #[test]
+    fn equal_ground_types_are_charged_their_size() {
+        let mut big = Type::int();
+        for _ in 0..UNIFY_BUDGET / 2 {
+            big = Type::fun(Type::int(), big);
+        }
+        // 2 * (budget / 2) + 1 nodes: one more than the budget.
+        let (r, _, _) = unify_trees(&big, &big);
+        assert_eq!(r.unwrap_err().kind, TypeErrorKind::BudgetExhausted);
+        let Type::Fun(_, smaller) = &big else {
+            unreachable!()
+        };
+        let (r, _, _) = unify_trees(smaller, smaller);
+        r.unwrap();
+        std::mem::forget(big);
     }
 
     #[test]
@@ -217,7 +282,7 @@ mod tests {
         let p = Type::list(Type::Var(TyVar(0)));
         let t = Type::list(Type::int());
         let s = match_types(&p, &t).unwrap();
-        assert_eq!(s.apply(&Type::Var(TyVar(0))), Type::int());
+        assert_eq!(s[&TyVar(0)], Type::int());
         // ... but target variables are rigid: `List Int` vs `List a` fails.
         assert!(match_types(&t, &p).is_err());
     }
@@ -232,36 +297,31 @@ mod tests {
 
     #[test]
     fn deep_unify_no_stack_overflow() {
-        let mut a = Type::Var(TyVar(0));
-        let mut b = Type::Var(TyVar(1));
+        let (mut i, mut s) = (Interner::new(), Subst::new());
+        let mut a = i.var(TyVar(0));
+        let mut b = i.var(TyVar(1));
+        let int = i.intern(&Type::int());
         for _ in 0..10_000 {
-            a = Type::fun(Type::int(), a);
-            b = Type::fun(Type::int(), b);
+            a = i.fun(int, a);
+            b = i.fun(int, b);
         }
-        let mut s = Subst::new();
-        unify(&mut s, &a, &b).unwrap();
-        std::mem::forget(a);
-        std::mem::forget(b);
+        unify(&mut i, &mut s, a, b).unwrap();
     }
 
     #[test]
     fn exponential_blowup_hits_budget_or_occurs() {
         // t0 ~ (t1,t1), t1 ~ (t2,t2), ... produces doubling types;
         // either the occurs check or the budget must stop it quickly.
-        let mut s = Subst::new();
-        let pair = |a: Type, b: Type| Type::App(Box::new(a), Box::new(b));
+        let (mut i, mut s) = (Interner::new(), Subst::new());
         let mut r = Ok(());
-        for i in 0..64u32 {
-            let rhs = pair(Type::Var(TyVar(i + 1)), Type::Var(TyVar(i + 1)));
-            r = unify(&mut s, &Type::Var(TyVar(i)), &rhs);
+        for k in 0..64u32 {
+            let (v, next) = (i.var(TyVar(k)), i.var(TyVar(k + 1)));
+            let rhs = i.app(next, next);
+            r = unify(&mut i, &mut s, v, rhs);
             if r.is_err() {
                 break;
             }
         }
-        // The chain itself is fine (linear), but now close the loop:
-        if r.is_ok() {
-            let back = unify(&mut s, &Type::Var(TyVar(64)), &Type::Var(TyVar(0)));
-            assert!(back.is_err() || back.is_ok()); // must terminate either way
-        }
+        assert_eq!(r.unwrap_err().kind, TypeErrorKind::BudgetExhausted);
     }
 }
