@@ -243,7 +243,7 @@ impl LoweredProgram {
             ids: &ids,
             base: base.as_deref(),
             cons: &mut cons,
-            locals: Vec::new(),
+            locals: tc_coreir::Scope::new(),
         };
         let bodies = sources.into_iter().map(|e| scope.lower(e)).collect();
         LoweredProgram {
@@ -300,8 +300,9 @@ struct Scope<'a, 'p> {
     ids: &'p HashMap<Rc<str>, u32>,
     base: Option<&'p LoweredProgram>,
     cons: &'p mut Constructors,
-    /// Binders around the expression being lowered, innermost last.
-    locals: Vec<&'a str>,
+    /// Binders around the expression being lowered, each with its
+    /// position (how many binders were in scope when it was pushed).
+    locals: tc_coreir::Scope<'a, u32>,
 }
 
 impl<'a> Scope<'a, '_> {
@@ -315,14 +316,16 @@ impl<'a> Scope<'a, '_> {
             CoreExpr::Lit(Literal::Bool(b)) => Code::Bool(*b),
             CoreExpr::App(f, x) => Code::App(Box::new(self.lower(f)), Box::new(self.lower(x))),
             CoreExpr::Lam(p, b) => {
-                self.locals.push(p);
+                self.bind(p);
                 let body = self.lower(b);
                 self.locals.pop();
                 Code::Lam(Box::new(body))
             }
             CoreExpr::LetRec(bs, b) => {
                 let mark = self.locals.len();
-                self.locals.extend(bs.iter().map(|(n, _)| n.as_str()));
+                for (n, _) in bs {
+                    self.bind(n);
+                }
                 let binds = bs.iter().map(|(_, v)| self.lower(v)).collect();
                 let body = self.lower(b);
                 self.locals.truncate(mark);
@@ -346,9 +349,15 @@ impl<'a> Scope<'a, '_> {
         }
     }
 
+    /// Bring `name` into scope as the innermost frame slot.
+    fn bind(&mut self, name: &'a str) {
+        let pos = self.locals.len() as u32;
+        self.locals.push(name, pos);
+    }
+
     fn var(&self, n: &str) -> Code {
-        if let Some(i) = self.locals.iter().rposition(|l| *l == n) {
-            return Code::Local((self.locals.len() - 1 - i) as u32);
+        if let Some(&pos) = self.locals.get(n) {
+            return Code::Local(self.locals.len() as u32 - 1 - pos);
         }
         if let Some(&id) = self.ids.get(n) {
             return Code::Global(id);
@@ -368,15 +377,18 @@ impl<'a> Scope<'a, '_> {
             // A default arm binds only its first binder.
             None => {
                 let binder = a.binders.first().filter(|b| *b != "_");
-                self.locals.extend(binder.map(String::as_str));
+                if let Some(b) = binder {
+                    self.bind(b);
+                }
                 Pattern::Default {
                     bind: binder.is_some(),
                 }
             }
             Some((name, _)) => {
                 let bound = |b: &&String| *b != "_";
-                self.locals
-                    .extend(a.binders.iter().filter(bound).map(String::as_str));
+                for b in a.binders.iter().filter(bound) {
+                    self.bind(b);
+                }
                 Pattern::Con {
                     name: self.cons.name(name),
                     binds: a.binders.iter().map(|b| bound(&b)).collect(),

@@ -18,7 +18,7 @@
 
 use crate::{Emitter, LintInput, Rule};
 use std::collections::HashMap;
-use tc_syntax::{Expr, Program, Span};
+use tc_syntax::{Binding, Expr, Program, Scope, Span};
 
 pub(crate) fn check(input: &LintInput<'_>, base: &Program, em: &mut Emitter<'_>) {
     if !em.enabled(Rule::UnusedBinding) && !em.enabled(Rule::ShadowedBinding) {
@@ -99,15 +99,11 @@ impl<'a> Walker<'a, '_, '_> {
                 self.walk(body);
                 self.scope.truncate(self.scope.len() - binds.len());
                 if self.em.enabled(Rule::UnusedBinding) {
-                    for (i, b) in binds.iter().enumerate() {
+                    let used = let_bindings_used(binds, body);
+                    for (b, used) in binds.iter().zip(used) {
                         if b.name.starts_with('_') {
                             continue;
                         }
-                        let used = uses(body, &b.name)
-                            || binds
-                                .iter()
-                                .enumerate()
-                                .any(|(j, sib)| j != i && uses(&sib.expr, &b.name));
                         if !used {
                             self.em.report(
                                 Rule::UnusedBinding,
@@ -177,6 +173,112 @@ impl<'a> Walker<'a, '_, '_> {
     }
 }
 
+/// For each binding of a `let` group: does the body or a *sibling*
+/// right-hand side reference it? One walk over the group answers every
+/// binding, where asking [`uses`] per binding would walk the group once
+/// per binding.
+fn let_bindings_used(binds: &[Binding], body: &Expr) -> Vec<bool> {
+    /// Where a name of the group is referenced from.
+    #[derive(Default, Clone, Copy)]
+    struct Refs {
+        body: bool,
+        /// The first right-hand side referencing it ...
+        rhs: Option<usize>,
+        /// ... and whether a second, different one does too.
+        several: bool,
+    }
+    let mut slot: HashMap<&str, usize> = HashMap::new();
+    for b in binds {
+        let next = slot.len();
+        slot.entry(&b.name).or_insert(next);
+    }
+    let mut refs = vec![Refs::default(); slot.len()];
+    let mut inner = Scope::new();
+    free_uses(body, &slot, &mut inner, &mut |k| refs[k].body = true);
+    for (j, b) in binds.iter().enumerate() {
+        free_uses(&b.expr, &slot, &mut inner, &mut |k| match refs[k].rhs {
+            None => refs[k].rhs = Some(j),
+            Some(first) if first != j => refs[k].several = true,
+            Some(_) => {}
+        });
+    }
+    binds
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let r = slot
+                .get(b.name.as_str())
+                .map(|&k| refs[k])
+                .unwrap_or_default();
+            r.body || r.several || r.rhs.is_some_and(|j| j != i)
+        })
+        .collect()
+}
+
+/// Report each free reference in `e` to a name `slot` knows, by its
+/// slot. `inner` holds the binders entered inside `e`, which shadow the
+/// group's names exactly where [`uses`] stops descending. Recursion
+/// depth is bounded by the parser's expression-depth budget, as in the
+/// walker.
+fn free_uses<'a>(
+    e: &'a Expr,
+    slot: &HashMap<&str, usize>,
+    inner: &mut Scope<'a, ()>,
+    found: &mut impl FnMut(usize),
+) {
+    match e {
+        Expr::Var(n, _) => {
+            if inner.get(n).is_none() {
+                if let Some(&k) = slot.get(n.as_str()) {
+                    found(k);
+                }
+            }
+        }
+        Expr::Con(..) | Expr::IntLit(..) | Expr::Hole(..) => {}
+        Expr::App(f, a, _) => {
+            free_uses(f, slot, inner, found);
+            free_uses(a, slot, inner, found);
+        }
+        Expr::If(c, t, f, _) => {
+            free_uses(c, slot, inner, found);
+            free_uses(t, slot, inner, found);
+            free_uses(f, slot, inner, found);
+        }
+        Expr::Lam(p, body, _) => {
+            inner.push(p, ());
+            free_uses(body, slot, inner, found);
+            inner.pop();
+        }
+        Expr::Let(binds, body, _) => {
+            let mark = inner.len();
+            for b in binds {
+                inner.push(&b.name, ());
+            }
+            for b in binds {
+                free_uses(&b.expr, slot, inner, found);
+            }
+            free_uses(body, slot, inner, found);
+            inner.truncate(mark);
+        }
+        Expr::Case(scrut, arms, _) => {
+            free_uses(scrut, slot, inner, found);
+            for arm in arms {
+                let mark = inner.len();
+                match &arm.pattern {
+                    tc_syntax::Pattern::Var(n, _) => inner.push(n, ()),
+                    tc_syntax::Pattern::Con { binders, .. } => {
+                        for (b, _) in binders {
+                            inner.push(b, ());
+                        }
+                    }
+                }
+                free_uses(&arm.body, slot, inner, found);
+                inner.truncate(mark);
+            }
+        }
+    }
+}
+
 /// Does `e` reference `name` as a free variable? Iterative; descent
 /// stops wherever `name` is re-bound.
 fn uses(e: &Expr, name: &str) -> bool {
@@ -235,7 +337,9 @@ fn uses(e: &Expr, name: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::{let_bindings_used, uses};
     use crate::testutil::codes;
+    use tc_syntax::Expr;
 
     #[test]
     fn unused_parameter_fires() {
@@ -267,6 +371,41 @@ mod tests {
     fn let_binding_used_by_sibling_is_silent() {
         let c = codes("f = let { a = 1; b = \\y -> primAddInt a y } in b 2;");
         assert!(!c.contains(&"L0004"), "{c:?}");
+    }
+
+    #[test]
+    fn one_walk_per_let_agrees_with_a_scan_per_binding() {
+        // Self-use, sibling use, body use, uses shadowed by inner
+        // lambda, `let` and `case` binders, and a duplicate name.
+        let src = "f = let { a = a; b = \\a -> a; c = b; d = 1; d = c; \
+                   e = let { e = 1 } in e; g = \\h -> case h of { g -> g } } \
+                   in case d of { x -> x };";
+        let (toks, _) = tc_syntax::lex(src);
+        let (program, _) = tc_syntax::parse_program(&toks, Default::default());
+        let Expr::Let(binds, body, _) = &program.bindings[0].expr else {
+            unreachable!("the binding is a `let`");
+        };
+        let scanned: Vec<bool> = binds
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                uses(body, &b.name)
+                    || binds
+                        .iter()
+                        .enumerate()
+                        .any(|(j, sib)| j != i && uses(&sib.expr, &b.name))
+            })
+            .collect();
+        assert_eq!(let_bindings_used(binds, body), scanned);
+        // `a` and `e` are used only where they are shadowed or by
+        // themselves; so is `g`.
+        assert_eq!(
+            scanned,
+            [false, true, true, true, true, false, false],
+            "{binds:?}"
+        );
+        let unused = codes(src).iter().filter(|c| **c == "L0004").count();
+        assert_eq!(unused, 3);
     }
 
     #[test]

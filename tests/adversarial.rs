@@ -7,7 +7,9 @@
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
-use typeclasses::{check_source, run_checked, run_source, Budget, EvalError, Options, Outcome};
+use typeclasses::{
+    check_source, lint_source, run_checked, run_source, Budget, EvalError, Options, Outcome,
+};
 
 const WALL_CLOCK: Duration = Duration::from_secs(20);
 
@@ -559,4 +561,77 @@ fn runtime_match_failure_is_structured() {
         matches!(out, Outcome::Eval(EvalError::MatchFailure)),
         "{out:?}"
     );
+}
+
+#[test]
+fn a_large_let_is_linear_in_every_pass() {
+    // A 64,000-binding `let` chain. Every reference inside it used to
+    // scan the binders in scope, in inference, dependency analysis and
+    // the evaluator's lowering, and `L0004` re-walked the group once
+    // per binding; each now looks names up in an index.
+    let mut src = String::from("main = let { x0 = 0");
+    for i in 1..64_000 {
+        src.push_str(&format!("; x{i} = primAddInt x{} 1", i - 1));
+    }
+    src.push_str(" } in 0;\n");
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let check = lint_source(&src, &Options::default());
+        let warnings: Vec<&str> = check.diags.iter().map(|d| d.code).collect();
+        let run = run_source(&src, &Options::default());
+        let _ = tx.send((check.ok(), warnings, run.outcome));
+    });
+    let (ok, warnings, outcome) = rx
+        .recv_timeout(WALL_CLOCK)
+        .expect("pipeline exceeded the wall-clock bound or panicked");
+    assert!(ok, "{warnings:?}");
+    // Only the last binding goes unused.
+    assert_eq!(warnings, ["L0004"]);
+    assert!(
+        matches!(outcome, Outcome::Value(ref v) if v == "0"),
+        "{outcome:?}"
+    );
+}
+
+#[test]
+fn an_expired_deadline_stops_elaboration_between_groups() {
+    // 1,000 bindings, each its own group and each ill-typed. With the
+    // token already tripped, elaboration stops before the next group,
+    // so at most one group is elaborated and no later binding reports.
+    use typeclasses::classes::build_class_env;
+    use typeclasses::core_elab::{elaborate_with, ElabOptions};
+    use typeclasses::syntax::{lex, parse_program};
+    use typeclasses::types::VarGen;
+    use typeclasses::CancelToken;
+
+    let mut src = String::new();
+    for i in 0..1_000 {
+        src.push_str(&format!("b{i} = primAddInt True {i};\n"));
+    }
+    src.push_str("class C a where { c :: a -> a; };\ninstance C Int where { c = \\x -> primAddInt x True; };\n");
+    let (toks, _) = lex(&src);
+    let (prog, _) = parse_program(&toks, Default::default());
+    let mut gen = VarGen::new();
+    let (cenv, _) = build_class_env(&prog, &mut gen);
+
+    // Uncancelled, every group reports (up to the diagnostic cap).
+    let (elab, diags) = elaborate_with(&prog, &cenv, &mut gen, ElabOptions::default());
+    assert!(diags.iter().filter(|d| d.code == "E0401").count() > 100);
+
+    let token = CancelToken::new();
+    token.cancel();
+    let opts = ElabOptions {
+        cancel: Some(token),
+        ..ElabOptions::default()
+    };
+    let mut gen = VarGen::new();
+    let (cenv, _) = build_class_env(&prog, &mut gen);
+    let (cut, diags) = elaborate_with(&prog, &cenv, &mut gen, opts);
+    assert!(
+        cut.core.binds.len() <= 1,
+        "{} bindings",
+        cut.core.binds.len()
+    );
+    assert!(diags.len() <= 1, "{diags:?}");
+    assert!(elab.core.binds.len() > 1_000);
 }
