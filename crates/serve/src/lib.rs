@@ -386,14 +386,16 @@ fn retain(store: &Mutex<RetainedStore>, t: RetainedTrace) -> bool {
 }
 
 /// The tail-sampling decision: keep this request's trace? Checked
-/// *after* the outcome is known. Returns the retention reason, or
-/// `None` to let the ring overwrite the events.
+/// *after* the outcome is known, from the outcome, the latency, the
+/// sequence number and how many faults fired, so the ring is read only
+/// for a trace that is kept. Returns the retention reason, or `None` to
+/// let the ring overwrite the events.
 fn retention_reason(
     rec: &RecorderConfig,
     seq: u64,
     outcome: u64,
     latency_us: u64,
-    events: &[Event],
+    faults_injected: u64,
 ) -> Option<&'static str> {
     if !rec.enabled {
         return None;
@@ -401,7 +403,7 @@ fn retention_reason(
     if outcome != OUTCOME_OK {
         return Some(outcome_name(outcome));
     }
-    if events.iter().any(|e| e.kind == EventKind::FaultInjected) {
+    if faults_injected > 0 {
         return Some("fault");
     }
     if latency_us >= rec.latency_threshold_us {
@@ -1493,12 +1495,8 @@ impl Core {
 
         // Tail sampling: now that the outcome is known, decide
         // whether this request's events are worth keeping.
-        let mut kept = None;
-        if cfg.recorder.enabled {
-            let events = log.extract(job.seq);
-            if let Some(reason) =
-                retention_reason(&cfg.recorder, job.seq, code, latency_us, &events)
-            {
+        let kept =
+            retention_reason(&cfg.recorder, job.seq, code, latency_us, injected).map(|reason| {
                 let stored = retain(
                     &self.store,
                     RetainedTrace {
@@ -1506,12 +1504,11 @@ impl Core {
                         outcome: code,
                         reason,
                         latency_us,
-                        events,
+                        events: log.extract(job.seq),
                     },
                 );
-                kept = Some((reason, stored));
-            }
-        }
+                (reason, stored)
+            });
 
         self.access(
             &job.id,
@@ -2243,6 +2240,24 @@ mod tests {
         assert_eq!(ok.get("count").and_then(|n| n.as_u64()), Some(2));
         assert!(ok.get("p50").and_then(|v| v.as_f64()).is_some());
         assert!(ok.get("p99").and_then(|v| v.as_f64()).is_some());
+    }
+
+    #[test]
+    fn a_fault_is_retained_after_the_ring_overwrites_its_event() {
+        // A ring of 8 events holds less than one request records, so
+        // the parse-time `fault-injected` event is overwritten before
+        // the request ends; the decision must not depend on it.
+        let mut cfg = recorder_cfg(Some("parse=delay:1"));
+        cfg.recorder.capacity = 8;
+        let lines: Vec<String> = (0..3).map(|i| req(i, "main = add 1 2;")).collect();
+        let (_, summary) = serve_lines(&lines, &cfg);
+        assert_eq!(summary.ok(), 3);
+        assert_eq!(summary.traces_retained(), 3);
+        for t in &summary.retained {
+            assert_eq!(t.reason, "fault", "trace {}", t.trace_id);
+            assert!(t.events.len() <= 8);
+            assert!(t.events.iter().all(|e| e.kind != EventKind::FaultInjected));
+        }
     }
 
     #[test]
