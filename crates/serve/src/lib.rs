@@ -102,10 +102,11 @@
 //!   responses out; the session ends at EOF.
 //! - **socket** ([`serve_socket`]): a std-only [`std::net::TcpListener`]
 //!   accepting many concurrent clients. Each connection gets a reader
-//!   thread (admission) and a writer thread (responses routed back by
-//!   connection — ids never cross connections), so a slow client never
-//!   blocks another. Frames are lines; a frame split across TCP reads
-//!   is reassembled by the buffered reader.
+//!   thread (admission); workers write answers straight to the admitting
+//!   connection (ids never cross connections), and a client stalled past
+//!   [`WRITE_TIMEOUT`] is hung up, so it never blocks another for long.
+//!   Frames are lines; a frame split across TCP reads is reassembled by
+//!   the buffered reader.
 //!
 //! Three telemetry surfaces ride on top:
 //!
@@ -139,8 +140,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
 use tc_driver::resilience::{self, FaultPlan};
@@ -160,7 +161,7 @@ use tc_trace::{
 
 pub mod socket;
 
-pub use socket::{serve_socket, SocketHandle};
+pub use socket::{serve_socket, SocketHandle, WRITE_TIMEOUT};
 
 /// Memo-table cap applied under heavy load (≥75% queue occupancy).
 const DEGRADED_CACHE_CAPACITY: usize = 256;
@@ -168,13 +169,51 @@ const DEGRADED_CACHE_CAPACITY: usize = 256;
 /// Length of the health probe's sliding shed-rate window, seconds.
 pub const SHED_WINDOW_SECS: u64 = 10;
 
-/// A shared line-oriented sink for the per-request access log. Cloned
-/// into every worker and admission thread; records are whole lines
-/// written under one lock so they never interleave. Sink errors are
-/// swallowed — observability must never take down serving.
+/// A line output shared by every thread that writes to it: one client
+/// (a socket connection or the stdin session), or the access log. Each
+/// line is one `write_all` and flush under the lock, so lines never
+/// interleave; after the first failed write, every line is dropped.
+struct LineSink<W: ?Sized = dyn Write + Send> {
+    broken: AtomicBool,
+    out: Mutex<W>,
+}
+
+impl<W: Write> LineSink<W> {
+    fn new(out: W) -> LineSink<W> {
+        LineSink {
+            broken: AtomicBool::new(false),
+            out: Mutex::new(out),
+        }
+    }
+}
+
+impl<W: Write + ?Sized> LineSink<W> {
+    /// Write one line; `false` if the sink is, or just became, broken.
+    fn write_line(&self, mut line: String) -> bool {
+        line.push('\n');
+        let mut out = lock_unpoisoned(&self.out);
+        let ok = !self.is_broken()
+            && out
+                .write_all(line.as_bytes())
+                .and_then(|()| out.flush())
+                .is_ok();
+        if !ok {
+            self.broken.store(true, Ordering::SeqCst);
+        }
+        ok
+    }
+
+    fn is_broken(&self) -> bool {
+        self.broken.load(Ordering::SeqCst)
+    }
+}
+
+/// The per-request access log, cloned into every worker and admission
+/// thread. Sink errors are swallowed — observability must never take
+/// down serving.
 #[derive(Clone)]
 pub struct AccessLog {
-    sink: Arc<Mutex<Box<dyn Write + Send>>>,
+    sink: Arc<LineSink>,
 }
 
 impl fmt::Debug for AccessLog {
@@ -187,7 +226,7 @@ impl AccessLog {
     /// Log to any line sink (a file, a Vec in tests, ...).
     pub fn to_writer(w: Box<dyn Write + Send>) -> AccessLog {
         AccessLog {
-            sink: Arc::new(Mutex::new(w)),
+            sink: Arc::new(LineSink::new(w)),
         }
     }
 
@@ -200,10 +239,8 @@ impl AccessLog {
         Ok(AccessLog::to_writer(Box::new(std::fs::File::create(path)?)))
     }
 
-    fn record(&self, line: &str) {
-        let mut sink = lock_unpoisoned(&self.sink);
-        let _ = writeln!(sink, "{line}");
-        let _ = sink.flush();
+    fn record(&self, line: String) {
+        self.sink.write_line(line);
     }
 }
 
@@ -492,8 +529,8 @@ pub struct ServeSummary {
     pub watch_requests: u64,
     /// Responses successfully written.
     pub responses: u64,
-    /// Responses dropped because the output sink failed (e.g. a
-    /// broken pipe); the server keeps draining instead of panicking.
+    /// Responses dropped because the client's sink failed (a broken
+    /// pipe, or a stalled socket); the server keeps draining.
     pub write_errors: u64,
     /// Merged fleet metrics (admission + every worker).
     pub fleet: MetricsRegistry,
@@ -576,7 +613,7 @@ const MIN_WATCH_INTERVAL_MS: u64 = 10;
 /// Lock a mutex, riding through poisoning: workers isolate panics
 /// with `catch_unwind`, so a poisoned registry still holds coherent
 /// counts.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -878,16 +915,6 @@ struct Tally {
     watch_requests: u64,
 }
 
-/// What admission did with one request line. Everything except a
-/// `watch` subscription is fully handled — response routed or job
-/// queued — by the time [`Core::handle_line`] returns; `watch` is
-/// handed back because only the transport knows whether it can
-/// stream (socket spawns a ticker, stdin rejects).
-enum Admitted {
-    Done,
-    Watch { id: ReqId, interval_ms: u64 },
-}
-
 /// The per-outcome-class watch rate rows: response counter, latency
 /// histogram, and class label, in protocol order.
 const WATCH_CLASSES: [(CounterId, HistogramId, &str); 4] = [
@@ -913,8 +940,8 @@ const WATCH_CLASSES: [(CounterId, HistogramId, &str); 4] = [
 /// state, fleet metrics, flight recorder, and the telemetry plane's
 /// shared counters. Both the stdin session ([`serve`]) and the socket
 /// listener ([`serve_socket`]) drive one of these; the socket
-/// transport wraps it in an [`Arc`] so reader, writer, worker, and
-/// ticker threads all see the same server.
+/// transport wraps it in an [`Arc`] so reader, worker, and ticker
+/// threads all see the same server.
 struct Core {
     cfg: ServeConfig,
     workers: usize,
@@ -1003,8 +1030,8 @@ impl Core {
         fleet
     }
 
-    /// The worker thread body: pop, process, route the response back
-    /// to the admitting connection's channel.
+    /// The worker thread body: pop, process, and write the response to
+    /// the admitting client's sink.
     ///
     /// `workers_alive` starts at the configured pool size (so a
     /// health probe racing worker startup still reads full liveness)
@@ -1018,36 +1045,22 @@ impl Core {
             }
         }
         let _alive = Alive(&self.workers_alive);
-        while let Some((job, reply)) = self.queue.pop() {
+        while let Some((job, sink)) = self.queue.pop() {
             let resp = self.process(job, idx);
-            // A send only fails when the connection (and its writer)
-            // is already gone; the response has nowhere to go.
-            let _ = reply.send(resp);
+            self.reply(&sink, resp);
             self.gate.exit();
         }
     }
 
-    /// The stdin writer body: drain the response channel into the
-    /// sink, riding through a broken pipe by counting instead of
-    /// blocking workers.
-    fn writer_loop<W: Write>(&self, mut out: W, rx: mpsc::Receiver<String>) {
-        let mut sink_broken = false;
-        for line in rx {
-            if sink_broken {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match writeln!(out, "{line}") {
-                Ok(()) => {
-                    self.responses.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    sink_broken = true;
-                    self.write_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let _ = out.flush();
+    /// Write one line to a client and count it as a response, or (the
+    /// client being gone) as a write error.
+    fn reply(&self, sink: &LineSink, line: String) {
+        let counter = if sink.write_line(line) {
+            &self.responses
+        } else {
+            &self.write_errors
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Write one access-log record, if an access log is configured.
@@ -1061,7 +1074,7 @@ impl Core {
         worker: Option<usize>,
     ) {
         if let Some(log) = &self.cfg.access_log {
-            log.record(&access_line(
+            log.record(access_line(
                 id,
                 seq,
                 self.uptime_ms(),
@@ -1073,11 +1086,35 @@ impl Core {
         }
     }
 
+    /// A transport's reader: admit every request line of `input` until
+    /// EOF, a read error, or a broken sink. A `watch` subscription goes
+    /// to `watch`, because only the transport knows whether it can
+    /// stream (socket spawns a ticker, stdin rejects).
+    fn admit_all(
+        &self,
+        mut input: impl BufRead,
+        sink: &Arc<LineSink>,
+        mut watch: impl FnMut(ReqId, u64),
+    ) {
+        let mut line = String::new();
+        while !sink.is_broken() {
+            line.clear();
+            match input.read_line(&mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            let trimmed = line.trim();
+            if !trimmed.is_empty() {
+                self.handle_line(trimmed, sink, &mut watch);
+            }
+        }
+    }
+
     /// Admit one request line: parse, classify, and either answer it
-    /// directly on `reply` (errors, stats, dump, health), queue it
-    /// for the pool (run/check), or hand a `watch` subscription back
-    /// to the transport.
-    fn handle_line(&self, trimmed: &str, reply: &mpsc::Sender<String>) -> Admitted {
+    /// directly on `sink` (errors, stats, dump, health), queue it with
+    /// the sink for the pool (run/check), or hand a `watch`
+    /// subscription to the transport.
+    fn handle_line(&self, trimmed: &str, sink: &Arc<LineSink>, watch: &mut impl FnMut(ReqId, u64)) {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         lock_unpoisoned(&self.tally).lines += 1;
         let (id, parsed) = parse_request(trimmed, seq, &self.cfg.options);
@@ -1093,13 +1130,11 @@ impl Core {
                 lock_unpoisoned(&self.admission_reg).incr(CounterId::ServeErrBadRequest);
                 let kept = self.synth_trace(seq, OUTCOME_BAD_REQUEST, None);
                 self.access(&id, seq, OUTCOME_BAD_REQUEST, 0, kept, None);
-                let _ = reply.send(error_response(&id, "bad-request", &msg, None));
-                Admitted::Done
+                self.reply(sink, error_response(&id, "bad-request", &msg, None));
             }
             Ok(Parsed::Stats) => {
                 lock_unpoisoned(&self.tally).stats_requests += 1;
-                let _ = reply.send(self.stats_response(&id));
-                Admitted::Done
+                self.reply(sink, self.stats_response(&id));
             }
             Ok(Parsed::Dump) => {
                 lock_unpoisoned(&self.tally).dump_requests += 1;
@@ -1107,15 +1142,13 @@ impl Core {
                 // drained set is complete and (under a fault seed)
                 // deterministic.
                 self.gate.wait_idle();
-                let _ = reply.send(self.dump_response(&id));
-                Admitted::Done
+                self.reply(sink, self.dump_response(&id));
             }
             Ok(Parsed::Health) => {
                 lock_unpoisoned(&self.tally).health_requests += 1;
-                let _ = reply.send(self.health_response(&id));
-                Admitted::Done
+                self.reply(sink, self.health_response(&id));
             }
-            Ok(Parsed::Watch { interval_ms }) => Admitted::Watch { id, interval_ms },
+            Ok(Parsed::Watch { interval_ms }) => watch(id, interval_ms),
             Ok(Parsed::Run(mut job)) => {
                 let depth = self.queue.depth();
                 let mut reg = lock_unpoisoned(&self.admission_reg);
@@ -1133,13 +1166,11 @@ impl Core {
                         Some((EventKind::Shed, depth as u64, hint)),
                     );
                     self.access(&id, seq, OUTCOME_OVERLOADED, 0, kept, None);
-                    let _ = reply.send(error_response(
-                        &id,
-                        "overloaded",
-                        "admission queue is full",
-                        Some(hint),
-                    ));
-                    return Admitted::Done;
+                    self.reply(
+                        sink,
+                        error_response(&id, "overloaded", "admission queue is full", Some(hint)),
+                    );
+                    return;
                 }
                 drop(reg);
                 self.shed_window.record(self.now_sec(), false);
@@ -1155,8 +1186,7 @@ impl Core {
                     .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms)));
                 lock_unpoisoned(&self.tally).admitted += 1;
                 self.gate.enter();
-                self.queue.push(*job, reply.clone());
-                Admitted::Done
+                self.queue.push(*job, Arc::clone(sink));
             }
         }
     }
@@ -1604,16 +1634,16 @@ impl Gate {
 
 /// Bounded MPMC job queue: admission pushes (never blocks — the
 /// caller sheds on full), workers block on pop until closed + empty.
-/// Each job carries the reply channel of the connection (or stdin
-/// session) that admitted it, so responses route back to the right
-/// client no matter which worker finishes them.
+/// Each job carries the sink of the connection (or stdin session)
+/// that admitted it, so responses reach the right client no matter
+/// which worker finishes them.
 struct Queue {
     state: Mutex<QueueState>,
     ready: Condvar,
 }
 
 struct QueueState {
-    jobs: VecDeque<(Job, mpsc::Sender<String>)>,
+    jobs: VecDeque<(Job, Arc<LineSink>)>,
     closed: bool,
 }
 
@@ -1633,12 +1663,12 @@ impl Queue {
         lock_unpoisoned(&self.state).jobs.len()
     }
 
-    fn push(&self, job: Job, reply: mpsc::Sender<String>) {
-        lock_unpoisoned(&self.state).jobs.push_back((job, reply));
+    fn push(&self, job: Job, sink: Arc<LineSink>) {
+        lock_unpoisoned(&self.state).jobs.push_back((job, sink));
         self.ready.notify_one();
     }
 
-    fn pop(&self) -> Option<(Job, mpsc::Sender<String>)> {
+    fn pop(&self) -> Option<(Job, Arc<LineSink>)> {
         let mut st = lock_unpoisoned(&self.state);
         loop {
             if let Some(job) = st.jobs.pop_front() {
@@ -1677,50 +1707,40 @@ fn install_fault_panic_hook() {
 /// drain the queue, join the pool, and return the session summary.
 ///
 /// The calling thread does admission; `cfg.workers` scoped threads
-/// compile; one scoped thread owns the writer so response lines never
-/// interleave.
-pub fn serve<R: BufRead, W: Write + Send>(
-    mut input: R,
+/// compile and write each answer straight to `output`, whole lines
+/// under one lock, so response lines never interleave.
+pub fn serve<R: BufRead, W: Write + Send + 'static>(
+    input: R,
     output: W,
     cfg: &ServeConfig,
 ) -> ServeSummary {
+    serve_to(input, Arc::new(LineSink::new(output)), cfg)
+}
+
+fn serve_to(input: impl BufRead, sink: Arc<LineSink>, cfg: &ServeConfig) -> ServeSummary {
     install_fault_panic_hook();
     let core = Core::new(cfg, "stdin");
-    let (tx, rx) = mpsc::channel::<String>();
-
     std::thread::scope(|s| {
         let core = &core;
-        s.spawn(move || core.writer_loop(output, rx));
         for i in 0..core.workers {
             s.spawn(move || core.worker_loop(i));
         }
-
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match input.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if let Admitted::Watch { id, .. } = core.handle_line(trimmed, &tx) {
-                // Streaming needs a connection to stream to; on the
-                // one-shot stdin transport it is a bad request.
-                lock_unpoisoned(&core.tally).bad_requests += 1;
-                lock_unpoisoned(&core.admission_reg).incr(CounterId::ServeErrBadRequest);
-                let _ = tx.send(error_response(
+        core.admit_all(input, &sink, |id, _| {
+            // Streaming needs a connection to stream to; on the
+            // one-shot stdin transport it is a bad request.
+            lock_unpoisoned(&core.tally).bad_requests += 1;
+            lock_unpoisoned(&core.admission_reg).incr(CounterId::ServeErrBadRequest);
+            core.reply(
+                &sink,
+                error_response(
                     &id,
                     "bad-request",
                     "watch streams over the socket transport; connect with --listen / tc top",
                     None,
-                ));
-            }
-        }
+                ),
+            );
+        });
         core.queue.close();
-        drop(tx);
     });
 
     core.summary()
@@ -1730,9 +1750,9 @@ pub fn serve<R: BufRead, W: Write + Send>(
 /// of request lines from memory and return the response lines.
 pub fn serve_lines(lines: &[String], cfg: &ServeConfig) -> (Vec<String>, ServeSummary) {
     let input = lines.join("\n");
-    let mut out: Vec<u8> = Vec::new();
-    let summary = serve(input.as_bytes(), &mut out, cfg);
-    let text = String::from_utf8_lossy(&out);
+    let out = Arc::new(LineSink::new(Vec::new()));
+    let summary = serve_to(input.as_bytes(), out.clone(), cfg);
+    let text = String::from_utf8_lossy(&lock_unpoisoned(&out.out)).to_string();
     (text.lines().map(|l| l.to_string()).collect(), summary)
 }
 

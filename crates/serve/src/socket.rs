@@ -1,12 +1,13 @@
 //! TCP socket transport: the same newline-delimited JSON protocol as
 //! the stdin transport, served to many concurrent clients.
 //!
-//! Layout: one accept thread, one detached reader thread per
-//! connection feeding the shared admission queue, one writer thread
-//! per connection draining an [`mpsc`] channel so response lines never
-//! interleave. Workers route each response back to the admitting
-//! connection because the reply sender travels *with* the job through
-//! the queue — there is no global response bus to misdeliver on.
+//! Layout: one accept thread, and one detached reader thread per
+//! connection feeding the shared admission queue. The connection's
+//! `LineSink` travels *with* each job through the queue, so the
+//! worker that finishes it writes the answer straight to the admitting
+//! connection — no writer thread, no global response bus to misdeliver
+//! on. A write that stalls past [`WRITE_TIMEOUT`] hangs the client up
+//! and stops its reader; reader EOF (a half-close) stops only tickers.
 //!
 //! Framing is byte-oriented: `BufReader::read_line` assembles a frame
 //! from however many TCP segments it arrived in, so a request split
@@ -14,20 +15,23 @@
 //! identically to the stdin transport.
 //!
 //! `watch` subscriptions get a dedicated ticker thread per
-//! subscription; the connection's `closed` flag (set on reader EOF or
-//! writer error) ends the stream within one interval, so a client
-//! disconnecting mid-watch leaks nothing.
+//! subscription; reader EOF or a broken sink ends the stream within
+//! one interval, so a client disconnecting mid-watch leaks nothing.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tc_trace::MetricsSnapshot;
 
-use crate::{install_fault_panic_hook, Admitted, Core, ReqId, ServeConfig, ServeSummary};
+use crate::{install_fault_panic_hook, Core, LineSink, ReqId, ServeConfig, ServeSummary};
+
+/// How long one response line may take to reach a client before the
+/// server hangs up on it: the most a stalled client can hold a worker.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running socket server. Dropping the handle leaks the listener
 /// threads; call [`SocketHandle::shutdown`] (tests, embedders) or
@@ -121,94 +125,72 @@ fn accept_loop(listener: &TcpListener, core: &Arc<Core>, stop: &Arc<AtomicBool>)
     }
 }
 
+/// A connection's write half, with [`WRITE_TIMEOUT`] as its write
+/// timeout. A line that fails — the peer is gone, or has not taken it
+/// in time — shuts the socket down both ways, ending its reader too.
+struct WriteHalf(TcpStream);
+
+impl Write for WriteHalf {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    /// The socket timeout bounds each blocking `write`; the deadline
+    /// bounds the line, which a client taking a little at a time could
+    /// otherwise stretch.
+    fn write_all(&mut self, mut buf: &[u8]) -> io::Result<()> {
+        let deadline = Instant::now() + WRITE_TIMEOUT;
+        while !buf.is_empty() {
+            match self.0.write(buf) {
+                Ok(n) if n == buf.len() || (n > 0 && Instant::now() < deadline) => buf = &buf[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                stalled => {
+                    let _ = self.0.shutdown(Shutdown::Both);
+                    return Err(stalled.err().unwrap_or(io::ErrorKind::TimedOut.into()));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
 /// The per-connection reader: admit every line the client sends, and
 /// spawn a ticker for each `watch` subscription. Runs until EOF or a
-/// read error, then flips the shared `closed` flag so tickers stop.
+/// broken sink, then flips `eof` so tickers stop; queued jobs keep the
+/// sink, so a half-closed client still gets every answer.
 fn serve_connection(core: &Arc<Core>, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
+    let timed = |w: TcpStream| w.set_write_timeout(Some(WRITE_TIMEOUT)).map(|()| w);
+    let Ok(write_half) = stream.try_clone().and_then(timed) else {
         return;
     };
     core.active_connections.fetch_add(1, Ordering::SeqCst);
-    let closed = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<String>();
-    {
+    let sink: Arc<LineSink> = Arc::new(LineSink::new(WriteHalf(write_half)));
+    let eof = Arc::new(AtomicBool::new(false));
+    core.admit_all(BufReader::new(stream), &sink, |id, interval_ms| {
+        core.reply(&sink, core.watch_ack(&id, interval_ms));
         let core = Arc::clone(core);
-        let closed = Arc::clone(&closed);
-        // The writer exits once every sender is gone: the reader's tx
-        // below, the clones queued alongside jobs, and the tickers'.
-        thread::spawn(move || connection_writer(&core, write_half, &rx, &closed));
-    }
-
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if let Admitted::Watch { id, interval_ms } = core.handle_line(trimmed, &tx) {
-            let _ = tx.send(core.watch_ack(&id, interval_ms));
-            let core = Arc::clone(core);
-            let tx = tx.clone();
-            let closed = Arc::clone(&closed);
-            thread::spawn(move || watch_loop(&core, &tx, &closed, &id, interval_ms));
-        }
-    }
-    closed.store(true, Ordering::SeqCst);
+        let sink = Arc::clone(&sink);
+        let eof = Arc::clone(&eof);
+        thread::spawn(move || watch_loop(&core, &sink, &eof, &id, interval_ms));
+    });
+    eof.store(true, Ordering::SeqCst);
     core.active_connections.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// The per-connection writer: one response line per channel message,
-/// flushed eagerly so probes and watch ticks reach the client without
-/// waiting for buffer pressure. A write error marks the connection
-/// closed and keeps draining so workers never block on a dead peer.
-fn connection_writer(
-    core: &Arc<Core>,
-    stream: TcpStream,
-    rx: &mpsc::Receiver<String>,
-    closed: &Arc<AtomicBool>,
-) {
-    let mut out = BufWriter::new(stream);
-    let mut sink_broken = false;
-    for line in rx {
-        if sink_broken {
-            core.write_errors.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        match writeln!(out, "{line}").and_then(|()| out.flush()) {
-            Ok(()) => {
-                core.responses.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                sink_broken = true;
-                closed.store(true, Ordering::SeqCst);
-                core.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// The per-subscription ticker: one fleet-delta line per interval
-/// until the connection closes. The first tick differences against
+/// until the client hangs up. The first tick differences against
 /// the zero snapshot so summed deltas reconcile with absolute stats.
-fn watch_loop(
-    core: &Arc<Core>,
-    tx: &mpsc::Sender<String>,
-    closed: &Arc<AtomicBool>,
-    id: &ReqId,
-    interval_ms: u64,
-) {
+fn watch_loop(core: &Arc<Core>, sink: &LineSink, eof: &AtomicBool, id: &ReqId, interval_ms: u64) {
     let mut prev = MetricsSnapshot::default();
     let mut tick = 0u64;
     let mut last = Instant::now();
     loop {
         thread::sleep(Duration::from_millis(interval_ms));
-        if closed.load(Ordering::SeqCst) {
+        if eof.load(Ordering::SeqCst) || sink.is_broken() {
             break;
         }
         tick += 1;
@@ -217,9 +199,7 @@ fn watch_loop(
         let window_ms = (last.elapsed().as_millis() as u64).max(1);
         last = Instant::now();
         let (line, now) = core.watch_tick(id, tick, window_ms, &prev);
-        if tx.send(line).is_err() {
-            break;
-        }
+        core.reply(sink, line);
         prev = now;
     }
 }

@@ -1,14 +1,17 @@
 //! Socket-transport integration tests: concurrent clients, split
 //! frames, disconnect-mid-watch, dump ordering, the health probe
-//! under saturation, watch/stats reconciliation, and the
+//! under saturation, watch/stats reconciliation, the
 //! transport-differential guarantee (socket answers == stdin answers
-//! under the same fault seed).
+//! under the same fault seed), and answers written straight from the
+//! workers: whole lines under concurrency, every answer after a
+//! half-close, and a bounded hang-up of a client that never reads.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use typeclasses::serve::{serve_lines, serve_socket, ServeConfig, SocketHandle};
+use typeclasses::serve::{serve_lines, serve_socket, ServeConfig, SocketHandle, WRITE_TIMEOUT};
 use typeclasses::trace::json::{self, Value};
 use typeclasses::{CounterId, FaultPlan, HistogramId, JsonWriter, MetricsSnapshot};
 
@@ -42,14 +45,31 @@ impl Client {
             .unwrap_or_else(|e| panic!("send: {e}"));
     }
 
-    fn recv(&mut self) -> Value {
+    /// The next line, or `None` once the server has closed the
+    /// connection.
+    fn recv_or_eof(&mut self) -> Option<Value> {
         let mut line = String::new();
         let n = self
             .reader
             .read_line(&mut line)
             .unwrap_or_else(|e| panic!("recv: {e}"));
-        assert!(n > 0, "server closed the connection unexpectedly");
-        json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+        (n > 0).then(|| {
+            json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+        })
+    }
+
+    fn recv(&mut self) -> Value {
+        self.recv_or_eof()
+            .unwrap_or_else(|| panic!("server closed the connection unexpectedly"))
+    }
+
+    /// Send a whole pipelined batch in one write.
+    fn send_batch(&mut self, lines: &[String]) {
+        let blob: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        self.writer
+            .write_all(blob.as_bytes())
+            .and_then(|()| self.writer.flush())
+            .unwrap_or_else(|e| panic!("send: {e}"));
     }
 
     /// The next line that is not a watch tick.
@@ -468,4 +488,136 @@ fn watch_deltas_reconcile_with_the_final_stats_snapshot() {
     assert_eq!(summary.admitted, 8);
     assert_eq!(summary.stats_requests, 1);
     assert_eq!(summary.watch_requests, 1);
+}
+
+#[test]
+fn concurrent_answers_and_watch_ticks_arrive_as_whole_lines() {
+    // Four workers answer 200 pipelined runs of varied sizes on one
+    // connection while a 10 ms watch ticks on it: every line must
+    // parse, and every id must be answered exactly once.
+    let handle = start(&ServeConfig {
+        workers: 4,
+        queue_capacity: 256,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(handle.addr());
+    c.send("{\"id\": 0, \"cmd\": \"watch\", \"interval_ms\": 10}");
+    let runs: Vec<String> = (1..=200)
+        .map(|i| req(i, &format!("main = enumFromTo 1 {};", 1 + (i * 37) % 900)))
+        .collect();
+    c.send_batch(&runs);
+
+    let mut answered: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut ticks = 0;
+    while answered.len() < runs.len() || ticks < 3 {
+        let v = c.recv();
+        if v.get("tick").is_some() || v.get("streaming").is_some() {
+            assert_eq!(id_of(&v), 0, "watch lines carry the subscription id");
+            ticks += usize::from(v.get("tick").is_some());
+            continue;
+        }
+        assert_eq!(
+            v.get("status").and_then(|s| s.as_str()),
+            Some("ok"),
+            "{v:?}"
+        );
+        *answered.entry(id_of(&v)).or_default() += 1;
+    }
+    assert!(
+        answered.values().all(|&n| n == 1),
+        "an id was answered twice"
+    );
+    assert_eq!(
+        answered.keys().copied().collect::<Vec<_>>(),
+        (1..=200).collect::<Vec<_>>()
+    );
+
+    drop(c);
+    let summary = handle.shutdown();
+    assert_eq!(summary.admitted, 200);
+    assert_eq!(summary.write_errors, 0);
+}
+
+#[test]
+fn a_half_closed_client_still_gets_every_answer() {
+    let handle = start(&ServeConfig::default());
+    let mut c = Client::connect(handle.addr());
+    let runs: Vec<String> = (1..=20)
+        .map(|i| req(i, &format!("main = mul {i} 2;")))
+        .collect();
+    c.send_batch(&runs);
+    // Reader EOF ends admission, not the answers still in flight.
+    c.writer
+        .shutdown(Shutdown::Write)
+        .unwrap_or_else(|e| panic!("half-close: {e}"));
+
+    let mut ids = Vec::new();
+    while let Some(v) = c.recv_or_eof() {
+        let id = id_of(&v);
+        assert_eq!(
+            v.get("value").and_then(|s| s.as_str()),
+            Some((id * 2).to_string().as_str())
+        );
+        ids.push(id);
+    }
+    // The server closes the connection once the last answer is out.
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=20).collect::<Vec<_>>(), "each id exactly once");
+
+    let summary = handle.shutdown();
+    assert_eq!(summary.admitted, 20);
+    assert_eq!(summary.responses, 20);
+    assert_eq!(summary.write_errors, 0);
+}
+
+#[test]
+fn a_client_that_never_reads_is_hung_up_without_wedging_the_workers() {
+    let handle = start(&ServeConfig {
+        workers: 2,
+        queue_capacity: 512,
+        ..ServeConfig::default()
+    });
+    // About 100 KB per answer, every one admitted: 30 MB of unread
+    // answers overflow any socket buffers, so the workers' writes to
+    // this client stall.
+    let mut stalled = Client::connect(handle.addr());
+    let runs: Vec<String> = (1..=300)
+        .map(|i| req(i, "main = enumFromTo 1 16000;"))
+        .collect();
+    stalled.send_batch(&runs);
+
+    // The stalled write times out, the server hangs that client up,
+    // and the queue drains: a second client is then served, not shed.
+    let mut other = Client::connect(handle.addr());
+    let deadline = Instant::now() + WRITE_TIMEOUT + Duration::from_secs(10);
+    loop {
+        other.send("{\"id\": 1, \"cmd\": \"health\"}");
+        let h = other.recv();
+        let conns = h.get("active_connections").and_then(|n| n.as_u64());
+        let depth = h
+            .get("queue")
+            .and_then(|q| q.get("depth"))
+            .and_then(|n| n.as_u64());
+        if conns == Some(1) && depth == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stalled client still holds the server: {h:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    other.send(&req(2, "main = 1;"));
+    let v = other.recv();
+    assert_eq!(
+        v.get("status").and_then(|s| s.as_str()),
+        Some("ok"),
+        "{v:?}"
+    );
+    assert_eq!(v.get("value").and_then(|s| s.as_str()), Some("1"));
+
+    drop(other);
+    drop(stalled);
+    let summary = handle.shutdown();
+    assert!(summary.write_errors > 0, "{summary:?}");
 }
