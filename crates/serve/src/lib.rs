@@ -103,8 +103,10 @@
 //! - **socket** ([`serve_socket`]): a std-only [`std::net::TcpListener`]
 //!   accepting many concurrent clients. Each connection gets a reader
 //!   thread (admission); workers write answers straight to the admitting
-//!   connection (ids never cross connections), and a client stalled past
-//!   [`WRITE_TIMEOUT`] is hung up, so it never blocks another for long.
+//!   connection (ids never cross connections). A client that falls
+//!   [`WRITE_TIMEOUT`] behind its answers, reading nothing or reading
+//!   too slowly, is hung up; until then every worker holding one of
+//!   its answers waits on it.
 //!   Frames are lines; a frame split across TCP reads is reassembled by
 //!   the buffered reader.
 //!
@@ -169,10 +171,10 @@ const DEGRADED_CACHE_CAPACITY: usize = 256;
 /// Length of the health probe's sliding shed-rate window, seconds.
 pub const SHED_WINDOW_SECS: u64 = 10;
 
-/// A line output shared by every thread that writes to it: one client
-/// (a socket connection or the stdin session), or the access log. Each
-/// line is one `write_all` and flush under the lock, so lines never
-/// interleave; after the first failed write, every line is dropped.
+/// A client's output, shared by every thread that answers it: a
+/// socket connection or the stdin session. Each line is one
+/// `write_all` and flush under the lock, so lines never interleave;
+/// after the first failed write, every line is dropped.
 struct LineSink<W: ?Sized = dyn Write + Send> {
     broken: AtomicBool,
     out: Mutex<W>,
@@ -208,12 +210,13 @@ impl<W: Write + ?Sized> LineSink<W> {
     }
 }
 
-/// The per-request access log, cloned into every worker and admission
-/// thread. Sink errors are swallowed — observability must never take
-/// down serving.
+/// A shared line-oriented sink for the per-request access log. Cloned
+/// into every worker and admission thread; records are whole lines
+/// written under one lock so they never interleave. Sink errors are
+/// swallowed — observability must never take down serving.
 #[derive(Clone)]
 pub struct AccessLog {
-    sink: Arc<LineSink>,
+    sink: Arc<Mutex<Box<dyn Write + Send>>>,
 }
 
 impl fmt::Debug for AccessLog {
@@ -226,7 +229,7 @@ impl AccessLog {
     /// Log to any line sink (a file, a Vec in tests, ...).
     pub fn to_writer(w: Box<dyn Write + Send>) -> AccessLog {
         AccessLog {
-            sink: Arc::new(LineSink::new(w)),
+            sink: Arc::new(Mutex::new(w)),
         }
     }
 
@@ -239,8 +242,10 @@ impl AccessLog {
         Ok(AccessLog::to_writer(Box::new(std::fs::File::create(path)?)))
     }
 
-    fn record(&self, line: String) {
-        self.sink.write_line(line);
+    fn record(&self, line: &str) {
+        let mut sink = lock_unpoisoned(&self.sink);
+        let _ = writeln!(sink, "{line}");
+        let _ = sink.flush();
     }
 }
 
@@ -1074,7 +1079,7 @@ impl Core {
         worker: Option<usize>,
     ) {
         if let Some(log) = &self.cfg.access_log {
-            log.record(access_line(
+            log.record(&access_line(
                 id,
                 seq,
                 self.uptime_ms(),

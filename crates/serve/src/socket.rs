@@ -6,8 +6,9 @@
 //! `LineSink` travels *with* each job through the queue, so the
 //! worker that finishes it writes the answer straight to the admitting
 //! connection — no writer thread, no global response bus to misdeliver
-//! on. A write that stalls past [`WRITE_TIMEOUT`] hangs the client up
-//! and stops its reader; reader EOF (a half-close) stops only tickers.
+//! on. A client that falls [`WRITE_TIMEOUT`] behind its answers,
+//! reading nothing or reading too slowly, is hung up, which also stops
+//! its reader; reader EOF (a half-close) stops only tickers.
 //!
 //! Framing is byte-oriented: `BufReader::read_line` assembles a frame
 //! from however many TCP segments it arrived in, so a request split
@@ -18,6 +19,7 @@
 //! subscription; reader EOF or a broken sink ends the stream within
 //! one interval, so a client disconnecting mid-watch leaks nothing.
 
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,9 +31,19 @@ use tc_trace::MetricsSnapshot;
 
 use crate::{install_fault_panic_hook, Core, LineSink, ReqId, ServeConfig, ServeSummary};
 
-/// How long one response line may take to reach a client before the
-/// server hangs up on it: the most a stalled client can hold a worker.
+/// How far a client may fall behind its answers before the server
+/// hangs up on it. Each moment one of its lines waits for room in the
+/// socket adds to the connection's lag; each moment with no line
+/// waiting takes as much off, down to zero. So a client that never
+/// reads is hung up this long after its socket buffers fill, and one
+/// that keeps reading, but leaves its lines waiting more than half the
+/// time, a little later. Until then every worker holding one of its
+/// answers waits on it.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The socket's write timeout: how often a line waiting on its client
+/// checks the lag.
+const LAG_POLL: Duration = Duration::from_millis(10);
 
 /// A running socket server. Dropping the handle leaks the listener
 /// threads; call [`SocketHandle::shutdown`] (tests, embedders) or
@@ -125,36 +137,62 @@ fn accept_loop(listener: &TcpListener, core: &Arc<Core>, stop: &Arc<AtomicBool>)
     }
 }
 
-/// A connection's write half, with [`WRITE_TIMEOUT`] as its write
-/// timeout. A line that fails — the peer is gone, or has not taken it
-/// in time — shuts the socket down both ways, ending its reader too.
-struct WriteHalf(TcpStream);
+/// A connection's write half, keeping the client's lag (see
+/// [`WRITE_TIMEOUT`]).
+struct WriteHalf {
+    stream: TcpStream,
+    /// When the lag is back to zero if no line waits before then.
+    caught_up: Instant,
+}
+
+impl WriteHalf {
+    fn new(stream: TcpStream) -> io::Result<WriteHalf> {
+        stream.set_write_timeout(Some(LAG_POLL))?;
+        Ok(WriteHalf {
+            stream,
+            caught_up: Instant::now(),
+        })
+    }
+
+    /// One `write` in the common case; a line left waiting gives up
+    /// once the lag, counting its own wait, reaches [`WRITE_TIMEOUT`].
+    fn send(&mut self, mut buf: &[u8]) -> io::Result<()> {
+        let start = Instant::now();
+        let lag = self.caught_up.saturating_duration_since(start);
+        while !buf.is_empty() {
+            match self.stream.write(buf) {
+                Ok(n) => buf = &buf[n..],
+                // Cut short by a signal or by the socket timeout.
+                Err(e) if matches!(e.kind(), Interrupted | WouldBlock | TimedOut) => {}
+                Err(e) => return Err(e),
+            }
+            if !buf.is_empty() && lag + start.elapsed() >= WRITE_TIMEOUT {
+                return Err(TimedOut.into());
+            }
+        }
+        let end = Instant::now();
+        self.caught_up = end + lag + (end - start);
+        Ok(())
+    }
+}
 
 impl Write for WriteHalf {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
+        self.stream.write(buf)
     }
 
-    /// The socket timeout bounds each blocking `write`; the deadline
-    /// bounds the line, which a client taking a little at a time could
-    /// otherwise stretch.
-    fn write_all(&mut self, mut buf: &[u8]) -> io::Result<()> {
-        let deadline = Instant::now() + WRITE_TIMEOUT;
-        while !buf.is_empty() {
-            match self.0.write(buf) {
-                Ok(n) if n == buf.len() || (n > 0 && Instant::now() < deadline) => buf = &buf[n..],
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                stalled => {
-                    let _ = self.0.shutdown(Shutdown::Both);
-                    return Err(stalled.err().unwrap_or(io::ErrorKind::TimedOut.into()));
-                }
-            }
+    /// A line that fails — the peer is gone, or the lag ran out —
+    /// shuts the socket down both ways, ending its reader too.
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        let sent = self.send(buf);
+        if sent.is_err() {
+            let _ = self.stream.shutdown(Shutdown::Both);
         }
-        Ok(())
+        sent
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
+        self.stream.flush()
     }
 }
 
@@ -163,12 +201,11 @@ impl Write for WriteHalf {
 /// broken sink, then flips `eof` so tickers stop; queued jobs keep the
 /// sink, so a half-closed client still gets every answer.
 fn serve_connection(core: &Arc<Core>, stream: TcpStream) {
-    let timed = |w: TcpStream| w.set_write_timeout(Some(WRITE_TIMEOUT)).map(|()| w);
-    let Ok(write_half) = stream.try_clone().and_then(timed) else {
+    let Ok(write_half) = stream.try_clone().and_then(WriteHalf::new) else {
         return;
     };
     core.active_connections.fetch_add(1, Ordering::SeqCst);
-    let sink: Arc<LineSink> = Arc::new(LineSink::new(WriteHalf(write_half)));
+    let sink: Arc<LineSink> = Arc::new(LineSink::new(write_half));
     let eof = Arc::new(AtomicBool::new(false));
     core.admit_all(BufReader::new(stream), &sink, |id, interval_ms| {
         core.reply(&sink, core.watch_ack(&id, interval_ms));

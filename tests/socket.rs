@@ -4,11 +4,14 @@
 //! transport-differential guarantee (socket answers == stdin answers
 //! under the same fault seed), and answers written straight from the
 //! workers: whole lines under concurrency, every answer after a
-//! half-close, and a bounded hang-up of a client that never reads.
+//! half-close, and a bounded hang-up of a client that never reads or
+//! reads too slowly.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use typeclasses::serve::{serve_lines, serve_socket, ServeConfig, SocketHandle, WRITE_TIMEOUT};
@@ -618,6 +621,86 @@ fn a_client_that_never_reads_is_hung_up_without_wedging_the_workers() {
 
     drop(other);
     drop(stalled);
+    let summary = handle.shutdown();
+    assert!(summary.write_errors > 0, "{summary:?}");
+}
+
+#[test]
+fn a_client_that_reads_slowly_is_hung_up_without_starving_others() {
+    let handle = start(&ServeConfig {
+        workers: 2,
+        queue_capacity: 512,
+        ..ServeConfig::default()
+    });
+    // About 100 KB per answer, read one every 100 ms: the client keeps
+    // reading, about 1 MB/s, but far slower than the workers make its
+    // answers.
+    let mut slow = Client::connect(handle.addr());
+    let runs: Vec<String> = (1..=200)
+        .map(|i| req(i, "main = enumFromTo 1 16000;"))
+        .collect();
+    slow.send_batch(&runs);
+    let done = Arc::new(AtomicBool::new(false));
+    let slow_done = Arc::clone(&done);
+    let slow_reader = std::thread::spawn(move || {
+        let mut read = 0;
+        let mut line = String::new();
+        // Past the hang-up it reads what the server sent before it, or
+        // a reset once the server closes with requests still unread.
+        while !slow_done.load(Ordering::SeqCst)
+            && matches!(slow.reader.read_line(&mut line), Ok(n) if n > 0)
+        {
+            read += 1;
+            line.clear();
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        read
+    });
+
+    // Queued behind the whole slow batch, a second client's request is
+    // answered once the slow client is hung up, not at its read rate.
+    std::thread::sleep(Duration::from_millis(200));
+    let mut other = Client::connect(handle.addr());
+    let bound = WRITE_TIMEOUT + Duration::from_secs(6);
+    other
+        .writer
+        .set_read_timeout(Some(bound))
+        .unwrap_or_else(|e| panic!("read timeout: {e}"));
+    let sent = Instant::now();
+    other.send(&req(1, "main = 1;"));
+    let v = other.recv();
+    assert_eq!(
+        v.get("status").and_then(|s| s.as_str()),
+        Some("ok"),
+        "{v:?}"
+    );
+    assert!(
+        sent.elapsed() < bound,
+        "answered after {:?}",
+        sent.elapsed()
+    );
+
+    // The slow connection is gone, and so is its reader.
+    let deadline = Instant::now() + bound;
+    loop {
+        other.send("{\"id\": 2, \"cmd\": \"health\"}");
+        let h = other.recv();
+        if h.get("active_connections").and_then(|n| n.as_u64()) == Some(1) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the slow client is still connected: {h:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    drop(other);
+    done.store(true, Ordering::SeqCst);
+    let read = slow_reader
+        .join()
+        .unwrap_or_else(|_| panic!("slow reader panicked"));
+    assert!(read > 0, "the slow client read nothing");
     let summary = handle.shutdown();
     assert!(summary.write_errors > 0, "{summary:?}");
 }
