@@ -31,7 +31,7 @@ use typeclasses::classes::{build_class_env, ClassEnv, ReduceBudget, ResolveCache
 use typeclasses::serve::{serve_lines, ServeConfig};
 use typeclasses::syntax::Span;
 use typeclasses::trace::events::stage_spans;
-use typeclasses::types::{Pred, Type, VarGen};
+use typeclasses::types::{Interner, Pred, Type, VarGen};
 use typeclasses::{EventLog, JsonWriter, Options};
 
 /// Build a [`ClassEnv`] from Mini-Haskell class/instance declarations.
@@ -114,19 +114,19 @@ fn saturate(n: u128) -> u64 {
 fn bench_resolution(name: &'static str, cenv: &ClassEnv, pred: &Pred, iters: usize) -> Row {
     let budget = ReduceBudget::default();
 
-    let mut cache = ResolveCache::new();
+    let (mut cache, mut types) = (ResolveCache::new(), Interner::new());
     let t0 = Instant::now();
     for _ in 0..iters {
-        cenv.resolve_with(pred, &[], budget, &mut cache)
+        cenv.resolve_tree(pred, &[], budget, &mut cache, &mut types)
             .unwrap_or_else(|e| panic!("{name}: resolution failed: {e}"));
     }
     let nanos_on = t0.elapsed().as_nanos();
     let on = cache.stats;
 
-    let mut off_cache = ResolveCache::disabled();
+    let (mut off_cache, mut off_types) = (ResolveCache::disabled(), Interner::new());
     let t1 = Instant::now();
     for _ in 0..iters {
-        cenv.resolve_with(pred, &[], budget, &mut off_cache)
+        cenv.resolve_tree(pred, &[], budget, &mut off_cache, &mut off_types)
             .unwrap_or_else(|e| panic!("{name}: resolution failed: {e}"));
     }
     let nanos_off = t1.elapsed().as_nanos();
@@ -135,7 +135,7 @@ fn bench_resolution(name: &'static str, cenv: &ClassEnv, pred: &Pred, iters: usi
     // Counters are folded after the timed loops, so enabling metrics
     // here costs the measurement nothing.
     cache.enable_metrics();
-    cache.flush_metrics();
+    cache.flush_metrics(&types);
 
     Row {
         name,

@@ -381,13 +381,13 @@ fn add_instance(
         // missing-method error already rejects the program.
     }
 
-    let inst = Instance {
-        id: *next_id,
+    let inst = Instance::new(
+        *next_id,
         ast_index,
+        Pred::new(decl.class.clone(), head_ty, decl.span),
         preds,
-        head: Pred::new(decl.class.clone(), head_ty, decl.span),
-        span: decl.span,
-    };
+        decl.span,
+    );
     *next_id += 1;
     env.instances
         .entry(decl.class.clone())

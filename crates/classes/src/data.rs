@@ -137,14 +137,12 @@ impl DataEnv {
 
     /// The constructors of a data type, in tag order. Empty for `Int`
     /// and unknown types.
-    pub fn constructors_of(&self, data_name: &str) -> Vec<&ConInfo> {
-        let Some(di) = self.types.get(data_name) else {
-            return Vec::new();
-        };
-        di.constructors
-            .iter()
-            .filter_map(|c| self.constructors.get(c))
-            .collect()
+    pub fn constructors_of(&self, data_name: &str) -> impl Iterator<Item = &ConInfo> {
+        let names = self
+            .types
+            .get(data_name)
+            .map_or(&[][..], |di| di.constructors.as_slice());
+        names.iter().filter_map(|c| self.constructors.get(c))
     }
 
     /// Sorted names of user-declared (non-builtin) data types.
@@ -365,7 +363,7 @@ mod tests {
         assert_eq!(env.con("True").unwrap().tag, 0);
         assert_eq!(env.con("False").unwrap().tag, 1);
         assert_eq!(env.con("Cons").unwrap().arity, 2);
-        assert_eq!(env.constructors_of("Bool").len(), 2);
+        assert_eq!(env.constructors_of("Bool").count(), 2);
     }
 
     #[test]

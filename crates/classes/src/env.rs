@@ -3,7 +3,7 @@
 use crate::data::DataEnv;
 use std::collections::HashMap;
 use tc_syntax::Span;
-use tc_types::{Pred, Scheme, Type};
+use tc_types::{match_ids, Interner, Pred, Scheme};
 
 /// One method of a class.
 #[derive(Debug, Clone)]
@@ -62,14 +62,28 @@ pub struct Instance {
     /// constructor — var-headed instances are rejected at build time.
     pub head: Pred,
     pub span: Span,
+    /// See [`Instance::dict_binding_name`].
+    dict_name: String,
 }
 
 impl Instance {
+    pub fn new(id: usize, ast_index: usize, head: Pred, preds: Vec<Pred>, span: Span) -> Self {
+        let con = head.ty.head_con().unwrap_or("?");
+        let dict_name = format!("$dict{id}${}${con}", head.class);
+        Instance {
+            id,
+            ast_index,
+            preds,
+            head,
+            span,
+            dict_name,
+        }
+    }
+
     /// Name of the compiled dictionary-constructor binding, e.g.
     /// `$dict2$Eq$List`.
-    pub fn dict_binding_name(&self) -> String {
-        let con = self.head.ty.head_con().unwrap_or("?");
-        format!("$dict{}${}${}", self.id, self.head.class, con)
+    pub fn dict_binding_name(&self) -> &str {
+        &self.dict_name
     }
 }
 
@@ -169,33 +183,17 @@ impl ClassEnv {
         Some((class, m))
     }
 
-    /// The superclass predicates of `pred` (instantiated at the same
-    /// type): for `Ord Int` with `class Eq a => Ord a`, returns
-    /// `[Eq Int]`. Unknown classes yield an empty list — the build
-    /// phase has already reported them.
-    pub fn supers_of(&self, pred: &Pred) -> Vec<Pred> {
-        match self.classes.get(&pred.class) {
-            Some(ci) => ci
-                .supers
-                .iter()
-                .map(|s| Pred::new(s.clone(), pred.ty.clone(), pred.span))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Does an instance exist whose head could ever apply to `pred`?
-    /// (One-way match of the instance head pattern onto the type.)
-    pub fn matching_instance(
-        &self,
-        pred: &Pred,
-    ) -> Option<(&Instance, std::collections::HashMap<tc_types::TyVar, Type>)> {
-        for inst in self.instances_of(&pred.class) {
-            if let Ok(s) = tc_types::match_types(&inst.head.ty, &pred.ty) {
-                return Some((inst, s));
-            }
-        }
-        None
+    /// The first instance whose head matches `pred`: the instance
+    /// resolution picks for `pred`. (One-way match of the instance head
+    /// pattern onto the type, in a store of its own.)
+    pub fn matching_instance(&self, pred: &Pred) -> Option<&Instance> {
+        let mut types = Interner::new();
+        let target = types.intern(&pred.ty);
+        let (mut bindings, mut work) = (Vec::new(), Vec::new());
+        self.instances_of(&pred.class).iter().find(|inst| {
+            let head = types.intern(&inst.head.ty);
+            match_ids(&types, head, target, &mut bindings, &mut work)
+        })
     }
 
     /// All class names, sorted — handy for deterministic iteration.
@@ -204,10 +202,4 @@ impl ClassEnv {
         v.sort_unstable();
         v
     }
-}
-
-/// Helper used by build & tests: the head constructor of an instance
-/// type, e.g. `List` for `Eq (List a)`.
-pub fn head_con_of(ty: &Type) -> Option<&str> {
-    ty.head_con()
 }

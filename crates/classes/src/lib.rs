@@ -10,8 +10,8 @@
 //!    whose heads unify). All problems are reported as diagnostics;
 //!    construction always returns a usable (possibly partial)
 //!    environment so later stages can keep checking.
-//! 2. **Entailment / resolution** ([`ClassEnv::resolve`]): given a
-//!    predicate and a set of assumptions (the dictionary parameters in
+//! 2. **Entailment / resolution** ([`ClassEnv::resolve_with`]): given
+//!    a goal and a set of assumptions (the dictionary parameters in
 //!    scope), produce a [`DictDeriv`] — a recipe for building the
 //!    dictionary — or a structured [`ResolveError`]. Resolution runs
 //!    under an explicit [`ReduceBudget`] and a visited-goal set, so
@@ -21,6 +21,13 @@
 //! 3. **Context reduction** ([`ClassEnv::reduce_context`]): simplify an
 //!    inferred context to head-normal-form predicates for
 //!    generalization, as in the paper.
+//!
+//! Resolution and context reduction take their goals and assumptions
+//! as [`tc_types::IdPred`]s of the elaborator's type store, and the
+//! [`ResolveCache`] memo table keys into that store; see
+//! [`resolve`]. [`ClassEnv::resolve`] and [`ClassEnv::resolve_tree`]
+//! are thin entry points for tree goals, which intern them and resolve
+//! on ids.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

@@ -16,17 +16,30 @@
 //! instance search must be treated as a real (terminating) search
 //! procedure, not naive recursion.
 //!
+//! # Goals are ids
+//!
+//! Goals and assumptions are [`IdPred`]s of the elaborator's type store
+//! (a [`tc_types::Interner`], passed to every call), so a goal is two
+//! ids and comparing goals is comparing ids. The class environment is
+//! seen through the same store: the first time a class comes up, the
+//! [`ResolveCache`] interns its superclass names and its instances'
+//! heads and contexts there, and from then on instance heads are
+//! matched against goals on ids ([`tc_types::match_ids`]) and contexts
+//! instantiated with [`Interner::map_vars`]. Trees are built only for
+//! what leaves the resolver as text: errors and explain traces.
+//!
 //! # Tabling
 //!
 //! On top of the budgeted search sits a **memo table**
 //! ([`ResolveCache`]), in the spirit of *Tabled Typeclass Resolution*:
 //! completed derivations for *pure* goals (ground types, no skolem
-//! constants) are recorded keyed by a hash-consed `(class, type)` pair
-//! ([`tc_types::Interner`]), so re-deriving `Eq (List (List Int))` at a
-//! second use site is a single O(1) lookup charged **one budget step**
-//! instead of a full backward-chaining search. Cycle detection is
-//! untouched: in-progress goals are never tabled, only completed ones,
-//! so the recursive-instance self-knot still resolves (and still
+//! constants) are recorded keyed by the goal's `(class, type)` ids, so
+//! re-deriving `Eq (List (List Int))` at a second use site is a single
+//! O(1) lookup charged **one budget step** instead of a full
+//! backward-chaining search. The table keys into the caller's store, so
+//! a cache is only meaningful together with that store. Cycle detection
+//! is untouched: in-progress goals are never tabled, only completed
+//! ones, so the recursive-instance self-knot still resolves (and still
 //! reports cycles) exactly as without the table.
 //!
 //! Soundness of a table hit requires the cached derivation to be valid
@@ -49,13 +62,13 @@
 //! diagnostics carry use-site spans that must be rebuilt per call.
 
 use crate::env::ClassEnv;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tc_trace::{
     CancelToken, CounterId, EventKind, EventScope, GaugeId, HistogramId, MetricsRegistry, Stage,
     TraceNode,
 };
-use tc_types::{Interner, NameId, Pred, Type, TypeId};
+use tc_types::intern::{FastMap, FastSet};
+use tc_types::{match_ids, IdPred, Interner, NameId, Pred, TyVar, TypeId};
 
 /// Limits for one resolution / context-reduction call.
 #[derive(Debug, Clone, Copy)]
@@ -311,15 +324,93 @@ impl ResolveTraceLog {
     }
 }
 
-/// The memo table for instance resolution: hash-consed goal keys to
-/// completed closed derivations, plus session counters. One cache is
-/// intended to live for a whole elaboration run (and may live longer —
-/// entries never go stale, because they are context-independent and
-/// class environments are immutable once built).
+/// A class as the resolver sees it in one type store.
+#[derive(Debug)]
+struct StoreClass {
+    /// `false` for a name the environment declares no class for.
+    known: bool,
+    /// Superclass names with their dictionary slots, in declaration
+    /// order.
+    supers: Vec<(NameId, usize)>,
+    /// The class's instances, in the environment's order (the order
+    /// instance search tries them in).
+    instances: Vec<StoreInstance>,
+}
+
+/// An instance with its head type and context interned.
+#[derive(Debug)]
+struct StoreInstance {
+    id: usize,
+    head: TypeId,
+    context: Vec<IdPred>,
+}
+
+impl StoreClass {
+    fn intern(env: &ClassEnv, types: &mut Interner, class: NameId) -> StoreClass {
+        let name = types.name(class).unwrap_or_default();
+        let (info, instances) = (env.classes.get(name), env.instances.get(name));
+        let supers = info.map_or(Vec::new(), |ci| {
+            (ci.supers.iter().enumerate())
+                .map(|(i, sup)| (types.intern_name(sup), ci.super_slot(i)))
+                .collect()
+        });
+        let instances = instances.map_or(Vec::new(), |insts| {
+            insts
+                .iter()
+                .map(|inst| StoreInstance {
+                    id: inst.id,
+                    head: types.intern(&inst.head.ty),
+                    context: inst.preds.iter().map(|p| types.intern_pred(p)).collect(),
+                })
+                .collect()
+        });
+        StoreClass {
+            known: info.is_some(),
+            supers,
+            instances,
+        }
+    }
+}
+
+/// How a superclass-search entry was reached.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// The `index`-th assumption itself.
+    Param(usize),
+    /// Superclass `slot` of the entry at `parent` in the queue.
+    Super { parent: usize, slot: usize },
+}
+
+/// Buffers the search reuses from call to call, so a warm cache
+/// resolves a goal without allocating for the search itself.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Goals on the current derivation path (for cycle detection).
+    in_progress: Vec<(NameId, TypeId)>,
+    /// The instantiated contexts of the goals on the path, each goal's
+    /// subgoals one segment, innermost last.
+    subgoals: Vec<IdPred>,
+    /// Instance-head matching: the bindings found and the work list.
+    bindings: Vec<(TyVar, TypeId)>,
+    work: Vec<(TypeId, TypeId)>,
+    /// Superclass search: the breadth-first queue and the goals seen.
+    queue: Vec<(NameId, TypeId, Via)>,
+    visited: FastSet<(NameId, TypeId)>,
+}
+
+/// The memo table for instance resolution: goal ids to completed closed
+/// derivations, plus session counters. One cache is intended to live
+/// for a whole elaboration run, and may live longer, together with the
+/// type store its keys and its view of the class environment are
+/// interned in. Entries never go stale: they are context-independent,
+/// and class environments are immutable once built; a cache serves one
+/// class environment and one store.
 #[derive(Debug, Default)]
 pub struct ResolveCache {
-    interner: Interner,
-    table: HashMap<(NameId, TypeId), CacheEntry>,
+    table: FastMap<(NameId, TypeId), CacheEntry>,
+    /// The class environment in the caller's store, a class at a time.
+    classes: FastMap<NameId, StoreClass>,
+    scratch: Scratch,
     /// When `false`, the table is neither consulted nor populated but
     /// counters still accumulate — the cache-off baseline.
     pub enabled: bool,
@@ -370,10 +461,8 @@ impl ResolveCache {
     }
 
     /// The cost (in budget steps) recorded for a goal, if tabled.
-    pub fn cost_of(&mut self, pred: &Pred) -> Option<usize> {
-        let class = self.interner.intern_name(&pred.class);
-        let ty = self.interner.intern(&pred.ty);
-        self.table.get(&(class, ty)).map(|e| e.cost)
+    pub fn cost_of(&self, goal: &IdPred) -> Option<usize> {
+        self.table.get(&(goal.class, goal.ty)).map(|e| e.cost)
     }
 
     /// Turn on explain-tracing: subsequent resolutions append one goal
@@ -418,12 +507,12 @@ impl ResolveCache {
         self.events = events;
     }
 
-    /// Fold the session totals — resolution counters, interner
-    /// traffic, and end-of-run table sizes — into the metrics
-    /// registry. Call once, when the cache's session ends: the fold is
-    /// cumulative, so flushing twice double-counts. No-op (and
-    /// allocation-free) when metrics are off.
-    pub fn flush_metrics(&mut self) {
+    /// Fold the session totals — resolution counters, the traffic of
+    /// `types` (the store the session resolved in), and end-of-run
+    /// table sizes — into the metrics registry. Call once, when the
+    /// cache's session ends: the fold is cumulative, so flushing twice
+    /// double-counts. No-op (and allocation-free) when metrics are off.
+    pub fn flush_metrics(&mut self, types: &Interner) {
         if !self.metrics.is_enabled() {
             return;
         }
@@ -436,23 +525,132 @@ impl ResolveCache {
             CounterId::ResolveDictsConstructed,
             self.stats.dicts_constructed,
         );
-        let intern = self.interner.stats();
+        let intern = types.stats();
         self.metrics.add(CounterId::InternHits, intern.hits);
         self.metrics.add(CounterId::InternFresh, intern.fresh);
         self.metrics
-            .set_gauge(GaugeId::InternTableSize, self.interner.len() as u64);
+            .set_gauge(GaugeId::InternTableSize, types.len() as u64);
         self.metrics
             .set_gauge(GaugeId::ResolveCacheEntries, self.table.len() as u64);
+    }
+
+    /// `class` as seen from `types`, interned on first use.
+    fn class(&mut self, env: &ClassEnv, types: &mut Interner, class: NameId) -> &StoreClass {
+        self.classes
+            .entry(class)
+            .or_insert_with(|| StoreClass::intern(env, types, class))
+    }
+
+    /// Find the first instance of `goal`'s class whose head matches
+    /// `goal`, push its context, instantiated and blamed on `goal`'s
+    /// span, to `scratch.subgoals`, and return its id. The class must
+    /// have been looked up ([`ResolveCache::class`]) before.
+    fn match_instance(&mut self, types: &mut Interner, goal: IdPred) -> Option<usize> {
+        let class = self.classes.get(&goal.class)?;
+        let Scratch {
+            bindings,
+            work,
+            subgoals,
+            ..
+        } = &mut self.scratch;
+        let inst = class
+            .instances
+            .iter()
+            .find(|inst| match_ids(types, inst.head, goal.ty, bindings, work))?;
+        for p in &inst.context {
+            let ty = types.map_vars(p.ty, |v| {
+                bindings.iter().find(|(w, _)| *w == v).map(|&(_, t)| t)
+            });
+            subgoals.push(IdPred {
+                class: p.class,
+                ty,
+                span: goal.span,
+            });
+        }
+        Some(inst.id)
+    }
+
+    /// Breadth-first search over superclass edges from each assumption
+    /// for `goal`. Returns the projection chain if found. Each queue
+    /// entry examined costs a step of `steps`; the search gives up when
+    /// `steps` reaches `max_steps`. A visited set bounds it, so
+    /// superclass graphs (validated acyclic at build time, but belt and
+    /// braces) cannot loop it.
+    fn via_supers(
+        &mut self,
+        env: &ClassEnv,
+        types: &mut Interner,
+        assumptions: &[IdPred],
+        goal: IdPred,
+        steps: &mut usize,
+        max_steps: usize,
+    ) -> Option<DictDeriv> {
+        let mut queue = std::mem::take(&mut self.scratch.queue);
+        let mut visited = std::mem::take(&mut self.scratch.visited);
+        queue.clear();
+        visited.clear();
+        queue.extend(
+            (0..)
+                .zip(assumptions)
+                .map(|(i, a)| (a.class, a.ty, Via::Param(i))),
+        );
+        let mut found = None;
+        let mut qi = 0usize;
+        while qi < queue.len() {
+            if *steps >= max_steps {
+                break;
+            }
+            *steps += 1;
+            let (class, ty, _) = queue[qi];
+            qi += 1;
+            if !visited.insert((class, ty)) {
+                continue;
+            }
+            if (class, ty) == (goal.class, goal.ty) {
+                found = Some(qi - 1);
+                break;
+            }
+            let parent = qi - 1;
+            for &(sup, slot) in &self.class(env, types, class).supers {
+                queue.push((sup, ty, Via::Super { parent, slot }));
+            }
+        }
+        let deriv = found.map(|at| projection(&queue, at));
+        self.scratch.queue = queue;
+        self.scratch.visited = visited;
+        deriv
+    }
+}
+
+/// The derivation of superclass-search entry `at`: its assumption,
+/// projected through each superclass slot on the way down to it.
+fn projection(queue: &[(NameId, TypeId, Via)], mut at: usize) -> DictDeriv {
+    let mut slots = Vec::new();
+    loop {
+        match queue[at].2 {
+            Via::Param(index) => {
+                return slots.into_iter().rev().fold(
+                    DictDeriv::FromParam { index },
+                    |base, slot| DictDeriv::FromSuper {
+                        base: Box::new(base),
+                        slot,
+                    },
+                );
+            }
+            Via::Super { parent, slot } => {
+                slots.push(slot);
+                at = parent;
+            }
+        }
     }
 }
 
 struct Search<'e> {
     env: &'e ClassEnv,
-    assumptions: &'e [Pred],
+    types: &'e mut Interner,
+    assumptions: &'e [IdPred],
     budget: ReduceBudget,
     steps: usize,
-    /// Goals on the current derivation path (for cycle detection).
-    in_progress: Vec<(String, Type)>,
     cache: &'e mut ResolveCache,
     /// Every assumption is head-normal-form (variable-headed), so no
     /// pure goal can ever be discharged by one — the precondition for
@@ -468,49 +666,29 @@ struct Search<'e> {
 }
 
 impl<'e> Search<'e> {
-    fn new(
-        env: &'e ClassEnv,
-        assumptions: &'e [Pred],
-        budget: ReduceBudget,
-        cache: &'e mut ResolveCache,
-    ) -> Self {
-        let assumptions_hnf = assumptions.iter().all(|a| a.in_hnf());
-        let tracing = cache.trace.is_some();
-        Search {
-            env,
-            assumptions,
-            budget,
-            steps: 0,
-            in_progress: Vec::new(),
-            cache,
-            assumptions_hnf,
-            tracing,
-            node_stack: Vec::new(),
-        }
-    }
-
     /// Resolve one goal. With tracing off this is a tail call into
     /// [`Search::resolve_step`]; with tracing on it brackets the step
     /// with a subgoal-collection frame and records a [`TraceNode`]
     /// labelled with the goal's sequence number, predicate, and how it
     /// was (or failed to be) discharged.
-    fn resolve(&mut self, pred: &Pred, depth: usize) -> Result<DictDeriv, ResolveError> {
+    fn resolve(&mut self, goal: IdPred, depth: usize) -> Result<DictDeriv, ResolveError> {
         if !self.tracing {
             let mut via = None;
-            return self.resolve_step(pred, depth, &mut via);
+            return self.resolve_step(goal, depth, &mut via);
         }
         // `resolve_step` increments the goal counter first thing, so
         // this goal's sequence number is the next count.
         let seq = self.cache.stats.goals + 1;
         self.node_stack.push(Vec::new());
         let mut via = None;
-        let result = self.resolve_step(pred, depth, &mut via);
+        let result = self.resolve_step(goal, depth, &mut via);
         let children = self.node_stack.pop().unwrap_or_default();
         let outcome = match (&result, via) {
             (Ok(_), Some(v)) => v,
             (Ok(_), None) => "resolved".to_string(),
             (Err(e), _) => format!("failed: {e}"),
         };
+        let pred = goal.tree(self.types);
         let node = TraceNode::new(format!("[#{seq}] {pred}: {outcome}"), children);
         if let Some(frame) = self.node_stack.last_mut() {
             frame.push(node);
@@ -525,7 +703,7 @@ impl<'e> Search<'e> {
     /// description of how the goal was discharged.
     fn resolve_step(
         &mut self,
-        pred: &Pred,
+        goal: IdPred,
         depth: usize,
         via: &mut Option<String>,
     ) -> Result<DictDeriv, ResolveError> {
@@ -545,37 +723,48 @@ impl<'e> Search<'e> {
             if let Some(c) = &self.cache.cancel {
                 if c.is_cancelled() {
                     self.cache.events.cancelled(Stage::Elaborate);
-                    return Err(ResolveError::Cancelled { pred: pred.clone() });
+                    let pred = goal.tree(self.types);
+                    return Err(ResolveError::Cancelled { pred });
                 }
             }
         }
         if self.steps > self.budget.max_steps {
             return Err(ResolveError::BudgetExhausted {
-                pred: pred.clone(),
+                pred: goal.tree(self.types),
                 depth: false,
             });
         }
         if depth > self.budget.max_depth {
             return Err(ResolveError::BudgetExhausted {
-                pred: pred.clone(),
+                pred: goal.tree(self.types),
                 depth: true,
             });
         }
+        let key = (goal.class, goal.ty);
 
         // 1. Direct assumption?
-        for (i, a) in self.assumptions.iter().enumerate() {
-            if a.same_constraint(pred) {
-                if self.tracing {
-                    *via = Some(format!("assumption #{i} `{a}`"));
-                }
-                self.cache.events.record(EventKind::Goal, depth as u64, 2);
-                return Ok(DictDeriv::FromParam { index: i });
+        if let Some(i) = self.assumptions.iter().position(|a| (a.class, a.ty) == key) {
+            if self.tracing {
+                let a = self.assumptions[i].tree(self.types);
+                *via = Some(format!("assumption #{i} `{a}`"));
             }
+            self.cache.events.record(EventKind::Goal, depth as u64, 2);
+            return Ok(DictDeriv::FromParam { index: i });
         }
 
         // 2. Reachable from an assumption through superclass edges?
         //    (`class Eq a => Ord a` + assumption `Ord t` entails `Eq t`.)
-        if let Some(d) = self.via_supers(pred) {
+        let before = self.steps;
+        let projected = self.cache.via_supers(
+            self.env,
+            self.types,
+            self.assumptions,
+            goal,
+            &mut self.steps,
+            self.budget.max_steps,
+        );
+        self.cache.stats.steps += (self.steps - before) as u64;
+        if let Some(d) = projected {
             if self.tracing {
                 *via = Some(describe_projection(&d));
             }
@@ -583,8 +772,10 @@ impl<'e> Search<'e> {
             return Ok(d);
         }
 
-        if !self.env.classes.contains_key(&pred.class) {
-            return Err(ResolveError::UnknownClass { pred: pred.clone() });
+        if !self.cache.class(self.env, self.types, goal.class).known {
+            return Err(ResolveError::UnknownClass {
+                pred: goal.tree(self.types),
+            });
         }
 
         // 3. Memo table. Consulted only after the assumption checks
@@ -592,25 +783,19 @@ impl<'e> Search<'e> {
         //    all-HNF assumption set, so a hit is exactly what a fresh
         //    instance-chaining search would have derived. A hit has
         //    already been charged its single budget step above.
-        let cache_key = if self.cache.enabled && self.assumptions_hnf {
-            let class = self.cache.interner.intern_name(&pred.class);
-            let ty = self.cache.interner.intern(&pred.ty);
-            if self.cache.interner.is_pure(ty) {
-                if let Some(entry) = self.cache.table.get(&(class, ty)) {
-                    self.cache.stats.table_hits += 1;
-                    if self.tracing {
-                        *via = Some(format!("memo hit (derived at goal #{})", entry.origin));
-                    }
-                    self.cache.events.record(EventKind::Goal, depth as u64, 1);
-                    return Ok(entry.deriv.clone());
+        let cache_key = if self.cache.enabled && self.assumptions_hnf && self.types.is_pure(goal.ty)
+        {
+            if let Some(entry) = self.cache.table.get(&key) {
+                self.cache.stats.table_hits += 1;
+                if self.tracing {
+                    *via = Some(format!("memo hit (derived at goal #{})", entry.origin));
                 }
-                self.cache.stats.table_misses += 1;
-                self.cache.events.record(EventKind::Goal, depth as u64, 0);
-                Some((class, ty))
-            } else {
-                self.cache.events.record(EventKind::Goal, depth as u64, 2);
-                None
+                self.cache.events.record(EventKind::Goal, depth as u64, 1);
+                return Ok(entry.deriv.clone());
             }
+            self.cache.stats.table_misses += 1;
+            self.cache.events.record(EventKind::Goal, depth as u64, 0);
+            Some(key)
         } else {
             self.cache.events.record(EventKind::Goal, depth as u64, 2);
             None
@@ -618,45 +803,42 @@ impl<'e> Search<'e> {
         let steps_at_entry = self.steps;
 
         // 4. Cycle check before chaining through instances.
-        let key = (pred.class.clone(), pred.ty.clone());
-        if self.in_progress.contains(&key) {
+        if self.cache.scratch.in_progress.contains(&key) {
+            let types = &*self.types;
             let trail = self
+                .cache
+                .scratch
                 .in_progress
                 .iter()
-                .map(|(c, t)| Pred::new(c.clone(), t.clone(), pred.span))
+                .map(|&(class, ty)| IdPred { class, ty, ..goal }.tree(types))
                 .collect();
             return Err(ResolveError::Cycle {
-                pred: pred.clone(),
+                pred: goal.tree(types),
                 trail,
             });
         }
 
-        // 5. Instance chaining.
-        let Some((inst, subst)) = self.env.matching_instance(pred) else {
-            return Err(ResolveError::NoInstance { pred: pred.clone() });
+        // 5. Instance chaining. The instance's context, instantiated,
+        //    is this goal's segment of the subgoal stack.
+        let first = self.cache.scratch.subgoals.len();
+        let Some(inst_id) = self.cache.match_instance(self.types, goal) else {
+            return Err(ResolveError::NoInstance {
+                pred: goal.tree(self.types),
+            });
         };
-        let inst_id = inst.id;
+        let end = self.cache.scratch.subgoals.len();
         let inst_head = if self.tracing {
-            Some(inst.head.to_string())
+            self.env.instance_by_id(inst_id).map(|i| i.head.to_string())
         } else {
             None
         };
-        let subgoals: Vec<Pred> = inst
-            .preds
-            .iter()
-            .map(|p| {
-                let mut sp = p.substitute(&subst);
-                // Blame the original use site, not the instance decl.
-                sp.span = pred.span;
-                sp
-            })
-            .collect();
 
-        self.in_progress.push(key);
-        let mut args = Vec::with_capacity(subgoals.len());
+        self.cache.scratch.in_progress.push(key);
+        let mut args = Vec::with_capacity(end - first);
         let mut result = Ok(());
-        for sg in &subgoals {
-            match self.resolve(sg, depth + 1) {
+        for k in first..end {
+            let subgoal = self.cache.scratch.subgoals[k];
+            match self.resolve(subgoal, depth + 1) {
                 Ok(d) => args.push(d),
                 Err(e) => {
                     result = Err(e);
@@ -664,7 +846,8 @@ impl<'e> Search<'e> {
                 }
             }
         }
-        self.in_progress.pop();
+        self.cache.scratch.in_progress.pop();
+        self.cache.scratch.subgoals.truncate(first);
         result?;
         self.cache.stats.dicts_constructed += 1;
         let deriv = DictDeriv::FromInstance { inst_id, args };
@@ -715,90 +898,76 @@ impl<'e> Search<'e> {
         }
         Ok(deriv)
     }
-
-    /// BFS over superclass edges from each assumption, looking for
-    /// `pred`. Returns the projection chain if found. The search is
-    /// bounded by a visited set, so superclass graphs (validated
-    /// acyclic at build time, but belt and braces) cannot loop it.
-    fn via_supers(&mut self, pred: &Pred) -> Option<DictDeriv> {
-        let mut queue: Vec<(Pred, DictDeriv)> = self
-            .assumptions
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.clone(), DictDeriv::FromParam { index: i }))
-            .collect();
-        let mut visited: HashSet<(String, Type)> = HashSet::new();
-        let mut qi = 0usize;
-        while qi < queue.len() {
-            if self.steps >= self.budget.max_steps {
-                return None;
-            }
-            self.steps += 1;
-            self.cache.stats.steps += 1;
-            let (cur, deriv) = queue[qi].clone();
-            qi += 1;
-            if !visited.insert((cur.class.clone(), cur.ty.clone())) {
-                continue;
-            }
-            if cur.same_constraint(pred) {
-                return Some(deriv);
-            }
-            if let Some(ci) = self.env.classes.get(&cur.class) {
-                for (slot, sup) in ci.supers.iter().enumerate() {
-                    queue.push((
-                        Pred::new(sup.clone(), cur.ty.clone(), cur.span),
-                        DictDeriv::FromSuper {
-                            base: Box::new(deriv.clone()),
-                            slot: ci.super_slot(slot),
-                        },
-                    ));
-                }
-            }
-        }
-        None
-    }
 }
 
 impl ClassEnv {
-    /// Resolve `pred` to a dictionary recipe against `assumptions`
-    /// (the dictionary parameters in scope, in order), without
-    /// memoization. Equivalent to [`ClassEnv::resolve_with`] against a
-    /// throwaway disabled cache.
+    /// Resolve a tree goal against tree assumptions without
+    /// memoization, in a store of its own: [`ClassEnv::resolve_tree`]
+    /// with a throwaway disabled cache.
     pub fn resolve(
         &self,
         pred: &Pred,
         assumptions: &[Pred],
         budget: ReduceBudget,
     ) -> Result<DictDeriv, ResolveError> {
+        let mut types = Interner::new();
         let mut cache = ResolveCache::disabled();
-        self.resolve_with(pred, assumptions, budget, &mut cache)
+        self.resolve_tree(pred, assumptions, budget, &mut cache, &mut types)
     }
 
-    /// Resolve `pred` against `assumptions`, consulting and populating
-    /// `cache`. Guaranteed to return exactly what [`ClassEnv::resolve`]
-    /// would — the table only short-circuits derivations that are
-    /// independent of the assumption set (see the module docs) — while
-    /// charging a tabled goal a single budget step.
-    pub fn resolve_with(
+    /// [`ClassEnv::resolve_with`] for a tree goal and tree assumptions:
+    /// interns them into `types`, the store `cache` keys into, and
+    /// resolves there.
+    pub fn resolve_tree(
         &self,
         pred: &Pred,
         assumptions: &[Pred],
         budget: ReduceBudget,
         cache: &mut ResolveCache,
+        types: &mut Interner,
     ) -> Result<DictDeriv, ResolveError> {
-        let mut s = Search::new(self, assumptions, budget, cache);
-        s.resolve(pred, 0)
+        let goal = types.intern_pred(pred);
+        let assumptions: Vec<IdPred> = assumptions.iter().map(|a| types.intern_pred(a)).collect();
+        self.resolve_with(&goal, &assumptions, budget, cache, types)
     }
 
-    /// Can `pred` be discharged at all (ignoring the recipe)?
-    pub fn entails(&self, pred: &Pred, assumptions: &[Pred], budget: ReduceBudget) -> bool {
-        self.resolve(pred, assumptions, budget).is_ok()
+    /// Resolve `goal` to a dictionary recipe against `assumptions` (the
+    /// dictionary parameters in scope, in order), both in `types`,
+    /// consulting and populating `cache`. Returns exactly what
+    /// resolution without the table would — the table only
+    /// short-circuits derivations that are independent of the
+    /// assumption set (see the module docs) — while charging a tabled
+    /// goal a single budget step.
+    pub fn resolve_with(
+        &self,
+        goal: &IdPred,
+        assumptions: &[IdPred],
+        budget: ReduceBudget,
+        cache: &mut ResolveCache,
+        types: &mut Interner,
+    ) -> Result<DictDeriv, ResolveError> {
+        let assumptions_hnf = assumptions.iter().all(|a| a.in_hnf(types));
+        let tracing = cache.trace.is_some();
+        Search {
+            env: self,
+            types,
+            assumptions,
+            budget,
+            steps: 0,
+            cache,
+            assumptions_hnf,
+            tracing,
+            node_stack: Vec::new(),
+        }
+        .resolve(*goal, 0)
     }
 
     /// Context reduction for generalization: rewrite each predicate to
     /// head-normal form (variable-headed), discharging constructor-headed
     /// predicates through instances, then drop duplicates and
-    /// predicates entailed by the rest via superclasses.
+    /// predicates entailed by the rest via superclasses. `preds` live in
+    /// `types`; `cache` supplies the class environment as seen from
+    /// `types`, and its table and counters are left alone.
     ///
     /// Each distinct input predicate is reduced, and charged to the step
     /// budget, once. A repeat reports the same errors under its own
@@ -810,9 +979,11 @@ impl ClassEnv {
     /// occurrence of the failing input.
     pub fn reduce_context(
         &self,
-        preds: &[Pred],
+        preds: &[IdPred],
         budget: ReduceBudget,
-    ) -> (Vec<Pred>, Vec<ResolveError>) {
+        types: &mut Interner,
+        cache: &mut ResolveCache,
+    ) -> (Vec<IdPred>, Vec<ResolveError>) {
         let mut errors: Vec<ResolveError> = Vec::new();
         let mut steps = 0usize;
 
@@ -821,20 +992,20 @@ impl ClassEnv {
         // predicates are pushed once, under the last occurrence reached:
         // simplification keeps only the last copy of each anyway.
         struct Reduced {
-            hnf: Vec<Pred>,
+            hnf: Vec<IdPred>,
             errors: std::ops::Range<usize>,
             last: usize,
         }
-        let mut reduced: HashMap<(&str, &Type), Reduced> = HashMap::new();
+        let mut reduced: FastMap<(NameId, TypeId), Reduced> = FastMap::default();
         'inputs: for (i, p) in preds.iter().enumerate() {
-            let key = (p.class.as_str(), &p.ty);
+            let key = (p.class, p.ty);
             if let Some(r) = reduced.get_mut(&key) {
                 r.last = i;
                 for e in r.errors.clone() {
                     steps += 1;
                     if steps > budget.max_steps {
                         errors.push(ResolveError::BudgetExhausted {
-                            pred: p.clone(),
+                            pred: p.tree(types),
                             depth: false,
                         });
                         break 'inputs;
@@ -846,7 +1017,7 @@ impl ClassEnv {
                 continue;
             }
             let (mut hnf, e) = (Vec::new(), errors.len());
-            let done = self.to_hnf(p, budget, &mut steps, &mut hnf, &mut errors);
+            let done = self.to_hnf(*p, budget, types, cache, &mut steps, &mut hnf, &mut errors);
             reduced.insert(
                 key,
                 Reduced {
@@ -861,33 +1032,42 @@ impl ClassEnv {
         }
         let mut outcomes: Vec<Reduced> = reduced.into_values().collect();
         outcomes.sort_unstable_by_key(|r| r.last);
-        let hnf: Vec<Pred> = outcomes
+        let hnf: Vec<IdPred> = outcomes
             .into_iter()
             .flat_map(|r| {
                 let span = preds[r.last].span;
-                r.hnf.into_iter().map(move |q| Pred { span, ..q })
+                r.hnf.into_iter().map(move |q| IdPred { span, ..q })
             })
             .collect();
 
         // Phase 2: simplify. Keep the last occurrence of each
         // constraint, and only if it is not entailed by the *other*
         // retained constraints (via superclasses).
-        let mut seen = HashSet::new();
-        let mut distinct: Vec<&Pred> = hnf
+        let mut seen = FastSet::default();
+        let mut distinct: Vec<IdPred> = hnf
             .iter()
             .rev()
-            .filter(|p| seen.insert((p.class.as_str(), &p.ty)))
+            .filter(|p| seen.insert((p.class, p.ty)))
+            .copied()
             .collect();
         distinct.reverse();
-        let mut kept: Vec<Pred> = Vec::new();
-        for (i, p) in distinct.iter().enumerate() {
-            let others: Vec<Pred> = kept
-                .iter()
-                .cloned()
-                .chain(distinct[i + 1..].iter().map(|&o| o.clone()))
-                .collect();
-            if self.resolve_via_supers_only(p, &others, budget).is_none() {
-                kept.push((*p).clone());
+        let mut kept: Vec<IdPred> = Vec::new();
+        let mut others: Vec<IdPred> = Vec::new();
+        for (i, &p) in distinct.iter().enumerate() {
+            others.clear();
+            others.extend_from_slice(&kept);
+            others.extend_from_slice(&distinct[i + 1..]);
+            // Entailment through assumptions and superclass edges only:
+            // discharging via an instance would be wrong here (an HNF
+            // pred has a variable head, so no instance applies anyway —
+            // this is the THIH `bySuper` half). Each check has a step
+            // budget of its own.
+            let mut steps = 0usize;
+            if cache
+                .via_supers(self, types, &others, p, &mut steps, budget.max_steps)
+                .is_none()
+            {
+                kept.push(p);
             }
         }
         (kept, errors)
@@ -896,66 +1076,57 @@ impl ClassEnv {
     /// Reduce one input predicate to HNF through instances, charging
     /// `steps`. `false` means the step budget ran out, which ends the
     /// whole reduction.
+    #[allow(clippy::too_many_arguments)]
     fn to_hnf(
         &self,
-        pred: &Pred,
+        pred: IdPred,
         budget: ReduceBudget,
+        types: &mut Interner,
+        cache: &mut ResolveCache,
         steps: &mut usize,
-        hnf: &mut Vec<Pred>,
+        hnf: &mut Vec<IdPred>,
         errors: &mut Vec<ResolveError>,
     ) -> bool {
-        let mut work: Vec<(Pred, usize)> = vec![(pred.clone(), 0)];
+        let mut work: Vec<(IdPred, usize)> = vec![(pred, 0)];
         while let Some((p, depth)) = work.pop() {
             *steps += 1;
             if *steps > budget.max_steps {
                 errors.push(ResolveError::BudgetExhausted {
-                    pred: p,
+                    pred: p.tree(types),
                     depth: false,
                 });
                 return false;
             }
-            if p.in_hnf() {
+            if p.in_hnf(types) {
                 hnf.push(p);
                 continue;
             }
             if depth > budget.max_depth {
                 errors.push(ResolveError::BudgetExhausted {
-                    pred: p,
+                    pred: p.tree(types),
                     depth: true,
                 });
                 continue;
             }
-            if !self.classes.contains_key(&p.class) {
-                errors.push(ResolveError::UnknownClass { pred: p });
+            if !cache.class(self, types, p.class).known {
+                errors.push(ResolveError::UnknownClass {
+                    pred: p.tree(types),
+                });
                 continue;
             }
-            match self.matching_instance(&p) {
-                Some((inst, subst)) => {
-                    for sub in inst.preds.iter().rev() {
-                        let mut sp = sub.substitute(&subst);
-                        sp.span = p.span;
-                        work.push((sp, depth + 1));
-                    }
+            let first = cache.scratch.subgoals.len();
+            match cache.match_instance(types, p) {
+                Some(_) => {
+                    let subgoals = &cache.scratch.subgoals[first..];
+                    work.extend(subgoals.iter().rev().map(|&sp| (sp, depth + 1)));
+                    cache.scratch.subgoals.truncate(first);
                 }
-                None => errors.push(ResolveError::NoInstance { pred: p }),
+                None => errors.push(ResolveError::NoInstance {
+                    pred: p.tree(types),
+                }),
             }
         }
         true
-    }
-
-    /// Entailment using only assumption + superclass edges (no
-    /// instances). Used by simplification, where discharging via an
-    /// instance would be wrong (an HNF pred has a variable head, so no
-    /// instance applies anyway — this is the THIH `bySuper` half).
-    fn resolve_via_supers_only(
-        &self,
-        pred: &Pred,
-        assumptions: &[Pred],
-        budget: ReduceBudget,
-    ) -> Option<DictDeriv> {
-        let mut cache = ResolveCache::disabled();
-        let mut s = Search::new(self, assumptions, budget, &mut cache);
-        s.via_supers(pred)
     }
 }
 
@@ -964,7 +1135,7 @@ mod tests {
     use super::*;
     use crate::env::{ClassInfo, Instance};
     use tc_syntax::Span;
-    use tc_types::{Scheme, TyVar};
+    use tc_types::{Scheme, TyVar, Type};
 
     fn sp() -> Span {
         Span::DUMMY
@@ -1000,31 +1171,25 @@ mod tests {
         env.instances.insert(
             "Eq".into(),
             vec![
-                Instance {
-                    ast_index: 0,
-                    id: 0,
-                    preds: vec![],
-                    head: Pred::new("Eq", Type::int(), sp()),
-                    span: sp(),
-                },
-                Instance {
-                    ast_index: 0,
-                    id: 1,
-                    preds: vec![Pred::new("Eq", Type::Var(TyVar(0)), sp())],
-                    head: Pred::new("Eq", Type::list(Type::Var(TyVar(0))), sp()),
-                    span: sp(),
-                },
+                Instance::new(0, 0, Pred::new("Eq", Type::int(), sp()), vec![], sp()),
+                Instance::new(
+                    1,
+                    0,
+                    Pred::new("Eq", Type::list(Type::Var(TyVar(0))), sp()),
+                    vec![Pred::new("Eq", Type::Var(TyVar(0)), sp())],
+                    sp(),
+                ),
             ],
         );
         env.instances.insert(
             "Ord".into(),
-            vec![Instance {
-                ast_index: 0,
-                id: 2,
-                preds: vec![],
-                head: Pred::new("Ord", Type::int(), sp()),
-                span: sp(),
-            }],
+            vec![Instance::new(
+                2,
+                0,
+                Pred::new("Ord", Type::int(), sp()),
+                vec![],
+                sp(),
+            )],
         );
         env
     }
@@ -1111,13 +1276,13 @@ mod tests {
         let mut e = env();
         // instance Eq Bool => Eq Bool  (exact self-cycle)
         if let Some(insts) = e.instances.get_mut("Eq") {
-            insts.push(Instance {
-                ast_index: 0,
-                id: 9,
-                preds: vec![Pred::new("Eq", Type::bool(), sp())],
-                head: Pred::new("Eq", Type::bool(), sp()),
-                span: sp(),
-            });
+            insts.push(Instance::new(
+                9,
+                0,
+                Pred::new("Eq", Type::bool(), sp()),
+                vec![Pred::new("Eq", Type::bool(), sp())],
+                sp(),
+            ));
         }
         let err = e
             .resolve(
@@ -1144,17 +1309,17 @@ mod tests {
         // instance C (List (List a)) => C (List a): goals grow forever.
         e.instances.insert(
             "C".into(),
-            vec![Instance {
-                ast_index: 0,
-                id: 0,
-                preds: vec![Pred::new(
+            vec![Instance::new(
+                0,
+                0,
+                Pred::new("C", Type::list(Type::Var(TyVar(0))), sp()),
+                vec![Pred::new(
                     "C",
                     Type::list(Type::list(Type::Var(TyVar(0)))),
                     sp(),
                 )],
-                head: Pred::new("C", Type::list(Type::Var(TyVar(0))), sp()),
-                span: sp(),
-            }],
+                sp(),
+            )],
         );
         let err = e
             .resolve(
@@ -1169,6 +1334,19 @@ mod tests {
         );
     }
 
+    /// [`ClassEnv::reduce_context`] over trees, in a store of its own.
+    fn reduce(
+        e: &ClassEnv,
+        preds: &[Pred],
+        budget: ReduceBudget,
+    ) -> (Vec<Pred>, Vec<ResolveError>) {
+        let mut types = Interner::new();
+        let ids: Vec<IdPred> = preds.iter().map(|p| types.intern_pred(p)).collect();
+        let (kept, errors) =
+            e.reduce_context(&ids, budget, &mut types, &mut ResolveCache::disabled());
+        (kept.iter().map(|p| p.tree(&types)).collect(), errors)
+    }
+
     #[test]
     fn reduce_context_discharges_and_simplifies() {
         let e = env();
@@ -1177,7 +1355,7 @@ mod tests {
             Pred::new("Eq", Type::Var(TyVar(3)), sp()),             // duplicate after HNF
             Pred::new("Ord", Type::Var(TyVar(3)), sp()),            // entails Eq t3
         ];
-        let (kept, errs) = e.reduce_context(&preds, Default::default());
+        let (kept, errs) = reduce(&e, &preds, Default::default());
         assert!(errs.is_empty(), "{errs:?}");
         // Only Ord t3 should remain: Eq t3 is implied by its superclass.
         assert_eq!(kept.len(), 1, "{kept:?}");
@@ -1195,7 +1373,7 @@ mod tests {
             .map(|i| Pred::new("Eq", Type::Var(TyVar(3)), span(i)))
             .collect();
         let start = std::time::Instant::now();
-        let (kept, errs) = e.reduce_context(&preds, Default::default());
+        let (kept, errs) = reduce(&e, &preds, Default::default());
         let took = start.elapsed();
         assert!(errs.is_empty(), "{errs:?}");
         assert_eq!(kept.len(), 1, "{kept:?}");
@@ -1212,8 +1390,11 @@ mod tests {
                 span(i),
             )
         };
-        let (kept, errs) =
-            e.reduce_context(&(0..5_000).map(bad).collect::<Vec<_>>(), Default::default());
+        let (kept, errs) = reduce(
+            &e,
+            &(0..5_000).map(bad).collect::<Vec<_>>(),
+            Default::default(),
+        );
         assert!(kept.is_empty());
         assert_eq!(errs.len(), 5_000);
         for (i, err) in (0..).zip(&errs) {
@@ -1224,7 +1405,8 @@ mod tests {
         // So the budget still bounds the output: the first copy costs
         // two steps (`Eq (List (Int -> Int))`, then `Eq (Int -> Int)`)
         // and each replay one, so copy 9,999 exhausts 10,000 steps.
-        let (kept, errs) = e.reduce_context(
+        let (kept, errs) = reduce(
+            &e,
             &(0..20_000).map(bad).collect::<Vec<_>>(),
             Default::default(),
         );
@@ -1242,7 +1424,7 @@ mod tests {
     fn reduce_context_reports_no_instance() {
         let e = env();
         let preds = vec![Pred::new("Eq", Type::fun(Type::int(), Type::int()), sp())];
-        let (kept, errs) = e.reduce_context(&preds, Default::default());
+        let (kept, errs) = reduce(&e, &preds, Default::default());
         assert!(kept.is_empty());
         assert!(matches!(errs[0], ResolveError::NoInstance { .. }));
     }
@@ -1260,10 +1442,11 @@ mod tests {
     fn tabled_resolution_agrees_with_fresh() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         for depth in [0, 1, 3, 5, 3, 1, 0] {
             let goal = tower(depth);
             let fresh = e.resolve(&goal, &[], Default::default());
-            let tabled = e.resolve_with(&goal, &[], Default::default(), &mut cache);
+            let tabled = e.resolve_tree(&goal, &[], Default::default(), &mut cache, &mut types);
             assert_eq!(fresh, tabled, "depth {depth}");
         }
         assert!(cache.stats.table_hits > 0, "{:?}", cache.stats);
@@ -1274,17 +1457,18 @@ mod tests {
     fn table_hit_costs_one_step() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         let goal = tower(6);
-        e.resolve_with(&goal, &[], Default::default(), &mut cache)
+        e.resolve_tree(&goal, &[], Default::default(), &mut cache, &mut types)
             .unwrap();
-        let original_cost = cache.cost_of(&goal).expect("tabled");
+        let original_cost = cache.cost_of(&types.intern_pred(&goal)).expect("tabled");
         assert!(original_cost > 1, "a tower derivation is multi-step");
         // A second resolution fits in a one-step budget: pure lookup.
         let tight = ReduceBudget {
             max_depth: 64,
             max_steps: 1,
         };
-        let hit = e.resolve_with(&goal, &[], tight, &mut cache);
+        let hit = e.resolve_tree(&goal, &[], tight, &mut cache, &mut types);
         assert!(hit.is_ok(), "{hit:?}");
         // Without the table the same budget is exhausted.
         let fresh = e.resolve(&goal, &[], tight);
@@ -1298,22 +1482,24 @@ mod tests {
     fn cycle_detection_survives_tabling() {
         let mut e = env();
         if let Some(insts) = e.instances.get_mut("Eq") {
-            insts.push(Instance {
-                ast_index: 0,
-                id: 9,
-                preds: vec![Pred::new("Eq", Type::bool(), sp())],
-                head: Pred::new("Eq", Type::bool(), sp()),
-                span: sp(),
-            });
+            insts.push(Instance::new(
+                9,
+                0,
+                Pred::new("Eq", Type::bool(), sp()),
+                vec![Pred::new("Eq", Type::bool(), sp())],
+                sp(),
+            ));
         }
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         for _ in 0..2 {
             let err = e
-                .resolve_with(
+                .resolve_tree(
                     &Pred::new("Eq", Type::bool(), sp()),
                     &[],
                     Default::default(),
                     &mut cache,
+                    &mut types,
                 )
                 .unwrap_err();
             assert!(matches!(err, ResolveError::Cycle { .. }), "{err:?}");
@@ -1327,11 +1513,12 @@ mod tests {
     fn non_pure_goals_are_not_tabled() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         let assump = [Pred::new("Eq", Type::Var(TyVar(7)), sp())];
         let goal = Pred::new("Eq", Type::list(Type::Var(TyVar(7))), sp());
         for _ in 0..3 {
             let d = e
-                .resolve_with(&goal, &assump, Default::default(), &mut cache)
+                .resolve_tree(&goal, &assump, Default::default(), &mut cache, &mut types)
                 .unwrap();
             assert_eq!(
                 d,
@@ -1352,16 +1539,17 @@ mod tests {
         // stay identical.
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         // Prime the table with the closed derivation.
         let goal = Pred::new("Eq", Type::list(Type::int()), sp());
-        e.resolve_with(&goal, &[], Default::default(), &mut cache)
+        e.resolve_tree(&goal, &[], Default::default(), &mut cache, &mut types)
             .unwrap();
         assert!(!cache.is_empty());
         // Now resolve the same goal with itself as a ground assumption:
         // fresh resolution answers FromParam, and so must cached.
         let assump = [goal.clone()];
         let cached = e
-            .resolve_with(&goal, &assump, Default::default(), &mut cache)
+            .resolve_tree(&goal, &assump, Default::default(), &mut cache, &mut types)
             .unwrap();
         let fresh = e.resolve(&goal, &assump, Default::default()).unwrap();
         assert_eq!(cached, DictDeriv::FromParam { index: 0 });
@@ -1372,8 +1560,9 @@ mod tests {
     fn disabled_cache_counts_but_never_hits() {
         let e = env();
         let mut cache = ResolveCache::disabled();
+        let mut types = Interner::new();
         for _ in 0..3 {
-            e.resolve_with(&tower(4), &[], Default::default(), &mut cache)
+            e.resolve_tree(&tower(4), &[], Default::default(), &mut cache, &mut types)
                 .unwrap();
         }
         assert!(cache.is_empty());
@@ -1386,12 +1575,13 @@ mod tests {
     fn explain_trace_records_instances_and_memo_hits() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         cache.enable_trace();
         // First derivation: full instance chain, tabled.
-        e.resolve_with(&tower(1), &[], Default::default(), &mut cache)
+        e.resolve_tree(&tower(1), &[], Default::default(), &mut cache, &mut types)
             .unwrap();
         // Second: answered by the table, with provenance.
-        e.resolve_with(&tower(1), &[], Default::default(), &mut cache)
+        e.resolve_tree(&tower(1), &[], Default::default(), &mut cache, &mut types)
             .unwrap();
         let log = cache.take_trace().expect("tracing was enabled");
         assert!(cache.trace.is_none(), "take_trace turns tracing off");
@@ -1414,15 +1604,23 @@ mod tests {
     fn explain_trace_records_assumptions_and_projections() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         cache.enable_trace();
         let assump = [Pred::new("Ord", Type::Var(TyVar(5)), sp())];
-        e.resolve_with(&assump[0], &assump, Default::default(), &mut cache)
-            .unwrap();
-        e.resolve_with(
+        e.resolve_tree(
+            &assump[0],
+            &assump,
+            Default::default(),
+            &mut cache,
+            &mut types,
+        )
+        .unwrap();
+        e.resolve_tree(
             &Pred::new("Eq", Type::Var(TyVar(5)), sp()),
             &assump,
             Default::default(),
             &mut cache,
+            &mut types,
         )
         .unwrap();
         let rendered = cache.take_trace().expect("tracing on").render();
@@ -1437,12 +1635,14 @@ mod tests {
     fn explain_trace_records_failures() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         cache.enable_trace();
-        e.resolve_with(
+        e.resolve_tree(
             &Pred::new("Eq", Type::bool(), sp()),
             &[],
             Default::default(),
             &mut cache,
+            &mut types,
         )
         .unwrap_err();
         let rendered = cache.take_trace().expect("tracing on").render();
@@ -1456,7 +1656,8 @@ mod tests {
     fn tracing_off_allocates_no_trace_structures() {
         let e = env();
         let mut cache = ResolveCache::new();
-        e.resolve_with(&tower(3), &[], Default::default(), &mut cache)
+        let mut types = Interner::new();
+        e.resolve_tree(&tower(3), &[], Default::default(), &mut cache, &mut types)
             .unwrap();
         assert!(cache.trace.is_none());
         assert!(cache.take_trace().is_none());
@@ -1466,12 +1667,14 @@ mod tests {
     fn traced_resolution_agrees_with_untraced() {
         let e = env();
         let mut traced = ResolveCache::new();
+        let mut types = Interner::new();
         traced.enable_trace();
         let mut plain = ResolveCache::new();
+        let mut plain_types = Interner::new();
         for depth in [0, 2, 4, 2, 0] {
             let goal = tower(depth);
-            let a = e.resolve_with(&goal, &[], Default::default(), &mut traced);
-            let b = e.resolve_with(&goal, &[], Default::default(), &mut plain);
+            let a = e.resolve_tree(&goal, &[], Default::default(), &mut traced, &mut types);
+            let b = e.resolve_tree(&goal, &[], Default::default(), &mut plain, &mut plain_types);
             assert_eq!(a, b, "depth {depth}");
         }
         assert_eq!(
@@ -1493,12 +1696,19 @@ mod tests {
     fn metrics_agree_with_stats_after_flush() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         cache.enable_metrics();
         for depth in [4, 4, 2] {
-            e.resolve_with(&tower(depth), &[], Default::default(), &mut cache)
-                .unwrap();
+            e.resolve_tree(
+                &tower(depth),
+                &[],
+                Default::default(),
+                &mut cache,
+                &mut types,
+            )
+            .unwrap();
         }
-        cache.flush_metrics();
+        cache.flush_metrics(&types);
         let m = &cache.metrics;
         assert_eq!(
             m.counter(CounterId::ResolveCacheHits),
@@ -1526,9 +1736,10 @@ mod tests {
     fn metrics_off_by_default_and_allocation_free() {
         let e = env();
         let mut cache = ResolveCache::new();
-        e.resolve_with(&tower(3), &[], Default::default(), &mut cache)
+        let mut types = Interner::new();
+        e.resolve_tree(&tower(3), &[], Default::default(), &mut cache, &mut types)
             .unwrap();
-        cache.flush_metrics();
+        cache.flush_metrics(&types);
         assert!(cache.metrics.allocates_nothing());
         assert_eq!(cache.metrics.counter(CounterId::ResolveGoals), 0);
     }
@@ -1537,17 +1748,18 @@ mod tests {
     fn capacity_caps_table_and_counts_evictions() {
         let e = env();
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         cache.enable_metrics();
         cache.set_capacity(2);
         // A depth-6 tower tables one derivation per layer: 7 without a
         // cap, so the cap must evict.
-        e.resolve_with(&tower(6), &[], Default::default(), &mut cache)
+        e.resolve_tree(&tower(6), &[], Default::default(), &mut cache, &mut types)
             .unwrap();
         assert!(cache.len() <= 2, "table holds {} entries", cache.len());
         assert!(cache.metrics.counter(CounterId::ResolveCacheEvictions) > 0);
         // Capped resolution still answers identically to fresh.
         let fresh = e.resolve(&tower(6), &[], Default::default());
-        let capped = e.resolve_with(&tower(6), &[], Default::default(), &mut cache);
+        let capped = e.resolve_tree(&tower(6), &[], Default::default(), &mut cache, &mut types);
         assert_eq!(fresh, capped);
     }
 
@@ -1561,14 +1773,20 @@ mod tests {
         // Deep enough that the search passes the 64-step poll point.
         let goal = tower(200);
         let mut cache = ResolveCache::new();
+        let mut types = Interner::new();
         let token = CancelToken::new();
         token.cancel();
         cache.set_cancel(token);
-        let err = e.resolve_with(&goal, &[], budget, &mut cache).unwrap_err();
+        let err = e
+            .resolve_tree(&goal, &[], budget, &mut cache, &mut types)
+            .unwrap_err();
         assert!(matches!(err, ResolveError::Cancelled { .. }), "{err:?}");
         assert_eq!(err.code(), "E0423");
         // The same goal resolves under the same budget without a token.
         let mut plain = ResolveCache::new();
-        assert!(e.resolve_with(&goal, &[], budget, &mut plain).is_ok());
+        let mut plain_types = Interner::new();
+        assert!(e
+            .resolve_tree(&goal, &[], budget, &mut plain, &mut plain_types)
+            .is_ok());
     }
 }

@@ -20,7 +20,7 @@
 //! 4. **elaborates** the extended program through the ordinary
 //!    dictionary conversion — laws exercise the very dictionaries the
 //!    program would run with, reusing the session's warm
-//!    [`ResolveCache`] so resolution is O(1) per goal — and
+//!    [`tc_classes::ResolveCache`] so resolution is O(1) per goal — and
 //! 5. **runs** each law under a small evaluation budget, reporting
 //!    every `False` as `L0011` with the failing sample.
 //!
@@ -32,8 +32,8 @@
 
 use crate::{CoherenceConfig, Emitter, Rule};
 use std::rc::Rc;
-use tc_classes::{ClassEnv, DataEnv, Instance, ReduceBudget, ResolveCache};
-use tc_core::{ElabBase, ElabOptions};
+use tc_classes::{ClassEnv, DataEnv, Instance, ReduceBudget};
+use tc_core::{ElabBase, ElabOptions, WarmCache};
 use tc_eval::{Budget, EvalOptions, LoweredProgram};
 use tc_syntax::{Binding, Diagnostics, Expr, Program, Span};
 use tc_trace::{CancelToken, CounterId, MetricsRegistry};
@@ -124,17 +124,18 @@ impl Sample {
 
 /// Generate, elaborate, and evaluate the class-law programs for every
 /// `Eq`/`Ord` instance in `input.cenv`, reporting violations as
-/// `L0011`. `seed` is the resolve cache handed back by the session's
-/// main elaboration ([`tc_core::Elaboration::cache`]): its tabled
-/// derivations answer the law programs' goals in O(1). When the
-/// session ran without memoization the cache arrives disabled and is
-/// explicitly re-enabled — the harness always tables, since every law
-/// of one instance resolves the same dictionary.
+/// `L0011`. `seed` is the resolve cache, with its type store, handed
+/// back by the session's main elaboration
+/// ([`tc_core::Elaboration::cache`]): its tabled derivations answer the
+/// law programs' goals in O(1). When the session ran without
+/// memoization the cache arrives disabled and is explicitly re-enabled
+/// — the harness always tables, since every law of one instance
+/// resolves the same dictionary.
 pub fn check_laws(
     input: &LawInput<'_>,
     config: &CoherenceConfig,
     opts: &LawOptions,
-    seed: Option<ResolveCache>,
+    seed: Option<WarmCache>,
     gen: &mut VarGen,
     metrics: &mut MetricsRegistry,
 ) -> Diagnostics {
@@ -155,8 +156,8 @@ pub fn check_laws(
     let mut prog = input.program.clone();
     prog.bindings.extend(bindings);
 
-    let mut cache = seed.unwrap_or_default();
-    cache.enabled = true;
+    let mut seed = seed.unwrap_or_default();
+    seed.cache.enabled = true;
     let eopts = ElabOptions {
         budget: opts.reduce,
         cancel: opts.cancel.clone(),
@@ -167,7 +168,7 @@ pub fn check_laws(
     // fails to elaborate (e.g. a missing superclass instance, already
     // reported by the main pipeline) leaves a `Fail` node whose
     // evaluation errors, and errored laws are skipped below.
-    let (elab, _) = tc_core::elaborate_over(&prog, input.cenv, input.base, gen, eopts, Some(cache));
+    let (elab, _) = tc_core::elaborate_over(&prog, input.cenv, input.base, gen, eopts, Some(seed));
 
     let run_opts = EvalOptions {
         budget: opts.eval_budget,
@@ -405,7 +406,7 @@ fn checkable_instances(input: &LawInput<'_>, class: &str) -> Vec<(String, Span, 
         let selected = input
             .cenv
             .matching_instance(&goal)
-            .is_some_and(|(chosen, _)| chosen.id == inst.id);
+            .is_some_and(|chosen| chosen.id == inst.id);
         if !selected {
             continue;
         }

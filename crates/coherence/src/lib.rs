@@ -10,8 +10,13 @@
 //! running between class-env construction and elaboration:
 //!
 //! * **Overlap detection** ([`check_coherence`]): every pair of
-//!   instance heads of the same class is put through full unification.
-//!   A successful unifier is a constructive proof of incoherence, and
+//!   instance heads of the same class that could unify — the heads
+//!   share an outermost type constructor, or both are function types —
+//!   is put through full unification. Heads with different outermost
+//!   constructors never unify, so bucketing them by constructor skips
+//!   only pairs that cannot overlap, and a class of `n` instances over
+//!   distinct types costs `n` bucket lookups instead of `n²/2`
+//!   unifications. A successful unifier is a constructive proof of incoherence, and
 //!   its application to either head is a **counterexample type** — a
 //!   concrete type both instances match — which the diagnostic prints
 //!   (`L0008`). A user instance whose head unifies with a *prelude*
@@ -43,7 +48,7 @@ use std::collections::HashMap;
 use tc_classes::{ClassEnv, Instance};
 use tc_syntax::{Diagnostic, Diagnostics, LintLevel, Severity, Span, Stage};
 use tc_trace::{CounterId, MetricsRegistry};
-use tc_types::{unify, Interner, Pred, Subst};
+use tc_types::{unify, Interner, Pred, Subst, Type, TypeId};
 
 pub use laws::{check_laws, LawInput, LawOptions};
 pub use tc_syntax::LintLevel as Level;
@@ -240,11 +245,17 @@ fn in_prelude(span: Span, user_start: usize) -> bool {
 ///
 /// Only pairs that involve one of the program's own instances are
 /// unified ([`ClassEnv::is_own`]): a class lists its base's instances
-/// first, and those were checked when the base was built.
+/// first, and those were checked when the base was built. Of those,
+/// only pairs in one [`HeadKey`] bucket are unified; the pairs are
+/// still visited in declaration order, so findings come out in the
+/// order a walk over every pair reports them.
 fn check_overlaps(input: &CoherenceInput<'_>, em: &mut Emitter<'_>, metrics: &mut MetricsRegistry) {
     if !em.enabled(Rule::OverlappingInstances) && !em.enabled(Rule::OrphanInstance) {
         return;
     }
+    let mut types = Interner::new();
+    let mut heads: Vec<TypeId> = Vec::new();
+    let mut partners: Vec<usize> = Vec::new();
     for class in input.cenv.class_names() {
         let insts = input.cenv.instances_of(class);
         let first_own = insts
@@ -255,17 +266,61 @@ fn check_overlaps(input: &CoherenceInput<'_>, em: &mut Emitter<'_>, metrics: &mu
             CounterId::CoherenceInstancesChecked,
             (insts.len() - first_own) as u64,
         );
+        if first_own == insts.len() {
+            continue;
+        }
+        // Positions by bucket, ascending; var-headed heads (which the
+        // class-env build rejects) would unify across buckets, so they
+        // are every bucket's partners.
+        let mut buckets: HashMap<HeadKey<'_>, Vec<usize>> = HashMap::new();
+        let mut var_headed: Vec<usize> = Vec::new();
+        heads.clear();
+        for (j, inst) in insts.iter().enumerate() {
+            heads.push(types.intern(&inst.head.ty));
+            match HeadKey::of(&inst.head.ty) {
+                Some(key) => buckets.entry(key).or_default().push(j),
+                None => var_headed.push(j),
+            }
+        }
         for (i, a) in insts.iter().enumerate() {
-            for b in &insts[first_own.max(i + 1)..] {
+            let from = first_own.max(i + 1);
+            partners.clear();
+            match HeadKey::of(&a.head.ty) {
+                Some(key) => {
+                    let bucket = buckets.get(&key).map_or(&[][..], Vec::as_slice);
+                    partners.extend(bucket.iter().chain(&var_headed).filter(|&&j| j >= from));
+                    partners.sort_unstable();
+                }
+                None => partners.extend(from..insts.len()),
+            }
+            for &j in &partners {
                 metrics.incr(CounterId::CoherencePairsUnified);
-                let (mut types, mut s) = (Interner::new(), Subst::new());
-                let (ta, tb) = (types.intern(&a.head.ty), types.intern(&b.head.ty));
-                if unify(&mut types, &mut s, ta, tb).is_err() {
+                let mut s = Subst::new();
+                if unify(&mut types, &mut s, heads[i], heads[j]).is_err() {
                     continue;
                 }
-                let counterexample = s.apply_tree(&types, ta);
-                report_overlap(em, class, a, b, &counterexample, input.user_start);
+                let counterexample = s.apply_tree(&types, heads[i]);
+                report_overlap(em, class, a, &insts[j], &counterexample, input.user_start);
             }
+        }
+    }
+}
+
+/// The overlap-check bucket of an instance head: its outermost type
+/// constructor, with every function type in one bucket. Two heads in
+/// different buckets never unify. `None` for a variable-headed type,
+/// which could unify with a head of any bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum HeadKey<'a> {
+    Con(&'a str),
+    Fun,
+}
+
+impl<'a> HeadKey<'a> {
+    fn of(ty: &'a Type) -> Option<HeadKey<'a>> {
+        match ty {
+            Type::Fun(..) => Some(HeadKey::Fun),
+            _ => ty.head_con().map(HeadKey::Con),
         }
     }
 }
@@ -599,8 +654,30 @@ mod tests {
             &mut metrics,
         );
         assert_eq!(metrics.counter(CounterId::CoherenceInstancesChecked), 3);
-        // 3 instances of one class -> C(3, 2) = 3 pairs.
-        assert_eq!(metrics.counter(CounterId::CoherencePairsUnified), 3);
+        // 3 instances of one class over 3 distinct constructors: no
+        // pair shares a bucket, so none is unified.
+        assert_eq!(metrics.counter(CounterId::CoherencePairsUnified), 0);
+
+        // Two `List` heads share a bucket: one pair.
+        let src = format!(
+            "{EQ}instance Eq Int where {{ eq = primEqInt; }};\n\
+             instance Eq (List Int) where {{ eq = \\x y -> True; }};\n\
+             instance Eq Bool where {{ eq = primEqBool; }};\n\
+             instance Eq (List Bool) where {{ eq = \\x y -> True; }};"
+        );
+        let b = build(&src);
+        let mut metrics = MetricsRegistry::new();
+        let d = check_coherence(
+            &CoherenceInput {
+                cenv: &b.cenv,
+                user_start: 0,
+            },
+            &CoherenceConfig::default(),
+            &mut metrics,
+        );
+        assert!(d.is_empty(), "{:?}", d.into_vec());
+        assert_eq!(metrics.counter(CounterId::CoherenceInstancesChecked), 4);
+        assert_eq!(metrics.counter(CounterId::CoherencePairsUnified), 1);
     }
 
     #[test]

@@ -2,41 +2,46 @@
 //! with a concrete dictionary expression.
 //!
 //! This is the second half of the paper's translation. Each
-//! `Dict` placeholder holds a predicate; after zonking (applying the
-//! final substitution) the predicate is resolved against the
-//! *assumptions* in scope — the dictionary lambda parameters of the
-//! enclosing binding — yielding a [`DictDeriv`] recipe that is spelled
-//! out as parameter references, superclass projections, and instance
-//! constructor applications. `RecCall` placeholders (recursive uses of
-//! a same-group binding) become the binding applied to the group's
-//! dictionary arguments, themselves resolved in the *local* context so
-//! that a signature-carrying group member can still call its
-//! signature-less sibling.
+//! `Dict` placeholder holds a predicate over the elaborator's type
+//! store; it is zonked (the final substitution applied with
+//! [`Subst::apply`], which yields another id of the same store) and
+//! resolved there against the *assumptions* in scope — the dictionary
+//! lambda parameters of the enclosing binding — yielding a
+//! [`DictDeriv`] recipe that is spelled out as parameter references,
+//! superclass projections, and instance constructor applications.
+//! `RecCall` placeholders (recursive uses of a same-group binding)
+//! become the binding applied to the group's dictionary arguments,
+//! themselves resolved in the *local* context so that a
+//! signature-carrying group member can still call its signature-less
+//! sibling.
+//!
+//! Conversion works in place: [`convert`] walks a member's core once
+//! and overwrites each placeholder with its dictionary expression,
+//! leaving every other node where it is. No type tree is built unless
+//! a goal fails.
 //!
 //! Resolution failures become diagnostics and a [`CoreExpr::Fail`]
 //! node — the program still compiles to something that evaluates to a
 //! structured error, never a panic.
 
-use std::cell::RefCell;
 use tc_classes::{ClassEnv, DictDeriv, ReduceBudget, ResolveCache, ResolveError};
-use tc_coreir::{CoreExpr, PlaceholderKind, PlaceholderTable};
+use tc_coreir::{CoreExpr, PlaceholderId, PlaceholderKind, PlaceholderTable};
 use tc_syntax::{Diagnostics, Stage};
-use tc_types::{IdPred, Interner, Pred, Subst, Type};
+use tc_types::{IdPred, Interner, Subst, Type};
 
 /// Everything a conversion pass over one binding needs.
 pub struct ConvertCtx<'a> {
     pub cenv: &'a ClassEnv,
     pub table: &'a PlaceholderTable,
-    /// The type store the placeholders' predicates live in, and the
-    /// final substitution that zonks them.
-    pub types: &'a Interner,
+    /// The type store the placeholders' predicates and the assumptions
+    /// live in, and the final substitution that zonks them.
+    pub types: &'a mut Interner,
     pub subst: &'a Subst,
     /// The elaboration-wide resolution memo table, shared across every
-    /// binding so a dictionary proved once is proved once. Interior
-    /// mutability because conversion contexts are otherwise read-only.
-    pub cache: &'a RefCell<ResolveCache>,
+    /// binding so a dictionary proved once is proved once.
+    pub cache: &'a mut ResolveCache,
     /// Dictionary assumptions in scope (zonked), in parameter order.
-    pub assumptions: &'a [Pred],
+    pub assumptions: &'a [IdPred],
     /// Parameter names, parallel to `assumptions`.
     pub dict_params: &'a [String],
     /// Signature-less members of the current binding group (targets of
@@ -44,43 +49,51 @@ pub struct ConvertCtx<'a> {
     pub group_members: &'a [String],
     /// The group's retained context (zonked) — the dictionary
     /// arguments every `RecCall` must supply.
-    pub group_retained: &'a [Pred],
+    pub group_retained: &'a [IdPred],
     pub budget: ReduceBudget,
+    pub diags: &'a mut Diagnostics,
 }
 
 impl ConvertCtx<'_> {
-    /// Zonk a placeholder's predicate into the tree the resolver takes,
-    /// and resolve it.
-    fn resolve_placeholder(&self, pred: &IdPred, diags: &mut Diagnostics) -> CoreExpr {
-        let zonked = Pred::new(
-            self.types.name(pred.class).unwrap_or("?"),
-            self.subst.apply_tree(self.types, pred.ty),
-            pred.span,
-        );
-        self.resolve_pred(&zonked, diags)
-    }
-
-    /// Resolve a zonked predicate against the assumptions and spell out
-    /// the resulting dictionary expression. Public because the instance
+    /// Resolve a zonked goal against the assumptions and spell out the
+    /// resulting dictionary expression. Public because the instance
     /// pass resolves superclass slots directly.
-    pub fn resolve_pred(&self, zonked: &Pred, diags: &mut Diagnostics) -> CoreExpr {
-        let resolved = self.cenv.resolve_with(
-            zonked,
-            self.assumptions,
-            self.budget,
-            &mut self.cache.borrow_mut(),
-        );
+    pub fn resolve_pred(&mut self, goal: IdPred) -> CoreExpr {
+        let resolved =
+            self.cenv
+                .resolve_with(&goal, self.assumptions, self.budget, self.cache, self.types);
         match resolved {
             Ok(deriv) => self.deriv_expr(&deriv),
             Err(e) => {
-                diags.error(
+                self.diags.error(
                     Stage::DictConv,
                     e.code(),
                     resolve_error_message(&e),
-                    zonked.span,
+                    goal.span,
                 );
-                CoreExpr::Fail(format!("unresolved constraint `{zonked}`"))
+                CoreExpr::Fail(format!("unresolved constraint `{}`", goal.tree(self.types)))
             }
+        }
+    }
+
+    /// The expression placeholder `id` stands for.
+    fn placeholder(&mut self, id: PlaceholderId) -> CoreExpr {
+        match self.table.get(id) {
+            Some(PlaceholderKind::Dict { pred }) => {
+                let ty = self.subst.apply(self.types, pred.ty);
+                self.resolve_pred(IdPred { ty, ..*pred })
+            }
+            Some(PlaceholderKind::RecCall { name, .. }) => {
+                if self.group_members.iter().any(|m| m == name) {
+                    let retained = self.group_retained;
+                    let args: Vec<CoreExpr> =
+                        retained.iter().map(|&p| self.resolve_pred(p)).collect();
+                    CoreExpr::apps(CoreExpr::Var(name.clone()), args)
+                } else {
+                    CoreExpr::Fail(format!("recursive call to `{name}` outside its group"))
+                }
+            }
+            None => CoreExpr::Fail(format!("dangling placeholder #{id}")),
         }
     }
 
@@ -95,7 +108,7 @@ impl ConvertCtx<'_> {
             }
             DictDeriv::FromInstance { inst_id, args } => {
                 let head = match self.cenv.instance_by_id(*inst_id) {
-                    Some(inst) => CoreExpr::Var(inst.dict_binding_name()),
+                    Some(inst) => CoreExpr::Var(inst.dict_binding_name().to_string()),
                     None => CoreExpr::Fail(format!("unknown instance #{inst_id}")),
                 };
                 CoreExpr::apps(head, args.iter().map(|a| self.deriv_expr(a)))
@@ -139,54 +152,41 @@ pub fn mentions_skolem(t: &Type) -> bool {
     false
 }
 
-/// Convert one binding body: structurally rebuild the expression with
-/// every placeholder replaced. Recursion depth is bounded by the
-/// parser's expression-depth budget plus the (constant-depth) wrappers
-/// inference inserts.
-pub fn convert(e: &CoreExpr, cx: &ConvertCtx<'_>, diags: &mut Diagnostics) -> CoreExpr {
+/// Convert one binding body in place: overwrite every placeholder with
+/// its dictionary expression, in left-to-right order (the order goals
+/// reach the resolver, and so the memo table). Recursion depth is
+/// bounded by the parser's expression-depth budget plus the
+/// (constant-depth) wrappers inference inserts.
+pub fn convert(e: &mut CoreExpr, cx: &mut ConvertCtx<'_>) {
     match e {
-        CoreExpr::Var(_) | CoreExpr::Lit(_) | CoreExpr::Fail(_) | CoreExpr::Con { .. } => e.clone(),
-        CoreExpr::Case(scrut, arms) => CoreExpr::Case(
-            Box::new(convert(scrut, cx, diags)),
-            arms.iter()
-                .map(|arm| tc_coreir::CoreArm {
-                    con: arm.con.clone(),
-                    binders: arm.binders.clone(),
-                    body: convert(&arm.body, cx, diags),
-                })
-                .collect(),
-        ),
-        CoreExpr::App(f, x) => CoreExpr::app(convert(f, cx, diags), convert(x, cx, diags)),
-        CoreExpr::Lam(p, b) => CoreExpr::Lam(p.clone(), Box::new(convert(b, cx, diags))),
-        CoreExpr::LetRec(bs, b) => CoreExpr::LetRec(
-            bs.iter()
-                .map(|(n, v)| (n.clone(), convert(v, cx, diags)))
-                .collect(),
-            Box::new(convert(b, cx, diags)),
-        ),
-        CoreExpr::If(c, t, f) => CoreExpr::If(
-            Box::new(convert(c, cx, diags)),
-            Box::new(convert(t, cx, diags)),
-            Box::new(convert(f, cx, diags)),
-        ),
-        CoreExpr::Tuple(xs) => CoreExpr::Tuple(xs.iter().map(|x| convert(x, cx, diags)).collect()),
-        CoreExpr::Proj(i, b) => CoreExpr::Proj(*i, Box::new(convert(b, cx, diags))),
-        CoreExpr::Placeholder(id) => match cx.table.get(*id) {
-            Some(PlaceholderKind::Dict { pred }) => cx.resolve_placeholder(pred, diags),
-            Some(PlaceholderKind::RecCall { name, .. }) => {
-                if cx.group_members.iter().any(|m| m == name) {
-                    CoreExpr::apps(
-                        CoreExpr::Var(name.clone()),
-                        cx.group_retained
-                            .iter()
-                            .map(|p| cx.resolve_pred(p, diags))
-                            .collect::<Vec<_>>(),
-                    )
-                } else {
-                    CoreExpr::Fail(format!("recursive call to `{name}` outside its group"))
-                }
+        CoreExpr::Var(_) | CoreExpr::Lit(_) | CoreExpr::Fail(_) | CoreExpr::Con { .. } => {}
+        CoreExpr::Placeholder(id) => *e = cx.placeholder(*id),
+        CoreExpr::Case(scrut, arms) => {
+            convert(scrut, cx);
+            for arm in arms {
+                convert(&mut arm.body, cx);
             }
-            None => CoreExpr::Fail(format!("dangling placeholder #{id}")),
-        },
+        }
+        CoreExpr::App(f, x) => {
+            convert(f, cx);
+            convert(x, cx);
+        }
+        CoreExpr::Lam(_, b) | CoreExpr::Proj(_, b) => convert(b, cx),
+        CoreExpr::LetRec(bs, b) => {
+            for (_, v) in bs {
+                convert(v, cx);
+            }
+            convert(b, cx);
+        }
+        CoreExpr::If(c, t, f) => {
+            convert(c, cx);
+            convert(t, cx);
+            convert(f, cx);
+        }
+        CoreExpr::Tuple(xs) => {
+            for x in xs {
+                convert(x, cx);
+            }
+        }
     }
 }

@@ -23,16 +23,16 @@
 //!
 //! Inference runs on [`TypeId`]s of one [`Interner`] per elaboration:
 //! the substitution, unification, scheme instantiation, the lexical
-//! scope, group types, wanted predicates and placeholders all hold ids.
-//! [`Type`] trees are built only for what leaves the elaborator: the
-//! schemes in [`Elaboration::schemes`], the predicates handed to
-//! context reduction and instance resolution, and diagnostic text.
+//! scope, group types, wanted predicates and placeholders all hold ids,
+//! and context reduction and instance resolution take their goals and
+//! assumptions as ids of the same store. [`Type`] trees are built only
+//! for what leaves the elaborator: the schemes in
+//! [`Elaboration::schemes`] and diagnostic text.
 //!
 //! Every failure is a diagnostic plus local recovery (fresh type
 //! variables, [`CoreExpr::Fail`] nodes); elaboration never panics and
 //! always produces a runnable — if possibly failing — core program.
 
-use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use tc_classes::{
@@ -140,11 +140,22 @@ pub struct Elaboration {
     /// (flushed from the cache) iff [`ElabOptions::collect_metrics`]
     /// was set; otherwise off and allocation-free.
     pub metrics: MetricsRegistry,
-    /// The run's resolve cache, handed back so a later elaboration in
-    /// the same session (the coherence law harness) can reuse the warm
-    /// memo table via [`elaborate_over`]. Its trace and metrics sinks
-    /// have already been drained into the fields above.
-    pub cache: Option<ResolveCache>,
+    /// The run's resolve cache and type store, handed back so a later
+    /// elaboration in the same session (the coherence law harness) can
+    /// reuse the warm memo table via [`elaborate_over`]. The cache's
+    /// trace and metrics sinks have already been drained into the
+    /// fields above.
+    pub cache: Option<WarmCache>,
+}
+
+/// A resolve cache with the type store its memo table is keyed into.
+/// The table's keys are ids of that store, so the two travel together
+/// from one elaboration to the next ([`Elaboration::cache`],
+/// [`elaborate_over`]).
+#[derive(Debug, Default)]
+pub struct WarmCache {
+    pub cache: ResolveCache,
+    pub types: Interner,
 }
 
 /// Knobs for one elaboration run.
@@ -210,7 +221,7 @@ impl IdScheme {
                 .qual
                 .preds
                 .iter()
-                .map(|p| intern_pred(types, p))
+                .map(|p| types.intern_pred(p))
                 .collect(),
             head: types.intern(&sch.qual.head),
         }
@@ -257,16 +268,8 @@ impl IdScheme {
     }
 }
 
-fn intern_pred(types: &mut Interner, p: &Pred) -> IdPred {
-    IdPred {
-        class: types.intern_name(&p.class),
-        ty: types.intern(&p.ty),
-        span: p.span,
-    }
-}
-
-/// `p` with `subst` applied, as the tree the class machinery takes,
-/// blamed on `span`.
+/// `p` with `subst` applied, as a tree, blamed on `span`: how a
+/// predicate leaves the elaborator in a scheme or a diagnostic.
 fn pred_tree(types: &Interner, subst: &Subst, p: &IdPred, span: Span) -> Pred {
     Pred::new(
         types.name(p.class).unwrap_or("?"),
@@ -326,8 +329,8 @@ struct Infer<'a> {
     locals: Scope<'a, TypeId>,
     budget: ReduceBudget,
     /// Memo table for instance resolution, shared by every conversion
-    /// in the run (see `tc_classes::ResolveCache`).
-    cache: RefCell<ResolveCache>,
+    /// in the run (see `tc_classes::ResolveCache`); keyed into `types`.
+    cache: ResolveCache,
     diags: Diagnostics,
     binds: Vec<(String, CoreExpr)>,
     /// Surface names of signature type variables, for readable rigid
@@ -351,6 +354,14 @@ impl<'a> Infer<'a> {
 
     fn zonk(&mut self, t: TypeId) -> TypeId {
         self.subst.apply(&mut self.types, t)
+    }
+
+    /// `p` with the substitution applied.
+    fn zonk_pred(&mut self, p: IdPred) -> IdPred {
+        IdPred {
+            ty: self.zonk(p.ty),
+            ..p
+        }
     }
 
     fn fun(&mut self, a: TypeId, b: TypeId) -> TypeId {
@@ -678,27 +689,28 @@ impl<'a> Infer<'a> {
         (result, CoreExpr::Case(Box::new(cs), core_arms))
     }
 
-    fn convert_member(
-        &mut self,
-        core: &CoreExpr,
-        assumptions: &[Pred],
-        dict_params: &[String],
-        group_members: &[String],
-        group_retained: &[Pred],
-    ) -> CoreExpr {
-        let cx = ConvertCtx {
+    /// A conversion context over this run's store, memo table and
+    /// diagnostics.
+    fn convert_ctx<'c>(
+        &'c mut self,
+        assumptions: &'c [IdPred],
+        dict_params: &'c [String],
+        group_members: &'c [String],
+        group_retained: &'c [IdPred],
+    ) -> ConvertCtx<'c> {
+        ConvertCtx {
             cenv: self.cenv,
             table: &self.table,
-            types: &self.types,
+            types: &mut self.types,
             subst: &self.subst,
-            cache: &self.cache,
+            cache: &mut self.cache,
             assumptions,
             dict_params,
             group_members,
             group_retained,
             budget: self.budget,
-        };
-        convert(core, &cx, &mut self.diags)
+            diags: &mut self.diags,
+        }
     }
 }
 
@@ -773,14 +785,18 @@ pub fn elaborate_over(
     base: &ElabBase,
     gen: &mut VarGen,
     opts: ElabOptions,
-    cache: Option<ResolveCache>,
+    cache: Option<WarmCache>,
 ) -> (Elaboration, Diagnostics) {
-    let mut cache = cache.unwrap_or_else(|| {
-        if opts.memoize {
+    let WarmCache {
+        mut cache,
+        mut types,
+    } = cache.unwrap_or_else(|| WarmCache {
+        cache: if opts.memoize {
             ResolveCache::new()
         } else {
             ResolveCache::disabled()
-        }
+        },
+        types: Interner::new(),
     });
     if opts.trace_resolution {
         cache.enable_trace();
@@ -797,7 +813,6 @@ pub fn elaborate_over(
     if opts.events.is_enabled() {
         cache.set_events(opts.events.clone());
     }
-    let mut types = Interner::new();
     let int = types.intern(&Type::int());
     let bool = types.intern(&Type::bool());
     let mut inf = Infer {
@@ -815,7 +830,7 @@ pub fn elaborate_over(
         group_mono: HashMap::new(),
         locals: Scope::new(),
         budget: opts.budget,
-        cache: RefCell::new(cache),
+        cache,
         diags: Diagnostics::new(),
         binds: Vec::new(),
         skolem_names: HashMap::new(),
@@ -971,12 +986,13 @@ pub fn elaborate_over(
         }
 
         // 3. Reduce the group's accumulated context and generalize.
-        let all_preds: Vec<Pred> = outs
+        let all_preds: Vec<IdPred> = outs
             .iter()
             .flat_map(|(_, _, ps)| ps.iter())
-            .map(|p| pred_tree(&inf.types, &inf.subst, p, p.span))
+            .map(|&p| inf.zonk_pred(p))
             .collect();
-        let (retained, errors) = cenv.reduce_context(&all_preds, opts.budget);
+        let (retained, errors) =
+            cenv.reduce_context(&all_preds, opts.budget, &mut inf.types, &mut inf.cache);
         for e in &errors {
             inf.diags
                 .error(Stage::TypeCheck, e.code(), e.to_string(), e.pred().span);
@@ -989,12 +1005,13 @@ pub fn elaborate_over(
             member_types.insert(name, t);
         }
         for p in &retained {
-            if !p.free_vars().is_subset(&gen_vars) {
+            if !inf.types.free_vars(p.ty).is_subset(&gen_vars) {
+                let shown = p.tree(&inf.types);
                 inf.diags.error(
                     Stage::TypeCheck,
                     "E0411",
                     format!(
-                        "ambiguous constraint `{p}`: its type variable is not fixed \
+                        "ambiguous constraint `{shown}`: its type variable is not fixed \
                          by the binding group's type"
                     ),
                     p.span,
@@ -1005,12 +1022,8 @@ pub fn elaborate_over(
             .map(|k| format!("$dg{gi}${k}"))
             .collect();
         let group_names: Vec<String> = outs.iter().map(|(n, _, _)| n.clone()).collect();
-        let retained_ids: Vec<IdPred> = retained
-            .iter()
-            .map(|p| intern_pred(&mut inf.types, p))
-            .collect();
         let mut context_vars: BTreeSet<TyVar> = BTreeSet::new();
-        for p in &retained_ids {
+        for p in &retained {
             inf.types.collect_vars(p.ty, &mut context_vars);
         }
         for (name, _, _) in &outs {
@@ -1022,20 +1035,18 @@ pub fn elaborate_over(
             let vars: Vec<TyVar> = vars.into_iter().filter(|v| gen_vars.contains(v)).collect();
             let sch = IdScheme {
                 vars,
-                preds: retained_ids.clone(),
+                preds: retained.clone(),
                 head,
             };
             inf.globals.insert(name.clone(), sch);
         }
 
         // 4. Dictionary conversion for signature-less members.
-        for (name, core, _) in &outs {
-            let converted =
-                inf.convert_member(core, &retained, &dict_params, &group_names, &retained);
-            inf.binds.push((
-                name.clone(),
-                CoreExpr::lams(dict_params.iter().cloned(), converted),
-            ));
+        for (name, mut core, _) in outs {
+            let mut cx = inf.convert_ctx(&retained, &dict_params, &group_names, &retained);
+            convert(&mut core, &mut cx);
+            inf.binds
+                .push((name, CoreExpr::lams(dict_params.iter().cloned(), core)));
         }
         inf.group_mono.clear();
 
@@ -1049,18 +1060,17 @@ pub fn elaborate_over(
             };
             let (sk_preds, sk_ty) = inf.skolemize(sch);
             inf.preds.clear();
-            let (t, c) = inf.infer_expr(&b.expr);
+            let (t, mut c) = inf.infer_expr(&b.expr);
             inf.unify_at(sk_ty, t, b.span);
             let params: Vec<String> = (0..sk_preds.len())
                 .map(|k| format!("$ds${}${k}", b.name))
                 .collect();
-            let assumptions: Vec<Pred> = sk_preds
-                .iter()
-                .map(|p| pred_tree(&inf.types, &inf.subst, p, p.span))
-                .collect();
-            let converted = inf.convert_member(&c, &assumptions, &params, &[], &[]);
-            inf.binds
-                .push((b.name.clone(), CoreExpr::lams(params, converted)));
+            let assumptions: Vec<IdPred> = sk_preds.iter().map(|&p| inf.zonk_pred(p)).collect();
+            convert(
+                &mut c,
+                &mut inf.convert_ctx(&assumptions, &params, &[], &[]),
+            );
+            inf.binds.push((b.name.clone(), CoreExpr::lams(params, c)));
         }
     }
 
@@ -1116,8 +1126,8 @@ pub fn elaborate_over(
         })
         .collect();
 
-    let mut cache = inf.cache.into_inner();
-    cache.flush_metrics();
+    let mut cache = inf.cache;
+    cache.flush_metrics(&inf.types);
     (
         Elaboration {
             core: CoreProgram {
@@ -1131,7 +1141,10 @@ pub fn elaborate_over(
             stats: cache.stats,
             resolution_trace: cache.take_trace(),
             metrics: std::mem::take(&mut cache.metrics),
-            cache: Some(cache),
+            cache: Some(WarmCache {
+                cache,
+                types: inf.types,
+            }),
         },
         inf.diags,
     )
@@ -1154,19 +1167,31 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
 
         // Skolemize the instance's own variables: the dictionary
         // constructor must be parametric in them.
-        let mut inst_vars: BTreeSet<TyVar> = inst.head.ty.free_vars();
-        for p in &inst.preds {
-            inst_vars.extend(p.free_vars());
+        let head = inf.types.intern(&inst.head.ty);
+        let context: Vec<IdPred> = inst
+            .preds
+            .iter()
+            .map(|p| inf.types.intern_pred(p))
+            .collect();
+        let mut inst_vars: BTreeSet<TyVar> = inf.types.free_vars(head);
+        for p in &context {
+            inf.types.collect_vars(p.ty, &mut inst_vars);
         }
-        let sk: HashMap<TyVar, Type> = inst_vars
+        let sk: Vec<(TyVar, TypeId)> = inst_vars
             .iter()
             .enumerate()
-            .map(|(k, v)| (*v, Type::Con(format!("${}", display_name(k)))))
+            .map(|(k, &v)| (v, inf.types.con_named(&format!("${}", display_name(k)))))
             .collect();
+        let skolem = |v: TyVar| sk.iter().find(|(w, _)| *w == v).map(|&(_, c)| c);
         let mut next_skolem = inst_vars.len();
-        let sk_head = inst.head.ty.substitute(&sk);
-        let sk_head_id = inf.types.intern(&sk_head);
-        let sk_preds: Vec<Pred> = inst.preds.iter().map(|p| p.substitute(&sk)).collect();
+        let sk_head_id = inf.types.map_vars(head, skolem);
+        let sk_preds: Vec<IdPred> = context
+            .iter()
+            .map(|&p| IdPred {
+                ty: inf.types.map_vars(p.ty, skolem),
+                ..p
+            })
+            .collect();
         let iparams: Vec<String> = (0..sk_preds.len())
             .map(|k| format!("$di{}${k}", inst.id))
             .collect();
@@ -1176,20 +1201,13 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
         // Superclass dictionary slots, resolved from the instance
         // context: `instance Ord Int` needs an `Eq Int` in scope.
         for sup in &ci.supers {
-            let p = Pred::new(sup.clone(), sk_head.clone(), inst.span);
-            let cx = ConvertCtx {
-                cenv: inf.cenv,
-                table: &inf.table,
-                types: &inf.types,
-                subst: &inf.subst,
-                cache: &inf.cache,
-                assumptions: &sk_preds,
-                dict_params: &iparams,
-                group_members: &[],
-                group_retained: &[],
-                budget: inf.budget,
+            let goal = IdPred {
+                class: inf.types.intern_name(sup),
+                ty: sk_head_id,
+                span: inst.span,
             };
-            slots.push(cx.resolve_pred(&p, &mut inf.diags));
+            let mut cx = inf.convert_ctx(&sk_preds, &iparams, &[], &[]);
+            slots.push(cx.resolve_pred(goal));
         }
 
         // Method slots, in class declaration order.
@@ -1198,7 +1216,9 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
                 // Already reported (E0315) at class-env build time.
                 slots.push(CoreExpr::Fail(format!(
                     "missing method `{}` in instance `{} {}`",
-                    m.name, inst.head.class, sk_head
+                    m.name,
+                    inst.head.class,
+                    inf.types.tree(sk_head_id)
                 )));
                 continue;
             };
@@ -1215,12 +1235,15 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
             // on its own.
             inf.subst.start_group();
             let mut minted: Vec<TyVar> = Vec::new();
-            let msch = IdScheme::intern(&mut inf.types, &m.scheme);
+            let msch = inf
+                .method_schemes
+                .entry(&m.name)
+                .or_insert_with(|| IdScheme::intern(&mut inf.types, &m.scheme));
             let mut rest = Vec::new();
             let mty = instantiate(
                 &mut inf.types,
                 inf.gen,
-                &msch,
+                msch,
                 body.span,
                 &mut rest,
                 Some(&mut minted),
@@ -1244,28 +1267,33 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
                 }
             }
             let expected = inf.zonk(mty);
-            let sk_extra: Vec<Pred> = rest
-                .iter()
-                .map(|p| pred_tree(&inf.types, &inf.subst, p, body.span))
-                .collect();
+            let mut assumptions = sk_preds.clone();
+            for &p in &rest {
+                let p = inf.zonk_pred(p);
+                assumptions.push(IdPred {
+                    span: body.span,
+                    ..p
+                });
+            }
 
             inf.preds.clear();
-            let (tb, cb) = inf.infer_expr(&body.expr);
+            let (tb, mut cb) = inf.infer_expr(&body.expr);
             inf.unify_at(expected, tb, body.span);
 
-            let xparams: Vec<String> = (0..sk_extra.len())
+            let xparams: Vec<String> = (0..rest.len())
                 .map(|k| format!("$dx{}${}${k}", inst.id, m.name))
                 .collect();
-            let mut assumptions = sk_preds.clone();
-            assumptions.extend(sk_extra);
             let mut all_params = iparams.clone();
             all_params.extend(xparams.iter().cloned());
-            let converted = inf.convert_member(&cb, &assumptions, &all_params, &[], &[]);
-            slots.push(CoreExpr::lams(xparams, converted));
+            convert(
+                &mut cb,
+                &mut inf.convert_ctx(&assumptions, &all_params, &[], &[]),
+            );
+            slots.push(CoreExpr::lams(xparams, cb));
         }
 
         inf.binds.push((
-            inst.dict_binding_name(),
+            inst.dict_binding_name().to_string(),
             CoreExpr::lams(iparams, CoreExpr::Tuple(slots)),
         ));
     }

@@ -7,35 +7,30 @@
 //! implemented iteratively — an adversarial program with thousands of
 //! chained bindings must not overflow the native stack.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use tc_syntax::{Binding, Expr, Scope};
 
-/// Free variable names of an expression (names not bound by enclosing
-/// lambdas or lets). Recursion depth is bounded by the parser's
-/// expression-depth budget, so a plain recursive walk is safe here.
-/// Binders are indexed by name, so a `let` of n bindings costs O(n).
-pub fn free_vars(e: &Expr) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut bound: Scope<'_, ()> = Scope::new();
-    collect(e, &mut bound, &mut out);
-    out
-}
-
-fn collect<'a>(e: &'a Expr, bound: &mut Scope<'a, ()>, out: &mut BTreeSet<String>) {
+/// Call `free` on every free variable occurrence of `e` (a name not
+/// bound by an enclosing lambda, `let` or `case` arm). Recursion
+/// depth is bounded by the parser's expression-depth budget, so a plain
+/// recursive walk is safe here. Binders are indexed by name, so a `let`
+/// of n bindings costs O(n).
+fn collect<'a>(e: &'a Expr, bound: &mut Scope<'a, ()>, free: &mut impl FnMut(&'a str)) {
+    let mut go = |e: &'a Expr, bound: &mut Scope<'a, ()>| collect(e, bound, free);
     match e {
         Expr::Var(n, _) => {
             if bound.get(n).is_none() {
-                out.insert(n.clone());
+                free(n);
             }
         }
         Expr::Con(_, _) | Expr::IntLit(_, _) | Expr::Hole(_) => {}
         Expr::App(f, x, _) => {
-            collect(f, bound, out);
-            collect(x, bound, out);
+            go(f, bound);
+            go(x, bound);
         }
         Expr::Lam(p, b, _) => {
             bound.push(p, ());
-            collect(b, bound, out);
+            go(b, bound);
             bound.pop();
         }
         Expr::Let(binds, body, _) => {
@@ -44,18 +39,18 @@ fn collect<'a>(e: &'a Expr, bound: &mut Scope<'a, ()>, out: &mut BTreeSet<String
                 bound.push(&b.name, ());
             }
             for b in binds {
-                collect(&b.expr, bound, out);
+                go(&b.expr, bound);
             }
-            collect(body, bound, out);
+            go(body, bound);
             bound.truncate(before);
         }
         Expr::If(c, t, f, _) => {
-            collect(c, bound, out);
-            collect(t, bound, out);
-            collect(f, bound, out);
+            go(c, bound);
+            go(t, bound);
+            go(f, bound);
         }
         Expr::Case(scrut, arms, _) => {
-            collect(scrut, bound, out);
+            go(scrut, bound);
             for arm in arms {
                 let before = bound.len();
                 match &arm.pattern {
@@ -72,7 +67,7 @@ fn collect<'a>(e: &'a Expr, bound: &mut Scope<'a, ()>, out: &mut BTreeSet<String
                         }
                     }
                 }
-                collect(&arm.body, bound, out);
+                go(&arm.body, bound);
                 bound.truncate(before);
             }
         }
@@ -95,13 +90,21 @@ pub fn binding_groups(bindings: &[Binding], base: &HashSet<String>) -> Vec<Vec<u
             index_of.entry(b.name.as_str()).or_insert(i);
         }
     }
+    // Edges in the order of the callees' names, each once.
+    let mut bound = Scope::new();
+    let mut callees: Vec<(&str, usize)> = Vec::new();
     let adj: Vec<Vec<usize>> = bindings
         .iter()
         .map(|b| {
-            free_vars(&b.expr)
-                .iter()
-                .filter_map(|v| index_of.get(v.as_str()).copied())
-                .collect()
+            callees.clear();
+            collect(&b.expr, &mut bound, &mut |v| {
+                if let Some(&i) = index_of.get(v) {
+                    callees.push((v, i));
+                }
+            });
+            callees.sort_unstable();
+            callees.dedup();
+            callees.iter().map(|&(_, i)| i).collect()
         })
         .collect();
     tarjan(n, &adj)
@@ -175,6 +178,7 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn parse_bindings(src: &str) -> Vec<Binding> {
         let (toks, ld) = tc_syntax::lex(src);
@@ -182,6 +186,14 @@ mod tests {
         let (prog, pd) = tc_syntax::parse_program(&toks, Default::default());
         assert!(!pd.has_errors(), "{}", pd.render_all(src));
         prog.bindings
+    }
+
+    fn free_vars(e: &Expr) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        collect(e, &mut Scope::new(), &mut |n| {
+            out.insert(n);
+        });
+        out
     }
 
     fn names(bindings: &[Binding], groups: &[Vec<usize>]) -> Vec<Vec<String>> {

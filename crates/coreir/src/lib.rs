@@ -166,12 +166,13 @@ impl CoreExpr {
             .fold(body, |acc, p| CoreExpr::Lam(p, Box::new(acc)))
     }
 
-    /// Push every direct child expression onto `out`. The shared
-    /// primitive behind the IR's iterative traversals (placeholder
-    /// detection here, the static-analysis walks in `tc-lint`), so a
-    /// new variant cannot be forgotten by one traversal but not
-    /// another.
-    pub fn push_children<'a>(&'a self, out: &mut Vec<&'a CoreExpr>) {
+    /// Call `f` on every direct child expression, in a fixed order: the
+    /// shared primitive behind the IR's traversals (placeholder
+    /// detection here, sharing, the static-analysis walks in
+    /// `tc-lint`), so a new variant cannot be forgotten by one
+    /// traversal but not another, and no traversal builds a list of
+    /// children per node.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a CoreExpr)) {
         match self {
             CoreExpr::Var(_)
             | CoreExpr::Lit(_)
@@ -179,30 +180,36 @@ impl CoreExpr {
             | CoreExpr::Placeholder(_)
             | CoreExpr::Con { .. } => {}
             CoreExpr::Case(scrut, arms) => {
-                out.push(scrut);
+                f(scrut);
                 for arm in arms {
-                    out.push(&arm.body);
+                    f(&arm.body);
                 }
             }
             CoreExpr::App(a, b) => {
-                out.push(a);
-                out.push(b);
+                f(a);
+                f(b);
             }
-            CoreExpr::Lam(_, b) => out.push(b),
+            CoreExpr::Lam(_, b) | CoreExpr::Proj(_, b) => f(b),
             CoreExpr::LetRec(bs, b) => {
-                out.push(b);
+                f(b);
                 for (_, e) in bs {
-                    out.push(e);
+                    f(e);
                 }
             }
             CoreExpr::If(c, t, e2) => {
-                out.push(c);
-                out.push(t);
-                out.push(e2);
+                f(c);
+                f(t);
+                f(e2);
             }
-            CoreExpr::Tuple(xs) => out.extend(xs.iter()),
-            CoreExpr::Proj(_, b) => out.push(b),
+            CoreExpr::Tuple(xs) => xs.iter().for_each(f),
         }
+    }
+
+    /// Push every direct child expression onto `out`, in
+    /// [`CoreExpr::for_each_child`] order: the work list of an iterative
+    /// traversal.
+    pub fn push_children<'a>(&'a self, out: &mut Vec<&'a CoreExpr>) {
+        self.for_each_child(|c| out.push(c));
     }
 
     /// Does any placeholder remain? Iterative traversal.
@@ -229,18 +236,26 @@ impl CoreExpr {
         n
     }
 
-    /// The application spine of the expression: the head (the innermost
-    /// function) and the arguments, outermost application last. A
-    /// non-application returns itself with no arguments.
-    pub fn spine(&self) -> (&CoreExpr, Vec<&CoreExpr>) {
-        let mut head = self;
-        let mut args: Vec<&CoreExpr> = Vec::new();
-        while let CoreExpr::App(f, x) = head {
-            args.push(x);
+    /// The head of the expression's application spine (the innermost
+    /// function) and the number of arguments applied to it. A
+    /// non-application is its own head, with none.
+    pub fn spine_head(&self) -> (&CoreExpr, usize) {
+        let (mut head, mut args) = (self, 0);
+        while let CoreExpr::App(f, _) = head {
             head = f;
+            args += 1;
         }
-        args.reverse();
         (head, args)
+    }
+
+    /// If the expression applies an instance dictionary constructor (a
+    /// `$dict…` binding) to at least one argument — a compound
+    /// dictionary construction — the constructor's name.
+    pub fn dict_construction(&self) -> Option<&str> {
+        match self.spine_head() {
+            (CoreExpr::Var(n), args) if args > 0 && n.starts_with("$dict") => Some(n),
+            _ => None,
+        }
     }
 }
 
@@ -497,14 +512,16 @@ mod tests {
             CoreExpr::Var("f".into()),
             vec![CoreExpr::Var("x".into()), CoreExpr::Var("y".into())],
         );
-        let (head, args) = e.spine();
-        assert_eq!(head, &CoreExpr::Var("f".into()));
-        assert_eq!(
-            args,
-            vec![&CoreExpr::Var("x".into()), &CoreExpr::Var("y".into())]
-        );
+        assert_eq!(e.spine_head(), (&CoreExpr::Var("f".into()), 2));
         let atom = CoreExpr::Lit(Literal::Int(1));
-        assert_eq!(atom.spine(), (&atom, vec![]));
+        assert_eq!(atom.spine_head(), (&atom, 0));
+        assert_eq!(e.dict_construction(), None);
+        let dict = CoreExpr::app(CoreExpr::Var("$dict1$Eq$List".into()), atom.clone());
+        assert_eq!(dict.dict_construction(), Some("$dict1$Eq$List"));
+        assert_eq!(
+            CoreExpr::Var("$dict0$Eq$Int".into()).dict_construction(),
+            None
+        );
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   one of the binding's dictionary-lambda parameters, so the shared
 //!   binding is well-scoped directly under that prefix.
 
-use crate::{pretty, CoreExpr, CoreProgram};
-use std::collections::{BTreeSet, HashMap};
+use crate::{pretty, CoreExpr, CoreProgram, Literal};
+use std::collections::HashMap;
 use tc_trace::{CounterId, HistogramId, MetricsRegistry};
 
 /// Counters from one run of the sharing pass, surfaced by the driver's
@@ -85,10 +85,11 @@ pub fn share_program_metered(prog: &mut CoreProgram, metrics: &mut MetricsRegist
 /// the quantity the pass minimizes, also used by benches.
 pub fn count_constructions(prog: &CoreProgram) -> u64 {
     let mut n = 0u64;
+    let mut stack = Vec::new();
     for (_, expr) in &prog.binds {
-        let mut stack = vec![expr];
+        stack.push(expr);
         while let Some(e) = stack.pop() {
-            if spine_key(e, "").is_some() {
+            if e.dict_construction().is_some() {
                 // Maximal spine: nested constructions inside it are
                 // already shared by sharing the outermost one.
                 n += 1;
@@ -103,55 +104,9 @@ pub fn count_constructions(prog: &CoreProgram) -> u64 {
 /// If `e` is an applied `$dict…` construction whose head is not
 /// `self_name`, its identity key (the printed expression).
 fn spine_key(e: &CoreExpr, self_name: &str) -> Option<String> {
-    let (head, args) = e.spine();
-    match head {
-        CoreExpr::Var(n) if n.starts_with("$dict") && !args.is_empty() && n != self_name => {
-            Some(pretty(e))
-        }
+    match e.dict_construction() {
+        Some(head) if head != self_name => Some(pretty(e)),
         _ => None,
-    }
-}
-
-/// Free variables of `e` (variables not bound by an enclosing `Lam` or
-/// `LetRec` within `e`). Recursion depth is bounded by the parser's
-/// expression-depth budget, like the converter's.
-fn free_vars(e: &CoreExpr, bound: &mut Vec<String>, out: &mut BTreeSet<String>) {
-    match e {
-        CoreExpr::Var(n) => {
-            if !bound.iter().any(|b| b == n) {
-                out.insert(n.clone());
-            }
-        }
-        CoreExpr::Lam(p, b) => {
-            bound.push(p.clone());
-            free_vars(b, bound, out);
-            bound.pop();
-        }
-        CoreExpr::LetRec(bs, b) => {
-            let base = bound.len();
-            bound.extend(bs.iter().map(|(n, _)| n.clone()));
-            for (_, v) in bs {
-                free_vars(v, bound, out);
-            }
-            free_vars(b, bound, out);
-            bound.truncate(base);
-        }
-        CoreExpr::Case(scrut, arms) => {
-            free_vars(scrut, bound, out);
-            for arm in arms {
-                let base = bound.len();
-                bound.extend(arm.binders.iter().cloned());
-                free_vars(&arm.body, bound, out);
-                bound.truncate(base);
-            }
-        }
-        _ => {
-            let mut kids = Vec::new();
-            e.push_children(&mut kids);
-            for k in kids {
-                free_vars(k, bound, out);
-            }
-        }
     }
 }
 
@@ -161,13 +116,13 @@ fn share_binding(name: &str, expr: &mut CoreExpr) -> (u64, u64) {
     // Peel the dictionary-lambda prefix: conversion emits
     // `\$d… -> <body>`, and generated dictionary parameters all start
     // with `$d` (user identifiers cannot contain `$`).
-    let mut prefix: Vec<String> = Vec::new();
+    let mut prefix: Vec<&str> = Vec::new();
     let mut body = &*expr;
     while let CoreExpr::Lam(p, b) = body {
         if !p.starts_with("$d") {
             break;
         }
-        prefix.push(p.clone());
+        prefix.push(p);
         body = b;
     }
 
@@ -183,11 +138,11 @@ fn share_binding(name: &str, expr: &mut CoreExpr) -> (u64, u64) {
             *counts.entry(key).or_insert(0) += 1;
             continue;
         }
-        // Reverse so the left child pops first: keeps `order`
-        // deterministic in (approximate) source order.
-        let mut kids = Vec::new();
-        e.push_children(&mut kids);
-        stack.extend(kids.into_iter().rev());
+        // Reverse the children so the left one pops first: keeps
+        // `order` deterministic in (approximate) source order.
+        let first = stack.len();
+        e.push_children(&mut stack);
+        stack[first..].reverse();
     }
 
     // Keep repeated, hoistable spines; name them in discovery order.
@@ -208,108 +163,146 @@ fn share_binding(name: &str, expr: &mut CoreExpr) -> (u64, u64) {
     // Rewrite the body; then rewrite each definition's *arguments*
     // (never its own root, which would tie `$shN = $shN`), so shared
     // constructions nested inside other shared constructions reference
-    // their sibling binding.
+    // their sibling binding. The `letrec` takes the body's place, under
+    // the prefix.
+    let body = under_lambdas(expr, prefix.len());
     let mut rewritten = 0u64;
-    let new_body = rewrite(body, name, &share_names, &mut rewritten);
-    let defs: Vec<(String, CoreExpr)> = defs
-        .into_iter()
-        .map(|(n, d)| {
-            let mut inner = 0u64;
-            let d = rewrite_spine_args(&d, name, &share_names, &mut inner);
-            (n, d)
-        })
-        .collect();
+    rewrite(body, name, &share_names, &mut rewritten);
+    for (_, d) in &mut defs {
+        rewrite_spine_args(d, name, &share_names, &mut 0);
+    }
     let hoisted = defs.len() as u64;
-    *expr = CoreExpr::lams(prefix, CoreExpr::LetRec(defs, Box::new(new_body)));
+    let inner = std::mem::replace(body, CoreExpr::Lit(Literal::Int(0)));
+    *body = CoreExpr::LetRec(defs, Box::new(inner));
     (hoisted, rewritten)
+}
+
+/// The body under the first `n` lambdas of `e`.
+fn under_lambdas(e: &mut CoreExpr, n: usize) -> &mut CoreExpr {
+    if n == 0 {
+        return e;
+    }
+    match e {
+        CoreExpr::Lam(_, b) => under_lambdas(b, n - 1),
+        _ => e,
+    }
 }
 
 /// Is the spine's every free variable a global `$dict…` constructor or
 /// a dictionary parameter of the enclosing binding?
-fn hoistable(e: &CoreExpr, prefix: &[String]) -> bool {
-    let mut fv = BTreeSet::new();
-    free_vars(e, &mut Vec::new(), &mut fv);
-    fv.iter()
-        .all(|v| v.starts_with("$dict") || prefix.iter().any(|p| p == v))
+fn hoistable(e: &CoreExpr, prefix: &[&str]) -> bool {
+    free_vars_all(e, &mut Vec::new(), &|v| {
+        v.starts_with("$dict") || prefix.contains(&v)
+    })
 }
 
-/// Replace every shared construction with its `$sh…` reference,
-/// rebuilding everything else structurally.
+/// Does every free variable of `e` (one bound neither by an enclosing
+/// `Lam`, `LetRec` or `case` arm within `e` nor in `bound`) satisfy
+/// `ok`? Recursion depth is bounded by the parser's expression-depth
+/// budget, like the converter's.
+fn free_vars_all<'a>(
+    e: &'a CoreExpr,
+    bound: &mut Vec<&'a str>,
+    ok: &impl Fn(&str) -> bool,
+) -> bool {
+    match e {
+        CoreExpr::Var(n) => bound.contains(&n.as_str()) || ok(n),
+        CoreExpr::Lam(p, b) => {
+            bound.push(p);
+            let all = free_vars_all(b, bound, ok);
+            bound.pop();
+            all
+        }
+        CoreExpr::LetRec(bs, b) => {
+            let base = bound.len();
+            bound.extend(bs.iter().map(|(n, _)| n.as_str()));
+            let all =
+                bs.iter().all(|(_, v)| free_vars_all(v, bound, ok)) && free_vars_all(b, bound, ok);
+            bound.truncate(base);
+            all
+        }
+        CoreExpr::Case(scrut, arms) => {
+            free_vars_all(scrut, bound, ok)
+                && arms.iter().all(|arm| {
+                    let base = bound.len();
+                    bound.extend(arm.binders.iter().map(String::as_str));
+                    let all = free_vars_all(&arm.body, bound, ok);
+                    bound.truncate(base);
+                    all
+                })
+        }
+        _ => {
+            let mut all = true;
+            e.for_each_child(|k| all = all && free_vars_all(k, bound, ok));
+            all
+        }
+    }
+}
+
+/// Replace every shared construction in `e` with its `$sh…` reference,
+/// in place.
 fn rewrite(
-    e: &CoreExpr,
+    e: &mut CoreExpr,
     self_name: &str,
     shares: &HashMap<String, String>,
     rewritten: &mut u64,
-) -> CoreExpr {
+) {
     if let Some(key) = spine_key(e, self_name) {
         if let Some(share) = shares.get(&key) {
             *rewritten += 1;
-            return CoreExpr::Var(share.clone());
+            *e = CoreExpr::Var(share.clone());
+            return;
         }
         // An unshared (e.g. single-occurrence) construction may still
         // contain shared ones in argument position.
-        return rewrite_spine_args(e, self_name, shares, rewritten);
+        rewrite_spine_args(e, self_name, shares, rewritten);
+        return;
     }
+    let mut go = |e: &mut CoreExpr| rewrite(e, self_name, shares, rewritten);
     match e {
         CoreExpr::Var(_)
         | CoreExpr::Lit(_)
         | CoreExpr::Fail(_)
         | CoreExpr::Placeholder(_)
-        | CoreExpr::Con { .. } => e.clone(),
-        CoreExpr::Case(scrut, arms) => CoreExpr::Case(
-            Box::new(rewrite(scrut, self_name, shares, rewritten)),
-            arms.iter()
-                .map(|arm| crate::CoreArm {
-                    con: arm.con.clone(),
-                    binders: arm.binders.clone(),
-                    body: rewrite(&arm.body, self_name, shares, rewritten),
-                })
-                .collect(),
-        ),
-        CoreExpr::App(f, x) => CoreExpr::app(
-            rewrite(f, self_name, shares, rewritten),
-            rewrite(x, self_name, shares, rewritten),
-        ),
-        CoreExpr::Lam(p, b) => CoreExpr::Lam(
-            p.clone(),
-            Box::new(rewrite(b, self_name, shares, rewritten)),
-        ),
-        CoreExpr::LetRec(bs, b) => CoreExpr::LetRec(
-            bs.iter()
-                .map(|(n, v)| (n.clone(), rewrite(v, self_name, shares, rewritten)))
-                .collect(),
-            Box::new(rewrite(b, self_name, shares, rewritten)),
-        ),
-        CoreExpr::If(c, t, f) => CoreExpr::If(
-            Box::new(rewrite(c, self_name, shares, rewritten)),
-            Box::new(rewrite(t, self_name, shares, rewritten)),
-            Box::new(rewrite(f, self_name, shares, rewritten)),
-        ),
-        CoreExpr::Tuple(xs) => CoreExpr::Tuple(
-            xs.iter()
-                .map(|x| rewrite(x, self_name, shares, rewritten))
-                .collect(),
-        ),
-        CoreExpr::Proj(i, b) => {
-            CoreExpr::Proj(*i, Box::new(rewrite(b, self_name, shares, rewritten)))
+        | CoreExpr::Con { .. } => {}
+        CoreExpr::Case(scrut, arms) => {
+            go(scrut);
+            for arm in arms {
+                go(&mut arm.body);
+            }
         }
+        CoreExpr::App(f, x) => {
+            go(f);
+            go(x);
+        }
+        CoreExpr::Lam(_, b) | CoreExpr::Proj(_, b) => go(b),
+        CoreExpr::LetRec(bs, b) => {
+            for (_, v) in bs {
+                go(v);
+            }
+            go(b);
+        }
+        CoreExpr::If(c, t, f) => {
+            go(c);
+            go(t);
+            go(f);
+        }
+        CoreExpr::Tuple(xs) => xs.iter_mut().for_each(go),
     }
 }
 
 /// Rewrite only the argument positions of an application spine,
 /// leaving the spine structure (and its head) intact.
 fn rewrite_spine_args(
-    e: &CoreExpr,
+    e: &mut CoreExpr,
     self_name: &str,
     shares: &HashMap<String, String>,
     rewritten: &mut u64,
-) -> CoreExpr {
-    match e {
-        CoreExpr::App(f, x) => CoreExpr::app(
-            rewrite_spine_args(f, self_name, shares, rewritten),
-            rewrite(x, self_name, shares, rewritten),
-        ),
-        _ => e.clone(),
+) {
+    let mut spine = e;
+    while let CoreExpr::App(f, x) = spine {
+        rewrite(x, self_name, shares, rewritten);
+        spine = f;
     }
 }
 

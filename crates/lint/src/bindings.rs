@@ -279,60 +279,36 @@ fn free_uses<'a>(
     }
 }
 
-/// Does `e` reference `name` as a free variable? Iterative; descent
-/// stops wherever `name` is re-bound.
+/// Does `e` reference `name` as a free variable? Descent stops
+/// wherever `name` is re-bound. Recursion depth is bounded by the
+/// parser's expression-depth budget, as in the walker.
 fn uses(e: &Expr, name: &str) -> bool {
-    let mut stack = vec![e];
-    while let Some(x) = stack.pop() {
-        match x {
-            Expr::Var(n, _) => {
-                if n == name {
-                    return true;
-                }
-            }
-            Expr::Con(..) | Expr::IntLit(..) | Expr::Hole(..) => {}
-            Expr::App(f, a, _) => {
-                stack.push(f);
-                stack.push(a);
-            }
-            Expr::If(c, t, f, _) => {
-                stack.push(c);
-                stack.push(t);
-                stack.push(f);
-            }
-            Expr::Lam(p, body, _) => {
-                if p != name {
-                    stack.push(body);
-                }
-            }
-            Expr::Let(binds, body, _) => {
-                // A `let` group re-binding `name` shields its whole
-                // extent (right-hand sides included — they see the
-                // local binding, not the outer one).
-                if binds.iter().all(|b| b.name != name) {
-                    stack.push(body);
-                    for b in binds {
-                        stack.push(&b.expr);
-                    }
-                }
-            }
-            Expr::Case(scrut, arms, _) => {
-                stack.push(scrut);
-                for arm in arms {
+    match e {
+        Expr::Var(n, _) => n == name,
+        Expr::Con(..) | Expr::IntLit(..) | Expr::Hole(..) => false,
+        Expr::App(f, a, _) => uses(f, name) || uses(a, name),
+        Expr::If(c, t, f, _) => uses(c, name) || uses(t, name) || uses(f, name),
+        Expr::Lam(p, body, _) => p != name && uses(body, name),
+        // A `let` group re-binding `name` shields its whole extent
+        // (right-hand sides included — they see the local binding, not
+        // the outer one).
+        Expr::Let(binds, body, _) => {
+            binds.iter().all(|b| b.name != name)
+                && (uses(body, name) || binds.iter().any(|b| uses(&b.expr, name)))
+        }
+        Expr::Case(scrut, arms, _) => {
+            uses(scrut, name)
+                || arms.iter().any(|arm| {
                     let rebinds = match &arm.pattern {
                         tc_syntax::Pattern::Var(n, _) => n == name,
                         tc_syntax::Pattern::Con { binders, .. } => {
                             binders.iter().any(|(b, _)| b == name)
                         }
                     };
-                    if !rebinds {
-                        stack.push(&arm.body);
-                    }
-                }
-            }
+                    !rebinds && uses(&arm.body, name)
+                })
         }
     }
-    false
 }
 
 #[cfg(test)]

@@ -29,28 +29,28 @@
 //! and on duplicates the pass cannot hoist (constructions whose free
 //! variables are bound locally, below the dictionary-lambda prefix).
 
-use crate::{binding_spans, Emitter, LintInput, Rule};
+use crate::{BindingSpans, Emitter, LintInput, Rule};
 use std::collections::HashMap;
-use tc_coreir::CoreExpr;
 use tc_syntax::Span;
 
-pub(crate) fn check(input: &LintInput<'_>, em: &mut Emitter<'_>) {
+pub(crate) fn check(input: &LintInput<'_>, spans: &BindingSpans<'_>, em: &mut Emitter<'_>) {
     if !em.enabled(Rule::RepeatedDictionary) {
         return;
     }
-    let spans = binding_spans(input);
+    let mut stack = Vec::new();
     for (name, expr) in &input.core.binds {
         let mut counts: HashMap<String, usize> = HashMap::new();
-        let mut stack = vec![expr];
+        stack.push(expr);
         while let Some(e) = stack.pop() {
-            if let Some((head, key)) = applied_dict_key(e) {
+            if let Some(head) = e.dict_construction() {
                 // A recursive instance (e.g. `Eq (List a)`) re-applies
                 // *its own* constructor to its own context parameters
                 // for the recursive method calls. That knot is the
                 // converter's output, not something a user can hoist,
                 // so self-references inside the constructor are exempt.
                 if head != name {
-                    *counts.entry(key).or_insert(0) += 1;
+                    // Keyed by the printed expression.
+                    *counts.entry(tc_coreir::pretty(e)).or_insert(0) += 1;
                     continue;
                 }
             }
@@ -59,7 +59,7 @@ pub(crate) fn check(input: &LintInput<'_>, em: &mut Emitter<'_>) {
         let mut repeated: Vec<(String, usize)> =
             counts.into_iter().filter(|&(_, n)| n >= 2).collect();
         repeated.sort();
-        let span = spans.get(name).copied().unwrap_or(Span::DUMMY);
+        let span = spans.get(name.as_str()).copied().unwrap_or(Span::DUMMY);
         for (key, n) in repeated {
             em.report(
                 Rule::RepeatedDictionary,
@@ -70,19 +70,6 @@ pub(crate) fn check(input: &LintInput<'_>, em: &mut Emitter<'_>) {
                 ),
             );
         }
-    }
-}
-
-/// If `e` is an applied instance-dictionary construction, its head
-/// (the constructor name) and identity key (the printed expression);
-/// otherwise `None`.
-fn applied_dict_key(e: &CoreExpr) -> Option<(&str, String)> {
-    let (head, args) = e.spine();
-    match head {
-        CoreExpr::Var(n) if n.starts_with("$dict") && !args.is_empty() => {
-            Some((n.as_str(), tc_coreir::pretty(e)))
-        }
-        _ => None,
     }
 }
 

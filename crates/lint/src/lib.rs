@@ -251,13 +251,14 @@ pub fn run_lints_over(input: &LintInput<'_>, base: &Program, config: &LintConfig
         user_start: input.user_start,
         diags: Diagnostics::new(),
     };
+    let spans = binding_spans(input);
     termination::check(input, &mut em);
     redundant::check(input, &mut em);
     ambiguous::check(input, &mut em);
     bindings::check(input, base, &mut em);
-    unreachable::check(input, &mut em);
+    unreachable::check(input, &spans, &mut em);
     matches::check(input, &mut em);
-    hoist::check(input, &mut em);
+    hoist::check(input, &spans, &mut em);
     em.diags
 }
 
@@ -307,19 +308,25 @@ impl Emitter<'_> {
     }
 }
 
-/// Source span of every core binding we can attribute: top-level
-/// bindings by name, instance dictionary constructors (`$dictN$C$T`)
-/// by their instance declaration. Core expressions carry no spans, so
-/// core-level rules blame the enclosing binding.
-pub(crate) fn binding_spans(input: &LintInput<'_>) -> HashMap<String, Span> {
-    let mut spans = HashMap::new();
-    for b in &input.program.bindings {
-        spans.insert(b.name.clone(), b.span);
-    }
-    for inst in input.cenv.all_instances() {
-        spans.insert(inst.dict_binding_name(), inst.span);
-    }
-    spans
+/// Source span of every core binding we can attribute, by name:
+/// top-level bindings, and instance dictionary constructors
+/// (`$dictN$C$T`) by their instance declaration. Core expressions carry
+/// no spans, so core-level rules blame the enclosing binding.
+pub(crate) type BindingSpans<'a> = HashMap<&'a str, Span>;
+
+/// The run's [`BindingSpans`], built once and shared by the core-level
+/// rules.
+fn binding_spans<'a>(input: &LintInput<'a>) -> BindingSpans<'a> {
+    let program = input
+        .program
+        .bindings
+        .iter()
+        .map(|b| (b.name.as_str(), b.span));
+    let dicts = input
+        .cenv
+        .all_instances()
+        .map(|inst| (inst.dict_binding_name(), inst.span));
+    program.chain(dicts).collect()
 }
 
 /// Is `sub`'s class reachable from `sup` through one or more

@@ -25,19 +25,21 @@ pub(crate) fn check(input: &LintInput<'_>, em: &mut Emitter<'_>) {
     if !em.enabled(Rule::UnreachableArm) && !em.enabled(Rule::NonExhaustiveMatch) {
         return;
     }
+    let mut stack = Vec::new();
     for b in &input.program.bindings {
-        walk(&b.expr, input, em);
+        walk(&b.expr, &mut stack, input, em);
     }
     for inst in &input.program.instances {
         for m in &inst.methods {
-            walk(&m.expr, input, em);
+            walk(&m.expr, &mut stack, input, em);
         }
     }
 }
 
-/// Iterative expression walk; every `case` found is analyzed in place.
-fn walk(e: &Expr, input: &LintInput<'_>, em: &mut Emitter<'_>) {
-    let mut stack = vec![e];
+/// Iterative expression walk over the work list `stack`; every `case`
+/// found is analyzed in place.
+fn walk<'a>(e: &'a Expr, stack: &mut Vec<&'a Expr>, input: &LintInput<'_>, em: &mut Emitter<'_>) {
+    stack.push(e);
     while let Some(x) = stack.pop() {
         match x {
             Expr::Var(..) | Expr::Con(..) | Expr::IntLit(..) | Expr::Hole(..) => {}
@@ -82,7 +84,7 @@ fn check_case(
         Pattern::Con { name, .. } => datas.con(name).map(|ci| ci.data_name.as_str()),
         Pattern::Var(..) => None,
     });
-    let total = data_name.map(|d| datas.constructors_of(d).len());
+    let total = data_name.map(|d| datas.constructors_of(d).count());
 
     let mut covered: Vec<&str> = Vec::new();
     let mut irrefutable = false;
@@ -147,7 +149,6 @@ fn check_case(
     };
     let missing: Vec<&str> = datas
         .constructors_of(data_name)
-        .into_iter()
         .map(|ci| ci.name.as_str())
         .filter(|c| !covered.contains(c))
         .collect();

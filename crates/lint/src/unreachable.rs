@@ -20,107 +20,133 @@
 //! no spans, so findings blame the enclosing top-level binding (or
 //! the instance declaration, for `$dict` constructors).
 
-use crate::{binding_spans, Emitter, LintInput, Rule};
+use crate::{BindingSpans, Emitter, LintInput, Rule};
 use tc_coreir::{CoreExpr, Literal};
 use tc_syntax::Span;
 
-pub(crate) fn check(input: &LintInput<'_>, em: &mut Emitter<'_>) {
+pub(crate) fn check(input: &LintInput<'_>, spans: &BindingSpans<'_>, em: &mut Emitter<'_>) {
     if !em.enabled(Rule::UnreachableArm) {
         return;
     }
-    let spans = binding_spans(input);
+    let (mut facts, mut hidden) = (Vec::new(), Vec::new());
     for (name, expr) in &input.core.binds {
-        let span = spans.get(name).copied().unwrap_or(Span::DUMMY);
-        walk(expr, &[], name, span, em);
+        let span = spans.get(name.as_str()).copied().unwrap_or(Span::DUMMY);
+        let mut walk = Walk {
+            facts: &mut facts,
+            hidden: &mut hidden,
+            name,
+            span,
+            em,
+        };
+        walk.expr(expr);
     }
 }
 
-/// One established test on the current path: the condition expression
-/// and the branch (`true` = then-arm) we are inside.
-type Fact<'a> = (&'a CoreExpr, bool);
+/// One established test on the current path: the condition expression,
+/// the branch (`true` = then-arm) we are inside, and whether the fact
+/// still holds here (`false` once a binder re-binds a variable the
+/// condition mentions).
+type Fact<'a> = (&'a CoreExpr, bool, bool);
 
-fn walk<'a>(e: &'a CoreExpr, facts: &[Fact<'a>], name: &str, span: Span, em: &mut Emitter<'_>) {
-    match e {
-        CoreExpr::If(c, t, f) => {
-            walk(c, facts, name, span, em);
-            if let CoreExpr::Lit(Literal::Bool(b)) = &**c {
-                let arm = if *b { "`else`" } else { "`then`" };
-                em.report(
-                    Rule::UnreachableArm,
-                    span,
-                    format!(
-                        "in `{name}`: an `if` condition is always `{b}`, so its {arm} \
-                         arm is unreachable"
-                    ),
+/// The walk over one top-level binding. `facts` is a stack: an `if`
+/// pushes its fact for its arms and pops it after, and a binder hides
+/// the facts it invalidates while its body is walked, noting their
+/// positions on `hidden` to restore them after.
+struct Walk<'w, 'a, 'e> {
+    facts: &'w mut Vec<Fact<'a>>,
+    hidden: &'w mut Vec<usize>,
+    name: &'w str,
+    span: Span,
+    em: &'w mut Emitter<'e>,
+}
+
+impl<'a> Walk<'_, 'a, '_> {
+    fn expr(&mut self, e: &'a CoreExpr) {
+        let (name, span) = (self.name, self.span);
+        match e {
+            CoreExpr::If(c, t, f) => {
+                self.expr(c);
+                if let CoreExpr::Lit(Literal::Bool(b)) = &**c {
+                    let arm = if *b { "`else`" } else { "`then`" };
+                    self.em.report(
+                        Rule::UnreachableArm,
+                        span,
+                        format!(
+                            "in `{name}`: an `if` condition is always `{b}`, so its {arm} \
+                             arm is unreachable"
+                        ),
+                    );
+                    self.expr(t);
+                    self.expr(f);
+                } else if let Some(&(_, pol, _)) =
+                    self.facts.iter().find(|&&(fc, _, live)| live && fc == &**c)
+                {
+                    let arm = if pol { "`else`" } else { "`then`" };
+                    self.em.report(
+                        Rule::UnreachableArm,
+                        span,
+                        format!(
+                            "in `{name}`: an `if` repeats a condition already known to be \
+                             `{pol}` on this path, so its {arm} arm is unreachable"
+                        ),
+                    );
+                    self.expr(t);
+                    self.expr(f);
+                } else {
+                    self.facts.push((c, true, true));
+                    self.expr(t);
+                    let at = self.facts.len() - 1;
+                    self.facts[at].1 = false;
+                    self.expr(f);
+                    self.facts.pop();
+                }
+            }
+            CoreExpr::Lam(p, body) => {
+                self.hiding(|v| v == p, |w| w.expr(body));
+            }
+            CoreExpr::LetRec(binds, body) => {
+                self.hiding(
+                    |v| binds.iter().any(|(n, _)| n == v),
+                    |w| {
+                        for (_, v) in binds {
+                            w.expr(v);
+                        }
+                        w.expr(body);
+                    },
                 );
-                walk(t, facts, name, span, em);
-                walk(f, facts, name, span, em);
-            } else if let Some(&(_, pol)) = facts.iter().find(|(fc, _)| *fc == &**c) {
-                let arm = if pol { "`else`" } else { "`then`" };
-                em.report(
-                    Rule::UnreachableArm,
-                    span,
-                    format!(
-                        "in `{name}`: an `if` repeats a condition already known to be \
-                         `{pol}` on this path, so its {arm} arm is unreachable"
-                    ),
-                );
-                walk(t, facts, name, span, em);
-                walk(f, facts, name, span, em);
-            } else {
-                let mut then_facts = facts.to_vec();
-                then_facts.push((c, true));
-                walk(t, &then_facts, name, span, em);
-                let mut else_facts = facts.to_vec();
-                else_facts.push((c, false));
-                walk(f, &else_facts, name, span, em);
+            }
+            _ => e.for_each_child(|child| self.expr(child)),
+        }
+    }
+
+    /// Run `walk` with every live fact whose condition mentions a
+    /// variable `rebound` accepts hidden, then restore them.
+    fn hiding(&mut self, rebound: impl Fn(&str) -> bool, walk: impl FnOnce(&mut Self)) {
+        let mark = self.hidden.len();
+        for (k, fact) in self.facts.iter_mut().enumerate() {
+            if fact.2 && mentions(fact.0, &rebound) {
+                fact.2 = false;
+                self.hidden.push(k);
             }
         }
-        CoreExpr::Lam(p, body) => {
-            let kept: Vec<Fact<'a>> = facts
-                .iter()
-                .filter(|(fc, _)| !mentions(fc, std::slice::from_ref(p)))
-                .copied()
-                .collect();
-            walk(body, &kept, name, span, em);
-        }
-        CoreExpr::LetRec(binds, body) => {
-            let bound: Vec<String> = binds.iter().map(|(n, _)| n.clone()).collect();
-            let kept: Vec<Fact<'a>> = facts
-                .iter()
-                .filter(|(fc, _)| !mentions(fc, &bound))
-                .copied()
-                .collect();
-            for (_, v) in binds {
-                walk(v, &kept, name, span, em);
-            }
-            walk(body, &kept, name, span, em);
-        }
-        _ => {
-            let mut children = Vec::new();
-            e.push_children(&mut children);
-            for child in children {
-                walk(child, facts, name, span, em);
-            }
+        walk(self);
+        for k in self.hidden.drain(mark..) {
+            self.facts[k].2 = true;
         }
     }
 }
 
-/// Does the expression mention any of `names` as a variable at all?
+/// Does the expression mention a variable `rebound` accepts at all?
 /// Deliberately over-approximate (inner re-bindings are not tracked):
 /// dropping a fact too eagerly only suppresses a report, never
 /// fabricates one.
-fn mentions(e: &CoreExpr, names: &[String]) -> bool {
-    let mut stack = vec![e];
-    while let Some(x) = stack.pop() {
-        if let CoreExpr::Var(n) = x {
-            if names.iter().any(|m| m == n) {
-                return true;
-            }
-        }
-        x.push_children(&mut stack);
+fn mentions(e: &CoreExpr, rebound: &impl Fn(&str) -> bool) -> bool {
+    if let CoreExpr::Var(n) = e {
+        return rebound(n);
     }
-    false
+    let mut found = false;
+    e.for_each_child(|x| found = found || mentions(x, rebound));
+    found
 }
 
 #[cfg(test)]

@@ -535,7 +535,9 @@ pub struct ServeSummary {
     /// Responses successfully written.
     pub responses: u64,
     /// Responses dropped because the client's sink failed (a broken
-    /// pipe, or a stalled socket); the server keeps draining.
+    /// pipe, or a stalled socket), including the answers of jobs not
+    /// run because their client was already gone; the server keeps
+    /// draining.
     pub write_errors: u64,
     /// Merged fleet metrics (admission + every worker).
     pub fleet: MetricsRegistry,
@@ -1036,7 +1038,8 @@ impl Core {
     }
 
     /// The worker thread body: pop, process, and write the response to
-    /// the admitting client's sink.
+    /// the admitting client's sink. A job whose client has already been
+    /// hung up (its sink is broken) is not processed.
     ///
     /// `workers_alive` starts at the configured pool size (so a
     /// health probe racing worker startup still reads full liveness)
@@ -1051,8 +1054,15 @@ impl Core {
         }
         let _alive = Alive(&self.workers_alive);
         while let Some((job, sink)) = self.queue.pop() {
-            let resp = self.process(job, idx);
-            self.reply(&sink, resp);
+            if sink.is_broken() {
+                // The client is gone, so the answer could only be
+                // dropped: skip the work too, and count the answer as
+                // the write error it would have been.
+                self.write_errors.fetch_add(1, Ordering::Relaxed);
+            } else {
+                let resp = self.process(job, idx);
+                self.reply(&sink, resp);
+            }
             self.gate.exit();
         }
     }

@@ -120,16 +120,16 @@ impl<'t> Parser<'t> {
             .unwrap_or(Span::DUMMY)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self
-            .toks
-            .get(self.pos)
-            .cloned()
-            .unwrap_or_else(|| Token::new(TokenKind::Eof, Span::DUMMY));
-        if !matches!(t.kind, TokenKind::Eof) {
-            self.pos += 1;
+    /// Consume the current token (never `Eof`) and return its span.
+    fn bump(&mut self) -> Span {
+        match self.toks.get(self.pos) {
+            Some(t) if t.kind != TokenKind::Eof => {
+                self.pos += 1;
+                t.span
+            }
+            Some(t) => t.span,
+            None => Span::DUMMY,
         }
-        t
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -151,7 +151,7 @@ impl<'t> Parser<'t> {
         Broken
     }
 
-    fn expect(&mut self, kind: TokenKind, ctx: &str) -> PResult<Token> {
+    fn expect(&mut self, kind: TokenKind, ctx: &str) -> PResult<Span> {
         if self.at(&kind) {
             Ok(self.bump())
         } else {
@@ -165,10 +165,7 @@ impl<'t> Parser<'t> {
 
     fn expect_ident(&mut self, ctx: &str) -> PResult<(String, Span)> {
         match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
-            }
+            TokenKind::Ident(name) => Ok((name, self.bump())),
             other => Err(self.err_here(
                 "E0202",
                 format!("expected identifier {ctx}, found {}", other.describe()),
@@ -178,10 +175,7 @@ impl<'t> Parser<'t> {
 
     fn expect_upper(&mut self, ctx: &str) -> PResult<(String, Span)> {
         match self.peek().clone() {
-            TokenKind::UpperIdent(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
-            }
+            TokenKind::UpperIdent(name) => Ok((name, self.bump())),
             other => Err(self.err_here(
                 "E0203",
                 format!(
@@ -506,8 +500,7 @@ impl<'t> Parser<'t> {
         let (name, nspan) = self.expect_ident("as a binding name")?;
         let mut params: Vec<(String, Span)> = Vec::new();
         while let TokenKind::Ident(p) = self.peek().clone() {
-            let t = self.bump();
-            params.push((p, t.span));
+            params.push((p, self.bump()));
         }
         self.expect(TokenKind::Equals, "after the binding head")?;
         let body = self.expr()?;
@@ -630,14 +623,8 @@ impl<'t> Parser<'t> {
 
     fn atype(&mut self) -> PResult<TypeExpr> {
         self.with_depth(|p| match p.peek().clone() {
-            TokenKind::Ident(n) => {
-                let t = p.bump();
-                Ok(TypeExpr::Var(n, t.span))
-            }
-            TokenKind::UpperIdent(n) => {
-                let t = p.bump();
-                Ok(TypeExpr::Con(n, t.span))
-            }
+            TokenKind::Ident(n) => Ok(TypeExpr::Var(n, p.bump())),
+            TokenKind::UpperIdent(n) => Ok(TypeExpr::Con(n, p.bump())),
             TokenKind::LParen => {
                 p.bump();
                 let inner = p.type_expr()?;
@@ -662,8 +649,7 @@ impl<'t> Parser<'t> {
                 p.bump();
                 let mut params = Vec::new();
                 while let TokenKind::Ident(n) = p.peek().clone() {
-                    let t = p.bump();
-                    params.push((n, t.span));
+                    params.push((n, p.bump()));
                 }
                 if params.is_empty() {
                     return Err(
@@ -776,13 +762,12 @@ impl<'t> Parser<'t> {
     fn pattern(&mut self) -> PResult<Pattern> {
         match self.peek().clone() {
             TokenKind::UpperIdent(name) => {
-                let t = self.bump();
-                let mut span = t.span;
+                let mut span = self.bump();
                 let mut binders = Vec::new();
                 while let TokenKind::Ident(b) = self.peek().clone() {
-                    let bt = self.bump();
-                    span = span.merge(bt.span);
-                    binders.push((b, bt.span));
+                    let bspan = self.bump();
+                    span = span.merge(bspan);
+                    binders.push((b, bspan));
                 }
                 Ok(Pattern::Con {
                     name,
@@ -790,10 +775,7 @@ impl<'t> Parser<'t> {
                     span,
                 })
             }
-            TokenKind::Ident(n) => {
-                let t = self.bump();
-                Ok(Pattern::Var(n, t.span))
-            }
+            TokenKind::Ident(n) => Ok(Pattern::Var(n, self.bump())),
             other => Err(self.err_here(
                 "E0211",
                 format!(
@@ -823,18 +805,9 @@ impl<'t> Parser<'t> {
 
     fn atom(&mut self) -> PResult<Expr> {
         self.with_depth(|p| match p.peek().clone() {
-            TokenKind::Ident(n) => {
-                let t = p.bump();
-                Ok(Expr::Var(n, t.span))
-            }
-            TokenKind::UpperIdent(n) => {
-                let t = p.bump();
-                Ok(Expr::Con(n, t.span))
-            }
-            TokenKind::Int(v) => {
-                let t = p.bump();
-                Ok(Expr::IntLit(v, t.span))
-            }
+            TokenKind::Ident(n) => Ok(Expr::Var(n, p.bump())),
+            TokenKind::UpperIdent(n) => Ok(Expr::Con(n, p.bump())),
+            TokenKind::Int(v) => Ok(Expr::IntLit(v, p.bump())),
             TokenKind::LParen => {
                 p.bump();
                 let inner = p.expr()?;

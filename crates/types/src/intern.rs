@@ -5,9 +5,10 @@
 //! these ids: copying a type is copying a [`TypeId`], two types are
 //! equal iff their ids are, and the substitution and unifier
 //! ([`crate::Subst`], [`crate::unify`]) rebuild only the parts of a
-//! type that actually change. The resolver keeps an interner of its
-//! own, whose ids key its memo table: a `(class, type)` goal is two
-//! machine words, and key comparison is two integer compares.
+//! type that actually change. Instance resolution runs on the same ids:
+//! its memo table is keyed by `(class, type)` id pairs of the
+//! elaborator's store, so a goal is two machine words and key
+//! comparison is two integer compares.
 //!
 //! Interning is structural and append-only: ids are stable for the
 //! lifetime of the interner, and interning the same type twice returns
@@ -27,8 +28,9 @@
 //! No traversal recurses natively in proportion to type depth: each
 //! works on an explicit stack, reused across calls.
 
+use crate::pred::{IdPred, Pred};
 use crate::ty::{TyVar, Type};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Id of an interned name (type-constructor or class name).
@@ -106,6 +108,9 @@ impl Hasher for FastHasher {
 
 /// A `HashMap` keyed through [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` keyed through [`FastHasher`].
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// What the store caches per node.
 #[derive(Debug, Clone, Copy)]
@@ -320,6 +325,15 @@ impl Interner {
         out.clear();
         self.ids = out;
         id.unwrap_or_else(|| self.var(TyVar(u32::MAX)))
+    }
+
+    /// Intern a predicate's class name and type.
+    pub fn intern_pred(&mut self, p: &Pred) -> IdPred {
+        IdPred {
+            class: self.intern_name(&p.class),
+            ty: self.intern(&p.ty),
+            span: p.span,
+        }
     }
 
     /// The structural type behind an id. Iterative, like [`Interner::intern`].

@@ -4,11 +4,11 @@
 //! This crate is deliberately free of AST knowledge: it defines
 //! [`Type`] trees, the hash-consed type store ([`Interner`]) whose
 //! [`TypeId`]s inference runs on, [`Subst`] and unification over those
-//! ids, one-way matching on trees, predicates ([`Pred`], and
+//! ids, one-way matching on ids, predicates ([`Pred`], and
 //! [`IdPred`] over ids), qualified types ([`Qual`]), and type schemes
 //! ([`Scheme`]). The elaborator in `tc-core` drives these; the class
-//! machinery in `tc-classes` reuses [`Pred`] for entailment and
-//! context reduction.
+//! machinery in `tc-classes` resolves and reduces [`IdPred`] goals in
+//! the elaborator's store.
 //!
 //! Robustness notes:
 //! * Unification and matching return typed errors ([`TypeError`])
@@ -34,4 +34,4 @@ pub use scheme::Scheme;
 pub use subst::Subst;
 pub use subst::SubstOverflow;
 pub use ty::{TyVar, Type, VarGen};
-pub use unify::{match_types, unify, TypeError, TypeErrorKind};
+pub use unify::{match_ids, unify, TypeError, TypeErrorKind};

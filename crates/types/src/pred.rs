@@ -1,6 +1,6 @@
 //! Class predicates and qualified types.
 
-use crate::intern::{NameId, TypeId};
+use crate::intern::{Interner, NameId, Node, TypeId};
 use crate::ty::{TyVar, Type};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -47,26 +47,6 @@ impl Pred {
     pub fn same_constraint(&self, other: &Pred) -> bool {
         self.class == other.class && self.ty == other.ty
     }
-
-    /// A stable key for hash sets/maps keyed by constraint identity.
-    pub fn key(&self) -> (String, Type) {
-        (self.class.clone(), self.ty.clone())
-    }
-
-    /// Is the constrained type in head-normal form (headed by a type
-    /// variable)? HNF predicates can be generalized; others must be
-    /// discharged by instances.
-    pub fn in_hnf(&self) -> bool {
-        fn hnf(t: &Type) -> bool {
-            match t {
-                Type::Var(_) => true,
-                Type::Con(_) => false,
-                Type::App(f, _) => hnf(f),
-                Type::Fun(_, _) => false,
-            }
-        }
-        hnf(&self.ty)
-    }
 }
 
 impl PartialEq for Pred {
@@ -94,6 +74,32 @@ pub struct IdPred {
     pub class: NameId,
     pub ty: TypeId,
     pub span: Span,
+}
+
+impl IdPred {
+    /// Is the constrained type in head-normal form (headed by a type
+    /// variable)? HNF predicates can be generalized; others must be
+    /// discharged by instances.
+    pub fn in_hnf(&self, types: &Interner) -> bool {
+        let mut t = self.ty;
+        loop {
+            match types.node(t) {
+                Node::Var(_) => return true,
+                Node::App(f, _) => t = f,
+                Node::Con(_) | Node::Fun(..) => return false,
+            }
+        }
+    }
+
+    /// The predicate as a tree: how it leaves the store, in diagnostics
+    /// and explain traces.
+    pub fn tree(&self, types: &Interner) -> Pred {
+        Pred::new(
+            types.name(self.class).unwrap_or("?"),
+            types.tree(self.ty),
+            self.span,
+        )
+    }
 }
 
 /// A qualified thing: `preds => t`. Used for both qualified types
@@ -168,15 +174,30 @@ mod tests {
 
     #[test]
     fn hnf() {
-        assert!(Pred::new("Eq", Type::Var(TyVar(0)), Span::DUMMY).in_hnf());
-        assert!(Pred::new(
-            "Eq",
-            Type::App(Box::new(Type::Var(TyVar(0))), Box::new(Type::int())),
-            Span::DUMMY
-        )
-        .in_hnf());
-        assert!(!Pred::new("Eq", Type::int(), Span::DUMMY).in_hnf());
-        assert!(!Pred::new("Eq", Type::list(Type::Var(TyVar(0))), Span::DUMMY).in_hnf());
+        let mut types = Interner::new();
+        let mut hnf = |t: Type| {
+            let p = types.intern_pred(&Pred::new("Eq", t, Span::DUMMY));
+            p.in_hnf(&types)
+        };
+        assert!(hnf(Type::Var(TyVar(0))));
+        assert!(hnf(Type::App(
+            Box::new(Type::Var(TyVar(0))),
+            Box::new(Type::int())
+        )));
+        assert!(!hnf(Type::int()));
+        assert!(!hnf(Type::list(Type::Var(TyVar(0)))));
+        assert!(!hnf(Type::fun(Type::Var(TyVar(0)), Type::int())));
+    }
+
+    #[test]
+    fn id_preds_round_trip() {
+        let mut types = Interner::new();
+        let p = Pred::new("Ord", Type::list(Type::Var(TyVar(2))), Span::new(3, 9));
+        let id = types.intern_pred(&p);
+        let back = id.tree(&types);
+        assert_eq!(back, p);
+        assert_eq!(back.span, p.span);
+        assert_eq!(back.to_string(), "Ord (List t2)");
     }
 
     #[test]

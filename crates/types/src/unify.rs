@@ -1,10 +1,9 @@
-//! Unification on interned types, and one-way matching on trees, with
-//! typed errors and an explicit work budget.
+//! Unification and one-way matching on interned types, with typed
+//! errors and an explicit work budget.
 
 use crate::intern::{Interner, Node, TypeId};
 use crate::subst::Subst;
 use crate::ty::{TyVar, Type};
-use std::collections::HashMap;
 use std::fmt;
 use tc_syntax::Span;
 
@@ -152,63 +151,63 @@ fn bind_var(types: &mut Interner, subst: &mut Subst, v: TyVar, t: TypeId) -> Res
         .map_err(|_| TypeError::new(TypeErrorKind::BudgetExhausted))
 }
 
-/// One-way matching: find `s` such that `s(pattern) == target`,
-/// binding only variables of `pattern`. Used for instance lookup
-/// (`Eq (List a)` against `Eq (List Int)`); the target's variables are
-/// treated as rigid. Every variable is bound to a subtree of the
-/// target, and the bound trees together may hold at most
-/// [`Subst::MAX_NODES`] nodes.
-pub fn match_types(pattern: &Type, target: &Type) -> Result<HashMap<TyVar, Type>, TypeError> {
-    let mut out: HashMap<TyVar, Type> = HashMap::new();
+/// One-way matching: bind variables of `pattern` so that it equals
+/// `target`, treating the target's variables as rigid. Used for
+/// instance lookup (`Eq (List a)` against `Eq (List Int)`). On success
+/// `out` holds one binding per variable of `pattern`, each to a subterm
+/// of `target`, in the order the variables are first met. Matching is
+/// charged one unit of [`UNIFY_BUDGET`] per pair of nodes compared, and
+/// the bound subterms together may hold at most [`Subst::MAX_NODES`]
+/// nodes as trees; past either limit it fails. A failure (`false`)
+/// builds no error: instance lookup tries heads until one matches, and
+/// a failed try is not a diagnostic. `work` is scratch.
+pub fn match_ids(
+    types: &Interner,
+    pattern: TypeId,
+    target: TypeId,
+    out: &mut Vec<(TyVar, TypeId)>,
+    work: &mut Vec<(TypeId, TypeId)>,
+) -> bool {
+    out.clear();
+    work.clear();
+    work.push((pattern, target));
     let mut nodes = 0usize;
-    let mut work: Vec<(&Type, &Type)> = vec![(pattern, target)];
     let mut budget = UNIFY_BUDGET;
     while let Some((p, t)) = work.pop() {
         if budget == 0 {
-            return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
+            return false;
         }
         budget -= 1;
-        match (p, t) {
-            (Type::Var(v), t) => match out.get(v) {
-                Some(bound) => {
+        match (types.node(p), types.node(t)) {
+            (Node::Var(v), _) => match out.iter().find(|(w, _)| *w == v) {
+                Some(&(_, bound)) => {
                     if bound != t {
-                        return Err(TypeError::new(TypeErrorKind::Mismatch {
-                            expected: bound.clone(),
-                            found: t.clone(),
-                        }));
+                        return false;
                     }
                 }
                 None => {
-                    nodes = nodes.saturating_add(t.size());
+                    nodes = nodes.saturating_add(types.size(t));
                     if nodes > Subst::MAX_NODES {
-                        return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
+                        return false;
                     }
-                    out.insert(*v, t.clone());
+                    out.push((v, t));
                 }
             },
-            (Type::Con(n), Type::Con(m)) if n == m => {}
-            (Type::App(f1, a1), Type::App(f2, a2)) => {
+            (Node::Con(n), Node::Con(m)) if n == m => {}
+            (Node::App(f1, a1), Node::App(f2, a2)) | (Node::Fun(f1, a1), Node::Fun(f2, a2)) => {
                 work.push((a1, a2));
                 work.push((f1, f2));
             }
-            (Type::Fun(p1, r1), Type::Fun(p2, r2)) => {
-                work.push((r1, r2));
-                work.push((p1, p2));
-            }
-            (p, t) => {
-                return Err(TypeError::new(TypeErrorKind::Mismatch {
-                    expected: p.clone(),
-                    found: t.clone(),
-                }));
-            }
+            _ => return false,
         }
     }
-    Ok(out)
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// Unify two trees in a fresh store and substitution.
     fn unify_trees(a: &Type, b: &Type) -> (Result<(), TypeError>, Interner, Subst) {
@@ -276,23 +275,40 @@ mod tests {
         std::mem::forget(big);
     }
 
+    /// Match two trees in a fresh store: the bindings as trees, or
+    /// `None` on failure.
+    fn match_trees(p: &Type, t: &Type) -> Option<HashMap<TyVar, Type>> {
+        let mut types = Interner::new();
+        let (p, t) = (types.intern(p), types.intern(t));
+        let (mut out, mut work) = (Vec::new(), Vec::new());
+        match_ids(&types, p, t, &mut out, &mut work)
+            .then(|| out.iter().map(|&(v, t)| (v, types.tree(t))).collect())
+    }
+
     #[test]
     fn match_is_one_way() {
         // Pattern `List a` matches target `List Int` ...
         let p = Type::list(Type::Var(TyVar(0)));
         let t = Type::list(Type::int());
-        let s = match_types(&p, &t).unwrap();
+        let s = match_trees(&p, &t).unwrap();
         assert_eq!(s[&TyVar(0)], Type::int());
         // ... but target variables are rigid: `List Int` vs `List a` fails.
-        assert!(match_types(&t, &p).is_err());
+        assert!(match_trees(&t, &p).is_none());
+        // A variable-headed pattern binds the head.
+        let f = Type::App(Box::new(Type::Var(TyVar(1))), Box::new(Type::int()));
+        let s = match_trees(&f, &t).unwrap();
+        assert_eq!(s[&TyVar(1)], Type::Con("List".into()));
+        // Shapes must agree.
+        assert!(match_trees(&p, &Type::fun(Type::int(), Type::int())).is_none());
     }
 
     #[test]
     fn match_conflicting_binding_fails() {
         // a -> a vs Int -> Bool
         let p = Type::fun(Type::Var(TyVar(0)), Type::Var(TyVar(0)));
-        let t = Type::fun(Type::int(), Type::bool());
-        assert!(match_types(&p, &t).is_err());
+        assert!(match_trees(&p, &Type::fun(Type::int(), Type::bool())).is_none());
+        let s = match_trees(&p, &Type::fun(Type::bool(), Type::bool())).unwrap();
+        assert_eq!(s[&TyVar(0)], Type::bool());
     }
 
     #[test]

@@ -240,11 +240,11 @@ fn cached_resolution_agrees_with_fresh() {
     let budget = ReduceBudget::default();
     for _ in 0..30 {
         let cenv = arbitrary_env(&mut rng);
-        let mut cache = ResolveCache::new();
+        let (mut cache, mut types) = (ResolveCache::new(), Interner::new());
         for _ in 0..40 {
             let pred = arbitrary_goal(&mut rng, &cenv);
-            let cached = cenv.resolve_with(&pred, &[], budget, &mut cache);
-            let fresh = cenv.resolve_with(&pred, &[], budget, &mut ResolveCache::disabled());
+            let cached = cenv.resolve_tree(&pred, &[], budget, &mut cache, &mut types);
+            let fresh = cenv.resolve(&pred, &[], budget);
             assert_eq!(
                 format!("{cached:?}"),
                 format!("{fresh:?}"),
@@ -260,15 +260,19 @@ fn table_hit_never_costs_more_than_original_derivation() {
     let budget = ReduceBudget::default();
     for _ in 0..30 {
         let cenv = arbitrary_env(&mut rng);
-        let mut cache = ResolveCache::new();
+        let (mut cache, mut types) = (ResolveCache::new(), Interner::new());
         for _ in 0..40 {
             let pred = arbitrary_goal(&mut rng, &cenv);
-            if cenv.resolve_with(&pred, &[], budget, &mut cache).is_err() {
-                assert_eq!(cache.cost_of(&pred), None, "failure was cached: `{pred}`");
+            let goal = types.intern_pred(&pred);
+            if cenv
+                .resolve_tree(&pred, &[], budget, &mut cache, &mut types)
+                .is_err()
+            {
+                assert_eq!(cache.cost_of(&goal), None, "failure was cached: `{pred}`");
                 continue;
             }
             let cost = cache
-                .cost_of(&pred)
+                .cost_of(&goal)
                 .unwrap_or_else(|| panic!("success not cached: `{pred}`"));
             assert!(cost >= 1, "recorded cost must cover the goal itself");
             // A hit is answered within a single step of budget — i.e.
@@ -278,7 +282,7 @@ fn table_hit_never_costs_more_than_original_derivation() {
                 max_depth: budget.max_depth,
                 max_steps: 1,
             };
-            cenv.resolve_with(&pred, &[], tight, &mut cache)
+            cenv.resolve_tree(&pred, &[], tight, &mut cache, &mut types)
                 .unwrap_or_else(|e| panic!("table hit exceeded one step on `{pred}`: {e}"));
             let hit_steps = cache.stats.steps - steps_before;
             assert!(

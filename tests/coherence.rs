@@ -12,11 +12,13 @@
 //! 3. **Acceptance.** The overlap diagnostic names both spans and a
 //!    rendered counterexample type; a law-violating `Eq` instance is
 //!    reported with its failing sample; both rules respect allow/deny.
+//! 4. **Linear overlap checking.** Instances of one class over distinct
+//!    data types are never unified pairwise.
 
 use std::collections::HashMap;
 
 use typeclasses::coherence::Rule;
-use typeclasses::{check_source, run_source, LintLevel, Options, Outcome};
+use typeclasses::{check_source, run_source, CounterId, LintLevel, Options, Outcome};
 
 /// Deterministic xorshift64* PRNG (offline build: no proptest/rand).
 struct Rng(u64);
@@ -347,4 +349,30 @@ fn law_violation_cites_the_failing_sample_and_is_deniable() {
     let denied = run_source(src, &strict);
     assert!(matches!(denied.outcome, Outcome::CompileErrors));
     assert!(!denied.check.ok());
+}
+
+/// Overlap checking unifies only heads with the same outermost type
+/// constructor, so `n` instances of one class over `n` distinct data
+/// types unify at most `n` pairs — not every pair, `n(n-1)/2`.
+#[test]
+fn instances_over_distinct_types_are_not_unified_pairwise() {
+    for n in [100u64, 400] {
+        let mut src = String::from("class Sz a where { sz :: a -> Int; };\n");
+        for i in 0..n {
+            src.push_str(&format!(
+                "data T{i} = C{i};\ninstance Sz T{i} where {{ sz = \\x -> {i}; }};\n"
+            ));
+        }
+        src.push_str("main = sz C0;\n");
+        let opts = Options {
+            collect_metrics: true,
+            ..Options::default()
+        };
+        let c = check_source(&src, &opts);
+        assert!(c.ok(), "{}", c.render_diagnostics());
+        let m = &c.stats.metrics;
+        assert_eq!(m.counter(CounterId::CoherenceInstancesChecked), n);
+        let pairs = m.counter(CounterId::CoherencePairsUnified);
+        assert!(pairs <= n, "{n} instances: {pairs} pairs unified");
+    }
 }

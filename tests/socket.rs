@@ -623,6 +623,19 @@ fn a_client_that_never_reads_is_hung_up_without_wedging_the_workers() {
     drop(stalled);
     let summary = handle.shutdown();
     assert!(summary.write_errors > 0, "{summary:?}");
+    // Jobs still queued when their client was hung up were skipped,
+    // not compiled and run for an answer nobody reads.
+    let processed = summary.fleet.counter(CounterId::ServeProcessed);
+    assert!(
+        processed < summary.admitted,
+        "{processed} of {} admitted jobs processed",
+        summary.admitted
+    );
+    assert_eq!(
+        summary.lines,
+        summary.responses + summary.write_errors,
+        "{summary:?}"
+    );
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! The type store's fast paths allocate nothing: applying a
-//! substitution to a ground id, unifying two equal ids, and asking a
-//! type's size are O(1) id operations, with no tree rebuilt and no
-//! table grown. A counting global allocator pins that; it counts only
-//! this thread's allocations, so the harness's own threads cannot
-//! disturb the count.
+//! Allocation counts on the check path. The type store's fast paths
+//! allocate nothing: applying a substitution to a ground id, unifying
+//! two equal ids, and asking a type's size are O(1) id operations, with
+//! no tree rebuilt and no table grown. And compiling a request of each
+//! perfbench workload stays within a fixed number of allocations, so a
+//! stage that starts copying trees again shows. A counting global
+//! allocator pins both; it counts only this thread's allocations, so
+//! the harness's own threads cannot disturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,4 +73,48 @@ fn ground_apply_equal_unify_and_size_allocate_nothing() {
         }
     });
     assert_eq!(n, 0, "{n} allocations");
+}
+
+#[allow(dead_code)]
+#[path = "../perfbench/src/gen.rs"]
+mod gen;
+
+/// Mean allocations to compile one of 20 requests of `workload` at
+/// seed 1, as the server compiles them: `check` requests with lints,
+/// `run` requests without (evaluation is not counted).
+fn allocations_per_request(workload: gen::Workload) -> u64 {
+    let requests = gen::requests(workload, 1, "main", 20);
+    let opts = typeclasses::Options::default();
+    let compile = |r: &gen::Request| {
+        let check = if r.is_check() {
+            typeclasses::lint_source(&r.program, &opts)
+        } else {
+            typeclasses::check_source(&r.program, &opts)
+        };
+        std::hint::black_box(check);
+    };
+    // The first compile builds the process-wide prelude snapshot.
+    compile(&requests[0]);
+    allocations(|| requests.iter().for_each(compile)) / requests.len() as u64
+}
+
+/// Allocations per request stay within this tree's measured counts plus
+/// 5%: small_run 204, module_check 15,751, eval_run 459. Before the
+/// resolver and context reduction ran on type ids, conversion rewrote
+/// core in place, and sharing and lint walked core without a list per
+/// node, the same requests made 318, 33,414 and 811.
+#[test]
+fn compiling_a_request_stays_within_its_allocation_bound() {
+    for (workload, bound) in [
+        (gen::Workload::SmallRun, 214),
+        (gen::Workload::ModuleCheck, 16_538),
+        (gen::Workload::EvalRun, 481),
+    ] {
+        let n = allocations_per_request(workload);
+        assert!(
+            n <= bound,
+            "{}: {n} allocations per request, bound {bound}",
+            workload.name()
+        );
+    }
 }
