@@ -624,24 +624,13 @@ impl ResolveCache {
 
 /// The derivation of superclass-search entry `at`: its assumption,
 /// projected through each superclass slot on the way down to it.
-fn projection(queue: &[(NameId, TypeId, Via)], mut at: usize) -> DictDeriv {
-    let mut slots = Vec::new();
-    loop {
-        match queue[at].2 {
-            Via::Param(index) => {
-                return slots.into_iter().rev().fold(
-                    DictDeriv::FromParam { index },
-                    |base, slot| DictDeriv::FromSuper {
-                        base: Box::new(base),
-                        slot,
-                    },
-                );
-            }
-            Via::Super { parent, slot } => {
-                slots.push(slot);
-                at = parent;
-            }
-        }
+fn projection(queue: &[(NameId, TypeId, Via)], at: usize) -> DictDeriv {
+    match queue[at].2 {
+        Via::Param(index) => DictDeriv::FromParam { index },
+        Via::Super { parent, slot } => DictDeriv::FromSuper {
+            base: Box::new(projection(queue, parent)),
+            slot,
+        },
     }
 }
 

@@ -236,24 +236,17 @@ impl CoreExpr {
         n
     }
 
-    /// The head of the expression's application spine (the innermost
-    /// function) and the number of arguments applied to it. A
-    /// non-application is its own head, with none.
-    pub fn spine_head(&self) -> (&CoreExpr, usize) {
+    /// If the expression applies an instance dictionary constructor (a
+    /// `$dict…` binding) to at least one argument — a compound
+    /// dictionary construction — the constructor's name.
+    pub fn dict_construction(&self) -> Option<&str> {
         let (mut head, mut args) = (self, 0);
         while let CoreExpr::App(f, _) = head {
             head = f;
             args += 1;
         }
-        (head, args)
-    }
-
-    /// If the expression applies an instance dictionary constructor (a
-    /// `$dict…` binding) to at least one argument — a compound
-    /// dictionary construction — the constructor's name.
-    pub fn dict_construction(&self) -> Option<&str> {
-        match self.spine_head() {
-            (CoreExpr::Var(n), args) if args > 0 && n.starts_with("$dict") => Some(n),
+        match head {
+            CoreExpr::Var(n) if args > 0 && n.starts_with("$dict") => Some(n),
             _ => None,
         }
     }
@@ -507,15 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn spine_unwinds_applications() {
+    fn dict_construction_needs_an_applied_dict_head() {
         let e = CoreExpr::apps(
             CoreExpr::Var("f".into()),
             vec![CoreExpr::Var("x".into()), CoreExpr::Var("y".into())],
         );
-        assert_eq!(e.spine_head(), (&CoreExpr::Var("f".into()), 2));
-        let atom = CoreExpr::Lit(Literal::Int(1));
-        assert_eq!(atom.spine_head(), (&atom, 0));
         assert_eq!(e.dict_construction(), None);
+        let atom = CoreExpr::Lit(Literal::Int(1));
         let dict = CoreExpr::app(CoreExpr::Var("$dict1$Eq$List".into()), atom.clone());
         assert_eq!(dict.dict_construction(), Some("$dict1$Eq$List"));
         assert_eq!(

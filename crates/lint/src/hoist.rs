@@ -49,7 +49,6 @@ pub(crate) fn check(input: &LintInput<'_>, spans: &BindingSpans<'_>, em: &mut Em
                 // converter's output, not something a user can hoist,
                 // so self-references inside the constructor are exempt.
                 if head != name {
-                    // Keyed by the printed expression.
                     *counts.entry(tc_coreir::pretty(e)).or_insert(0) += 1;
                     continue;
                 }
