@@ -1005,8 +1005,8 @@ impl ClassEnv {
                 }
                 continue;
             }
-            let (mut hnf, e) = (Vec::new(), errors.len());
-            let done = self.to_hnf(*p, budget, types, cache, &mut steps, &mut hnf, &mut errors);
+            let e = errors.len();
+            let (hnf, done) = self.to_hnf(*p, budget, types, cache, &mut steps, &mut errors);
             reduced.insert(
                 key,
                 Reduced {
@@ -1063,9 +1063,8 @@ impl ClassEnv {
     }
 
     /// Reduce one input predicate to HNF through instances, charging
-    /// `steps`. `false` means the step budget ran out, which ends the
-    /// whole reduction.
-    #[allow(clippy::too_many_arguments)]
+    /// `steps`: the HNF predicates reached, and `false` if the step
+    /// budget ran out, which ends the whole reduction.
     fn to_hnf(
         &self,
         pred: IdPred,
@@ -1073,9 +1072,9 @@ impl ClassEnv {
         types: &mut Interner,
         cache: &mut ResolveCache,
         steps: &mut usize,
-        hnf: &mut Vec<IdPred>,
         errors: &mut Vec<ResolveError>,
-    ) -> bool {
+    ) -> (Vec<IdPred>, bool) {
+        let mut hnf = Vec::new();
         let mut work: Vec<(IdPred, usize)> = vec![(pred, 0)];
         while let Some((p, depth)) = work.pop() {
             *steps += 1;
@@ -1084,7 +1083,7 @@ impl ClassEnv {
                     pred: p.tree(types),
                     depth: false,
                 });
-                return false;
+                return (hnf, false);
             }
             if p.in_hnf(types) {
                 hnf.push(p);
@@ -1115,7 +1114,7 @@ impl ClassEnv {
                 }),
             }
         }
-        true
+        (hnf, true)
     }
 }
 
