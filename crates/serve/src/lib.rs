@@ -134,6 +134,16 @@
 //!   leaves a greppable trail even when its flight-recorder trace is
 //!   not retained. Shed and bad-request lines are logged too (with a
 //!   null worker).
+//!
+//! # Allocation
+//!
+//! Compiling a request allocates and frees many small blocks: about
+//! 15,600 per module_check request and 250 per small_run request, over
+//! 97% of them at most 1,032 bytes. [`alloc::ThreadCache`] serves those
+//! from per-thread free lists in front of [`std::alloc::System`], so
+//! that churn stays off the C allocator; every other request goes
+//! straight to `System`. The library never installs it: a server binary
+//! names it as its `#[global_allocator]`, as the `run` example does.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic))]
@@ -161,6 +171,7 @@ use tc_trace::{
     MetricsRegistry, MetricsSnapshot,
 };
 
+pub mod alloc;
 pub mod socket;
 
 pub use socket::{serve_socket, SocketHandle, WRITE_TIMEOUT};

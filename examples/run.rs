@@ -26,11 +26,17 @@
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
+use typeclasses::serve::alloc::ThreadCache;
 use typeclasses::serve::ServeConfig;
 use typeclasses::trace::events::{chrome_spans, stage_spans, timing_table, traces_chrome_json};
 use typeclasses::{
     run_checked, Budget, EventLog, FaultPlan, LintConfig, LintLevel, Options, Outcome,
 };
+
+/// Small allocations come from a per-thread free-list cache: compiling
+/// a request allocates and frees thousands of small blocks.
+#[global_allocator]
+static GLOBAL: ThreadCache = ThreadCache;
 
 /// Ring size of the recorder behind `--time`/`--trace`, `--trace-json`
 /// and `--chrome-trace` (2.5 MiB, allocated only when one of them is

@@ -20,9 +20,14 @@
 
 use std::collections::BTreeSet;
 
-use typeclasses::serve::{serve_lines, ServeConfig};
+use typeclasses::serve::{alloc::ThreadCache, serve_lines, ServeConfig};
 use typeclasses::trace::json;
 use typeclasses::{run_source, CounterId, FaultPlan, JsonWriter, Options, Outcome};
+
+/// The suite runs on the allocator the `run` binary ships with: it starts
+/// and ends worker, reader and ticker threads and catches panics.
+#[global_allocator]
+static GLOBAL: ThreadCache = ThreadCache;
 
 fn req(id: u64, program: &str) -> String {
     let mut w = JsonWriter::new();

@@ -14,9 +14,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use typeclasses::serve::{serve_lines, serve_socket, ServeConfig, SocketHandle, WRITE_TIMEOUT};
+use typeclasses::serve::{
+    alloc::ThreadCache, serve_lines, serve_socket, ServeConfig, SocketHandle, WRITE_TIMEOUT,
+};
 use typeclasses::trace::json::{self, Value};
 use typeclasses::{CounterId, FaultPlan, HistogramId, JsonWriter, MetricsSnapshot};
+
+/// The suite runs on the allocator the `run` binary ships with: it starts
+/// and ends worker, reader and ticker threads and catches panics.
+#[global_allocator]
+static GLOBAL: ThreadCache = ThreadCache;
 
 fn start(cfg: &ServeConfig) -> SocketHandle {
     let listener =
