@@ -529,6 +529,8 @@ impl ResolveCache {
         self.metrics.add(CounterId::InternHits, intern.hits);
         self.metrics.add(CounterId::InternFresh, intern.fresh);
         self.metrics
+            .add(CounterId::InternMapVisits, intern.map_visits);
+        self.metrics
             .set_gauge(GaugeId::InternTableSize, types.len() as u64);
         self.metrics
             .set_gauge(GaugeId::ResolveCacheEntries, self.table.len() as u64);

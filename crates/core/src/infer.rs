@@ -40,7 +40,7 @@ use tc_classes::{
 };
 use tc_coreir::{CoreExpr, CoreProgram, LinkedBase, Literal, PlaceholderKind, PlaceholderTable};
 use tc_syntax::{Diagnostics, Expr, Program, Scope, Span, Stage};
-use tc_trace::MetricsRegistry;
+use tc_trace::{CounterId, MetricsRegistry};
 use tc_types::{
     IdPred, Interner, Node, Pred, Qual, Scheme, Subst, TyVar, Type, TypeErrorKind, TypeId, VarGen,
 };
@@ -1128,6 +1128,9 @@ pub fn elaborate_over(
 
     let mut cache = inf.cache;
     cache.flush_metrics(&inf.types);
+    cache
+        .metrics
+        .add(CounterId::SubstBindWork, inf.subst.bind_work());
     (
         Elaboration {
             core: CoreProgram {

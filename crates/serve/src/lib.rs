@@ -1518,14 +1518,14 @@ impl Core {
 
         // A deadline that expired while the job sat in the queue:
         // answer without burning any pipeline work.
-        let (code, resp, injected) = if job.token.as_ref().is_some_and(|t| t.is_cancelled()) {
+        let (code, resp, injected, memo) = if job.token.as_ref().is_some_and(|t| t.is_cancelled()) {
             let resp = error_response(
                 &job.id,
                 "deadline",
                 "deadline expired before compilation started",
                 None,
             );
-            (OUTCOME_DEADLINE, resp, 0)
+            (OUTCOME_DEADLINE, resp, 0, Default::default())
         } else {
             let outcome = resilience::isolated(|| {
                 let check = if job.lint {
@@ -1542,8 +1542,14 @@ impl Core {
                 }
             });
             let latency_us = job.admitted_at.elapsed().as_micros() as u64;
+            // The fleet's `resolve.cache.*` counters sum every request's.
+            let memo = match &outcome {
+                Ok(Done::Run(r)) => r.check.stats.resolve,
+                Ok(Done::Check(c)) => c.stats.resolve,
+                Err(_) => Default::default(),
+            };
             let (code, resp) = classify(&job, outcome, latency_us);
-            (code, resp, faults.injected())
+            (code, resp, faults.injected(), memo)
         };
 
         let latency_us = job.admitted_at.elapsed().as_micros() as u64;
@@ -1577,6 +1583,8 @@ impl Core {
 
         let mut m = lock_unpoisoned(reg);
         m.add(CounterId::ServeFaultsInjected, injected);
+        m.add(CounterId::ResolveCacheHits, memo.table_hits);
+        m.add(CounterId::ResolveCacheMisses, memo.table_misses);
         m.observe(HistogramId::ServeLatencyUs, latency_us);
         if let Some(h) = latency_class(code) {
             m.observe(h, latency_us);
@@ -1884,9 +1892,22 @@ mod tests {
 
     #[test]
     fn stats_command_reports_fleet_counters() {
+        // `Eq (List Int)` twice: the second use is a memo hit.
+        let twice = "main = and (eq (cons 1 nil) nil) (eq (cons 2 nil) nil);";
+        let with_stats = |id: u64, program: &str| {
+            let mut w = JsonWriter::new();
+            w.begin_object();
+            w.field_u64("id", id);
+            w.field_str("program", program);
+            w.field_bool("stats", true);
+            w.end_object();
+            w.finish()
+        };
         let lines = vec![
-            req(1, "main = add 1 2;"),
+            with_stats(1, "main = add 1 2;"),
             "{\"id\": 2, \"cmd\": \"stats\"}".to_string(),
+            with_stats(3, twice),
+            with_stats(4, twice),
         ];
         // One worker makes the request complete before EOF handling,
         // but stats may still race the in-flight request — so drive
@@ -1894,14 +1915,34 @@ mod tests {
         // would be empty. Instead assert on the summary fleet, which
         // is always post-drain.
         let (out, summary) = serve_lines(&lines, &ServeConfig::default());
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.len(), 4);
         assert_eq!(summary.stats_requests, 1);
-        assert_eq!(summary.fleet.counter(CounterId::ServeRequests), 2);
-        assert_eq!(summary.fleet.counter(CounterId::ServeOk), 1);
+        assert_eq!(summary.fleet.counter(CounterId::ServeRequests), 4);
+        assert_eq!(summary.fleet.counter(CounterId::ServeOk), 3);
         let vals = parse_all(&out);
         let stats = by_id(&vals, 2);
         assert_eq!(stats.get("cmd").and_then(|s| s.as_str()), Some("stats"));
         assert!(stats.get("fleet").is_some());
+        // Every finished request's memo-table counters reach the fleet.
+        let sum = |key: &str| -> u64 {
+            [1, 3, 4]
+                .iter()
+                .map(|&id| {
+                    by_id(&vals, id)
+                        .get("stats")
+                        .and_then(|s| s.get(key))
+                        .and_then(|n| n.as_u64())
+                        .unwrap_or_else(|| panic!("{key} of {id}: {out:?}"))
+                })
+                .sum()
+        };
+        let hits = summary.fleet.counter(CounterId::ResolveCacheHits);
+        assert!(hits > 0, "{out:?}");
+        assert_eq!(hits, sum("table_hits"));
+        assert_eq!(
+            summary.fleet.counter(CounterId::ResolveCacheMisses),
+            sum("table_misses")
+        );
     }
 
     #[test]
@@ -2325,6 +2366,14 @@ mod tests {
                         && e.arg0 == tc_trace::events::OUTCOME_OK)
             );
         }
+
+        // Sampling every request keeps every request's trace.
+        let mut cfg = recorder_cfg(None);
+        cfg.recorder.sample_every = 1;
+        let (_, summary) = serve_lines(&lines, &cfg);
+        let ids: Vec<u64> = summary.retained.iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
+        assert_eq!(summary.traces_retained(), 4);
 
         let mut cfg = recorder_cfg(None);
         cfg.recorder.latency_threshold_us = 0; // everything is "slow"

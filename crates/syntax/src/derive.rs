@@ -30,10 +30,32 @@ use crate::span::Span;
 
 /// Append one generated instance per `deriving` entry of each data
 /// declaration. Unknown or repeated classes produce `E0212`
-/// diagnostics instead of instances.
-pub fn derive_instances(prog: &mut Program, diags: &mut Diagnostics) {
+/// diagnostics instead of instances. A derived body nests once per
+/// field (`Ord` twice), and later passes recurse down it, so a data
+/// type with a constructor of more than `max_depth` fields (the
+/// parser's nesting budget) derives nothing and gets one `E0207`.
+pub fn derive_instances(prog: &mut Program, diags: &mut Diagnostics, max_depth: usize) {
     let mut derived = Vec::new();
     for data in &prog.datas {
+        let wide = data
+            .constructors
+            .iter()
+            .find(|c| c.fields.len() > max_depth);
+        if let Some(c) = wide.filter(|_| !data.deriving.is_empty()) {
+            diags.error(
+                Stage::Parser,
+                "E0207",
+                format!(
+                    "cannot derive instances for `{}`: constructor `{}` has {} fields, \
+                     and its derived methods would nest deeper than the limit of {max_depth} levels",
+                    data.name,
+                    c.name,
+                    c.fields.len()
+                ),
+                c.span,
+            );
+            continue;
+        }
         let mut seen: Vec<&str> = Vec::new();
         for (class, cspan) in &data.deriving {
             if seen.contains(&class.as_str()) {

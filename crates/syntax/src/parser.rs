@@ -58,6 +58,9 @@ struct Parser<'t> {
     toks: &'t [Token],
     pos: usize,
     depth: usize,
+    /// The deepest level reached since [`Parser::app_expr`] last reset
+    /// it: how deep the subtree just parsed goes.
+    peak: usize,
     opts: ParseOptions,
     diags: Diagnostics,
     stats: ParseStats,
@@ -81,6 +84,7 @@ pub fn parse_program_with(
         toks: tokens,
         pos: 0,
         depth: 0,
+        peak: 0,
         opts,
         diags: Diagnostics::new(),
         stats: ParseStats::default(),
@@ -89,7 +93,7 @@ pub fn parse_program_with(
     let mut diags = p.diags;
     // Desugar `deriving` clauses into ordinary instances here so every
     // consumer of the parsed program sees them without extra plumbing.
-    crate::derive::derive_instances(&mut prog, &mut diags);
+    crate::derive::derive_instances(&mut prog, &mut diags, p.opts.max_depth);
     (prog, diags, p.stats)
 }
 
@@ -191,22 +195,27 @@ impl<'t> Parser<'t> {
     /// restored on all paths, including `Err` returns from `f`.
     fn with_depth<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
         if self.depth >= self.opts.max_depth {
-            let span = self.span();
-            self.diags.error(
-                Stage::Parser,
-                "E0207",
-                format!(
-                    "nesting deeper than the limit of {} levels; simplify the expression",
-                    self.opts.max_depth
-                ),
-                span,
-            );
-            return Err(Broken);
+            return Err(self.too_deep(self.span()));
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let r = f(self);
         self.depth = self.depth.saturating_sub(1);
         r
+    }
+
+    /// Report `E0207`, the nesting budget, at `span`.
+    fn too_deep(&mut self, span: Span) -> Broken {
+        self.diags.error(
+            Stage::Parser,
+            "E0207",
+            format!(
+                "nesting deeper than the limit of {} levels; simplify the expression",
+                self.opts.max_depth
+            ),
+            span,
+        );
+        Broken
     }
 
     // ------------------------------------------------------------------
@@ -657,7 +666,13 @@ impl<'t> Parser<'t> {
                     );
                 }
                 p.expect(TokenKind::Arrow, "after lambda parameters")?;
-                let body = p.expr()?;
+                // `\x y -> e` is `\x -> \y -> e`: the body sits one
+                // level deeper per parameter after the first.
+                let nested = params.len() - 1;
+                p.depth += nested;
+                let body = p.expr();
+                p.depth -= nested;
+                let body = body?;
                 let span = start.merge(body.span());
                 Ok(params.into_iter().rev().fold(body, |acc, (n, pspan)| {
                     let s = pspan.merge(acc.span()).merge(span);
@@ -786,13 +801,30 @@ impl<'t> Parser<'t> {
         }
     }
 
+    /// An application spine `f a1 … an`. Later passes recurse down its
+    /// function side, so a spine nests as deep as it is long: `f a1`
+    /// keeps its atoms at the level they were parsed at, and each later
+    /// argument pushes every atom before it one level down. The spine
+    /// is charged against the nesting budget as it grows; its atoms may
+    /// sit one level past the budget, below its deepest application, so
+    /// `n` arguments at depth `d` may take `d + n - 1` levels.
     fn app_expr(&mut self) -> PResult<Expr> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut acc = self.atom()?;
+        let mut bottom = self.peak;
+        let mut shift = 0;
         while self.atom_ahead() {
+            self.peak = self.depth;
             let arg = self.atom()?;
+            bottom = (bottom + shift).max(self.peak);
+            shift = 1;
+            if bottom > self.opts.max_depth + 1 {
+                return Err(self.too_deep(arg.span()));
+            }
             let span = acc.span().merge(arg.span());
             acc = Expr::App(Box::new(acc), Box::new(arg), span);
         }
+        self.peak = outer.max(bottom);
         Ok(acc)
     }
 
@@ -1090,5 +1122,62 @@ mod tests {
         let (prog, diags) = parse("f = \\x y -> if x then let z = y in z else 0;");
         assert!(!diags.has_errors(), "{:?}", diags.into_vec());
         assert_eq!(prog.bindings.len(), 1);
+    }
+
+    /// The codes of a parse of `src`.
+    fn codes(src: &str) -> Vec<&'static str> {
+        parse_lossy(src).1.iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn application_spines_are_charged_as_nesting() {
+        let args = |n: usize| vec!["1"; n].join(" ");
+        // At the top level a spine may take the whole budget, and no more.
+        assert!(codes(&format!("main = f {};", args(400))).is_empty());
+        assert_eq!(codes(&format!("main = f {};", args(401))), ["E0207"]);
+        assert_eq!(codes(&format!("main = f {};", args(5_000))), ["E0207"]);
+        // Each level of parentheses is charged on top.
+        assert!(codes(&format!("main = g (f {});", args(398))).is_empty());
+        assert_eq!(codes(&format!("main = g (f {});", args(399))), ["E0207"]);
+        // A spine as the first argument of another sits below all of the
+        // outer one's arguments, so nested spines add up.
+        let mut nested = "1".to_string();
+        for _ in 0..4 {
+            nested = format!("(f {nested} {})", args(100));
+        }
+        assert_eq!(codes(&format!("main = {nested};")), ["E0207"]);
+        // Later declarations still parse.
+        let (prog, _) = parse_lossy(&format!("main = f {};\nok = 1;", args(5_000)));
+        assert!(prog.bindings.iter().any(|b| b.name == "ok"));
+    }
+
+    #[test]
+    fn lambda_parameters_are_charged_as_nested_lambdas() {
+        let lam = |n: usize| {
+            let params: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+            format!("main = \\{} -> 1;", params.join(" "))
+        };
+        // As deep as 398 nested lambdas go: the body's atom takes the
+        // last level.
+        assert!(codes(&lam(398)).is_empty());
+        assert_eq!(codes(&lam(399)), ["E0207"]);
+        assert_eq!(codes(&lam(5_000)), ["E0207"]);
+    }
+
+    #[test]
+    fn deriving_for_more_fields_than_the_budget_is_rejected() {
+        let data = |n: usize| {
+            format!(
+                "data P = P {} deriving (Eq, Ord);",
+                vec!["Int"; n].join(" ")
+            )
+        };
+        let (prog, diags) = parse_lossy(&data(400));
+        assert!(diags.is_empty(), "{:?}", diags.into_vec());
+        assert_eq!(prog.instances.len(), 2);
+        let (prog, diags) = parse_lossy(&data(401));
+        assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), ["E0207"]);
+        assert!(prog.instances.is_empty());
+        assert_eq!(prog.datas.len(), 1, "the type itself is kept");
     }
 }

@@ -42,6 +42,11 @@ pub enum CounterId {
     InternHits,
     /// Type nodes interned fresh (table growth).
     InternFresh,
+    /// Type nodes visited by the type store's variable-mapping walk
+    /// (the one behind applying a substitution).
+    InternMapVisits,
+    /// Substitution entries examined plus type nodes stored by binds.
+    SubstBindWork,
     /// Parser error-recovery skips (sync to the next declaration).
     ParseRecoveries,
     /// Shared `$sh…` dictionary bindings hoisted by the CSE pass.
@@ -90,7 +95,7 @@ pub enum CounterId {
 }
 
 impl CounterId {
-    pub const ALL: [CounterId; 29] = [
+    pub const ALL: [CounterId; 31] = [
         CounterId::ResolveCacheHits,
         CounterId::ResolveCacheMisses,
         CounterId::ResolveCacheEvictions,
@@ -98,6 +103,8 @@ impl CounterId {
         CounterId::ResolveDictsConstructed,
         CounterId::InternHits,
         CounterId::InternFresh,
+        CounterId::InternMapVisits,
+        CounterId::SubstBindWork,
         CounterId::ParseRecoveries,
         CounterId::ShareDictsHoisted,
         CounterId::ShareOccurrencesShared,
@@ -131,6 +138,8 @@ impl CounterId {
             CounterId::ResolveDictsConstructed => "resolve.dicts_constructed",
             CounterId::InternHits => "intern.hits",
             CounterId::InternFresh => "intern.fresh",
+            CounterId::InternMapVisits => "intern.map_visits",
+            CounterId::SubstBindWork => "subst.bind_work",
             CounterId::ParseRecoveries => "parse.recoveries",
             CounterId::ShareDictsHoisted => "share.dicts_hoisted",
             CounterId::ShareOccurrencesShared => "share.occurrences_shared",
@@ -163,7 +172,8 @@ impl CounterId {
             | CounterId::ResolveGoals => "goals",
             CounterId::ResolveCacheEvictions => "entries",
             CounterId::ResolveDictsConstructed | CounterId::ShareDictsHoisted => "dicts",
-            CounterId::InternHits | CounterId::InternFresh => "nodes",
+            CounterId::InternHits | CounterId::InternFresh | CounterId::InternMapVisits => "nodes",
+            CounterId::SubstBindWork => "entries+nodes",
             CounterId::ParseRecoveries => "events",
             CounterId::ShareOccurrencesShared => "sites",
             CounterId::EvalThunksCreated => "thunks",

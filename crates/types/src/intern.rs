@@ -124,9 +124,10 @@ struct Info {
 
 /// Counters describing the interner's traffic: how many type-node
 /// interning requests were answered from the hash-cons table versus
-/// allocated fresh. Always on — two integer adds per node is cheaper
-/// than a branch — and surfaced through the metrics registry when
-/// metrics collection is enabled (`tc-types` itself stays
+/// allocated fresh, and how many nodes [`Interner::map_vars`] (the walk
+/// behind [`crate::Subst::apply`]) visited. Always on — an integer add
+/// per node is cheaper than a branch — and surfaced through the metrics
+/// registry when metrics collection is enabled (`tc-types` itself stays
 /// dependency-free).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
@@ -134,6 +135,8 @@ pub struct InternStats {
     pub hits: u64,
     /// Nodes interned fresh (table growth).
     pub fresh: u64,
+    /// Nodes [`Interner::map_vars`] looked at, ground roots included.
+    pub map_visits: u64,
 }
 
 /// A step of [`Interner::map_vars`]'s post-order rebuild.
@@ -379,18 +382,22 @@ impl Interner {
     /// with nothing replaced keeps its id, so the cost is the size of
     /// the part of `t` that mentions variables.
     pub fn map_vars(&mut self, t: TypeId, mut f: impl FnMut(TyVar) -> Option<TypeId>) -> TypeId {
+        self.stats.map_visits = self.stats.map_visits.saturating_add(1);
         if self.is_ground(t) {
             return t;
         }
-        if let Node::Var(v) = self.node(t) {
-            return f(v).unwrap_or(t);
-        }
+        let (a, b) = match self.node(t) {
+            Node::Var(v) => return f(v).unwrap_or(t),
+            Node::Con(_) => return t,
+            Node::App(a, b) | Node::Fun(a, b) => (a, b),
+        };
         let mut steps = std::mem::take(&mut self.steps);
         let mut out = std::mem::take(&mut self.ids);
-        steps.push(Step::Visit(t));
+        steps.extend([Step::Build(t), Step::Visit(b), Step::Visit(a)]);
         while let Some(step) = steps.pop() {
             match step {
                 Step::Visit(id) => {
+                    self.stats.map_visits = self.stats.map_visits.saturating_add(1);
                     let info = self.info(id);
                     match info.node {
                         _ if info.ground => out.push(id),

@@ -49,6 +49,9 @@ pub struct Subst {
     /// `nodes` when the current group started; only nodes above it are
     /// charged against [`Subst::MAX_NODES`].
     group_floor: usize,
+    /// Work done by [`Subst::bind`]: range entries it examined plus the
+    /// type nodes it stored. Always on, like [`crate::InternStats`].
+    bind_work: u64,
     /// Scratch for the unifier's work list.
     pub(crate) work: Vec<(TypeId, TypeId)>,
 }
@@ -109,6 +112,13 @@ impl Subst {
         self.nodes
     }
 
+    /// Range entries examined plus type nodes stored by every
+    /// [`Subst::bind`] so far: linear in the binds made while the
+    /// occurrence index finds the entries to rewrite.
+    pub fn bind_work(&self) -> u64 {
+        self.bind_work
+    }
+
     /// Charge `nodes` stored elsewhere against
     /// [`Subst::MAX_TOTAL_NODES`] as if they were held here (but not
     /// against the current group's cap). A program elaborated on top of
@@ -153,6 +163,7 @@ impl Subst {
             }
             None => &[],
         };
+        self.bind_work = self.bind_work.saturating_add(users.len() as u64);
         let mut updates: Vec<(TyVar, TypeId)> = Vec::new();
         for &k in users {
             let Some(&old) = self.map.get(&k) else {
@@ -171,6 +182,7 @@ impl Subst {
         // Drop `v`'s list before storing: if `t` mentions `v`, storing
         // rebuilds it from the entries that now do.
         self.occurs.remove(&v);
+        self.bind_work = self.bind_work.saturating_add(needed as u64);
         let vars = types.free_vars(t);
         for (k, new) in updates {
             self.store(types, k, new, &vars);

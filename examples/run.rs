@@ -145,11 +145,6 @@ const FLAGS: &[FlagSpec] = &[
         help: "collect metrics and print the sorted metric table (stderr)",
     },
     FlagSpec {
-        name: "--no-metrics",
-        arg: None,
-        help: "disable metrics collection (baseline mode)",
-    },
-    FlagSpec {
         name: "--chrome-trace",
         arg: Some("<file>"),
         help: "write a Chrome trace-event JSON (Perfetto-loadable) to <file>",
@@ -157,18 +152,11 @@ const FLAGS: &[FlagSpec] = &[
 ];
 
 /// Flag pairs that contradict each other (exit code 2).
-const CONFLICTS: &[(&str, &str, &str)] = &[
-    (
-        "--no-memo",
-        "--explain",
-        "explain traces report memo-hit provenance, which requires the memo table",
-    ),
-    (
-        "--no-metrics",
-        "--metrics",
-        "the metric table requires metrics collection",
-    ),
-];
+const CONFLICTS: &[(&str, &str, &str)] = &[(
+    "--no-memo",
+    "--explain",
+    "explain traces report memo-hit provenance, which requires the memo table",
+)];
 
 /// Flags understood by the `serve` subcommand (in addition to the
 /// pipeline baseline flags `--small`, `--no-prelude`, `--no-memo`,
@@ -1370,7 +1358,6 @@ fn main() -> ExitCode {
                 opts.collect_metrics = true;
                 metrics = true;
             }
-            "--no-metrics" => opts.collect_metrics = false,
             _ if arg.starts_with("--chrome-trace=") => {
                 chrome_trace_path = Some(arg["--chrome-trace=".len()..].to_string());
             }

@@ -9,8 +9,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(clippy::panic)]
 
-pub mod compare;
-
 pub use tc_classes as classes;
 pub use tc_coherence as coherence;
 pub use tc_core as core_elab;
@@ -23,7 +21,6 @@ pub use tc_syntax as syntax;
 pub use tc_trace as trace;
 pub use tc_types as types;
 
-pub use compare::{compare_reports, Comparison, Regression, Tolerance};
 pub use tc_driver::{
     check_source, lint_source, run_checked, run_source, Check, FaultPlan, Options, Outcome,
     PipelineStats, RunResult, CANCELLED_CODE, PRELUDE,

@@ -512,12 +512,21 @@ fn serve_honors_per_request_option_overrides() {
 #[test]
 fn a_deep_request_cannot_abort_the_server() {
     // Evaluation depth lives on the heap, so a request may ask for far
-    // more depth than a worker's native stack would hold; the next
-    // request is answered as usual.
+    // more depth than a worker's native stack would hold. Trees the
+    // compiler's passes recurse over are charged against the parser's
+    // nesting budget: a 5,000-argument application and a derived type
+    // of 5,000 fields fail with `E0207` instead of overflowing a
+    // worker's stack. The request after each is answered as usual.
+    let ones = vec!["1"; 5_000].join(" ");
+    let ints = vec!["Int"; 5_000].join(" ");
     let lines = vec![
         "{\"id\": 1, \"program\": \"main = sum (enumFromTo 1 10000);\", \"max_depth\": 200000}"
             .to_string(),
         req(2, "main = 1;"),
+        req(3, &format!("g x = 1; main = g {ones};")),
+        req(4, "main = 1;"),
+        req(5, &format!("data P = P {ints} deriving (Eq); main = 1;")),
+        req(6, "main = 1;"),
     ];
     let cfg = ServeConfig {
         workers: 1,
@@ -525,13 +534,20 @@ fn a_deep_request_cannot_abort_the_server() {
     };
     let (out, summary) = serve_lines(&lines, &cfg);
     let vals = parse_all(&out);
-    assert_eq!(vals.len(), 2, "{out:?}");
-    for (id, want) in [(1, "50005000"), (2, "1")] {
-        let v = vals
-            .iter()
+    assert_eq!(vals.len(), 6, "{out:?}");
+    let by_id = |id: u64| {
+        vals.iter()
             .find(|v| v.get("id").and_then(|n| n.as_u64()) == Some(id))
-            .unwrap_or_else(|| panic!("missing id {id}: {out:?}"));
+            .unwrap_or_else(|| panic!("missing id {id}: {out:?}"))
+    };
+    for (id, want) in [(1, "50005000"), (2, "1"), (4, "1"), (6, "1")] {
+        let v = by_id(id);
         assert_eq!(v.get("value").and_then(|s| s.as_str()), Some(want), "{v:?}");
     }
-    assert_eq!(summary.responses, 2, "{summary:?}");
+    for id in [3, 5] {
+        let v = by_id(id);
+        let detail = v.get("detail").and_then(|s| s.as_str()).unwrap_or("");
+        assert!(detail.contains("E0207"), "{v:?}");
+    }
+    assert_eq!(summary.responses, 6, "{summary:?}");
 }
