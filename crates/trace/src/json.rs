@@ -2,15 +2,15 @@
 //! and a value parser.
 //!
 //! The build environment is offline (no serde), and before this module
-//! existed every JSON emitter in the repository — pipeline stats, the
-//! bench report — was a hand-rolled format string, one typo away from
+//! existed every JSON emitter in the repository — pipeline stats,
+//! traces — was a hand-rolled format string, one typo away from
 //! invalid output. [`JsonWriter`] makes structurally invalid JSON hard
 //! to produce (commas and quoting are managed by the writer, strings
 //! are escaped, non-finite floats degrade to `null`), and [`check`]
-//! is a minimal recursive-descent validator the tests and the bench
-//! harness run over every emitted document. [`parse`] builds a
-//! [`Value`] tree from a document, for the consumers that read our own
-//! reports back (the bench comparator, trace-format tests).
+//! is a minimal recursive-descent validator the tests run over every
+//! emitted document. [`parse`] builds a [`Value`] tree from a document,
+//! for the consumers that read requests and our own reports back (the
+//! server, the runner's `report`, trace-format tests).
 
 use std::fmt::Write as _;
 

@@ -29,8 +29,9 @@
 //!   bound a request's wall-clock time without killing threads.
 //! * [`json`] — the shared [`json::JsonWriter`], the [`json::check`]
 //!   well-formedness validator, and the [`json::parse`] value parser,
-//!   so stats, trace, and bench output cannot drift into invalid JSON
-//!   and our own reports can be read back (the bench comparator).
+//!   so stats and trace output cannot drift into invalid JSON and
+//!   requests and our own reports can be read back (the server,
+//!   the runner's `report`).
 //!
 //! The crate deliberately knows nothing about types, classes, or core
 //! IR: stages describe themselves through [`Stage`] names, labels, and
