@@ -183,7 +183,7 @@ fn add_class(
             );
             continue;
         }
-        let scheme = Scheme::generalize(Qual::new(preds, body), &Default::default());
+        let scheme = Scheme::generalize(Qual::new(preds, body));
         methods.push(MethodInfo {
             name: m.name.clone(),
             scheme,

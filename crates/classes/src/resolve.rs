@@ -795,7 +795,7 @@ impl<'e> Search<'e> {
 
         // 4. Cycle check before chaining through instances.
         if self.cache.scratch.in_progress.contains(&key) {
-            let types = &*self.types;
+            let types = &mut *self.types;
             let trail = self
                 .cache
                 .scratch
@@ -1334,7 +1334,7 @@ mod tests {
         let ids: Vec<IdPred> = preds.iter().map(|p| types.intern_pred(p)).collect();
         let (kept, errors) =
             e.reduce_context(&ids, budget, &mut types, &mut ResolveCache::disabled());
-        (kept.iter().map(|p| p.tree(&types)).collect(), errors)
+        (kept.iter().map(|p| p.tree(&mut types)).collect(), errors)
     }
 
     #[test]

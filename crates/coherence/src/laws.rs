@@ -31,13 +31,14 @@
 //! the harness only claims violations it actually witnessed.
 
 use crate::{CoherenceConfig, Emitter, Rule};
+use std::collections::HashMap;
 use std::rc::Rc;
 use tc_classes::{ClassEnv, DataEnv, Instance, ReduceBudget};
 use tc_core::{ElabBase, ElabOptions, WarmCache};
 use tc_eval::{Budget, EvalOptions, LoweredProgram};
 use tc_syntax::{Binding, Diagnostics, Expr, Program, Span};
 use tc_trace::{CancelToken, CounterId, MetricsRegistry};
-use tc_types::{Pred, Type, VarGen};
+use tc_types::{Pred, TyVar, Type, VarGen};
 
 /// Everything one law-checking run looks at.
 pub struct LawInput<'a> {
@@ -124,18 +125,19 @@ impl Sample {
 
 /// Generate, elaborate, and evaluate the class-law programs for every
 /// `Eq`/`Ord` instance in `input.cenv`, reporting violations as
-/// `L0011`. `seed` is the resolve cache, with its type store, handed
-/// back by the session's main elaboration
-/// ([`tc_core::Elaboration::cache`]): its tabled derivations answer the
-/// law programs' goals in O(1). When the session ran without
-/// memoization the cache arrives disabled and is explicitly re-enabled
-/// — the harness always tables, since every law of one instance
-/// resolves the same dictionary.
+/// `L0011`. `cache` holds the resolve cache, with its type store, of
+/// the session's main elaboration ([`tc_core::Elaboration::cache`]):
+/// its tabled derivations answer the law programs' goals in O(1), and
+/// the law programs are elaborated into the same store, which goes back
+/// into `cache` afterwards, so the session's schemes can still be read
+/// from it. When the session ran without memoization the cache arrives
+/// disabled and is explicitly re-enabled — the harness always tables,
+/// since every law of one instance resolves the same dictionary.
 pub fn check_laws(
     input: &LawInput<'_>,
     config: &CoherenceConfig,
     opts: &LawOptions,
-    seed: Option<WarmCache>,
+    cache: &mut Option<WarmCache>,
     gen: &mut VarGen,
     metrics: &mut MetricsRegistry,
 ) -> Diagnostics {
@@ -156,7 +158,7 @@ pub fn check_laws(
     let mut prog = input.program.clone();
     prog.bindings.extend(bindings);
 
-    let mut seed = seed.unwrap_or_default();
+    let mut seed = cache.take().unwrap_or_default();
     seed.cache.enabled = true;
     let eopts = ElabOptions {
         budget: opts.reduce,
@@ -168,7 +170,9 @@ pub fn check_laws(
     // fails to elaborate (e.g. a missing superclass instance, already
     // reported by the main pipeline) leaves a `Fail` node whose
     // evaluation errors, and errored laws are skipped below.
-    let (elab, _) = tc_core::elaborate_over(&prog, input.cenv, input.base, gen, eopts, Some(seed));
+    let (mut elab, _) =
+        tc_core::elaborate_over(&prog, input.cenv, input.base, gen, eopts, Some(seed));
+    *cache = elab.cache.take();
 
     let run_opts = EvalOptions {
         budget: opts.eval_budget,
@@ -540,20 +544,19 @@ fn data_samples(ty: &Type, depth: usize, datas: &DataEnv) -> Vec<Sample> {
         }
         // Instantiate the constructor's field types at this type's
         // ground arguments.
-        let (mut types, mut subst) = (tc_types::Interner::new(), tc_types::Subst::new());
-        for (v, a) in ci.scheme.vars.iter().zip(&args) {
-            let a = types.intern(a);
-            if subst.bind(&mut types, *v, a).is_err() {
-                return Vec::new();
-            }
-        }
+        let args: HashMap<TyVar, Type> = ci
+            .scheme
+            .vars
+            .iter()
+            .zip(&args)
+            .map(|(&v, &a)| (v, a.clone()))
+            .collect();
         let mut field_tys = Vec::with_capacity(ci.arity);
         let mut t = &ci.scheme.qual.head;
         for _ in 0..ci.arity {
             match t {
                 Type::Fun(a, b) => {
-                    let a = types.intern(a);
-                    field_tys.push(subst.apply_tree(&types, a));
+                    field_tys.push(a.substitute(&args));
                     t = b;
                 }
                 _ => return Vec::new(),
@@ -644,7 +647,7 @@ mod tests {
             },
             cfg,
             &LawOptions::default(),
-            None,
+            &mut None,
             &mut b.gen,
             &mut metrics,
         )
@@ -764,7 +767,7 @@ mod tests {
             },
             &CoherenceConfig::default(),
             &LawOptions::default(),
-            None,
+            &mut None,
             &mut b.gen,
             &mut metrics,
         );

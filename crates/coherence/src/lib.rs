@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use tc_classes::{ClassEnv, Instance};
 use tc_syntax::{Diagnostic, Diagnostics, LintLevel, Severity, Span, Stage};
 use tc_trace::{CounterId, MetricsRegistry};
-use tc_types::{unify, Interner, Pred, Subst, Type, TypeId};
+use tc_types::{unify, Interner, Pred, Subst, Type, TypeErrorKind, TypeId};
 
 pub use laws::{check_laws, LawInput, LawOptions};
 pub use tc_syntax::LintLevel as Level;
@@ -296,10 +296,16 @@ fn check_overlaps(input: &CoherenceInput<'_>, em: &mut Emitter<'_>, metrics: &mu
             for &j in &partners {
                 metrics.incr(CounterId::CoherencePairsUnified);
                 let mut s = Subst::new();
-                if unify(&mut types, &mut s, heads[i], heads[j]).is_err() {
-                    continue;
-                }
-                let counterexample = s.apply_tree(&types, heads[i]);
+                let counterexample = match unify(&mut types, &mut s, heads[i], heads[j]) {
+                    Ok(()) => {
+                        let unified = s.apply(&mut types, heads[i]);
+                        types.show(unified)
+                    }
+                    // Only a clash proves the heads disjoint; a unifier
+                    // that ran out of work may exist, and is not shown.
+                    Err(e) if e.kind == TypeErrorKind::BudgetExhausted => Type::elided(),
+                    Err(_) => continue,
+                };
                 report_overlap(em, class, a, &insts[j], &counterexample, input.user_start);
             }
         }

@@ -36,7 +36,7 @@ pub struct ConvertCtx<'a> {
     /// The type store the placeholders' predicates and the assumptions
     /// live in, and the final substitution that zonks them.
     pub types: &'a mut Interner,
-    pub subst: &'a Subst,
+    pub subst: &'a mut Subst,
     /// The elaboration-wide resolution memo table, shared across every
     /// binding so a dictionary proved once is proved once.
     pub cache: &'a mut ResolveCache,

@@ -26,8 +26,8 @@
 //! scope, group types, wanted predicates and placeholders all hold ids,
 //! and context reduction and instance resolution take their goals and
 //! assumptions as ids of the same store. [`Type`] trees are built only
-//! for what leaves the elaborator: the schemes in
-//! [`Elaboration::schemes`] and diagnostic text.
+//! where something is shown: a scheme asked for
+//! ([`Elaboration::scheme`]) and diagnostic text.
 //!
 //! Every failure is a diagnostic plus local recovery (fresh type
 //! variables, [`CoreExpr::Fail`] nodes); elaboration never panics and
@@ -42,7 +42,8 @@ use tc_coreir::{CoreExpr, CoreProgram, LinkedBase, Literal, PlaceholderKind, Pla
 use tc_syntax::{Diagnostics, Expr, Program, Scope, Span, Stage};
 use tc_trace::{CounterId, MetricsRegistry};
 use tc_types::{
-    IdPred, Interner, Node, Pred, Qual, Scheme, Subst, TyVar, Type, TypeErrorKind, TypeId, VarGen,
+    IdPred, Interner, Node, Pred, Qual, Scheme, Subst, TyVar, Type, TypeError, TypeErrorKind,
+    TypeId, VarGen, MAX_NODES, MAX_STORE,
 };
 
 use crate::builtins::builtin_env;
@@ -51,8 +52,8 @@ use crate::scc::binding_groups;
 
 /// The counters an elaboration advanced, summed over it and every base
 /// it extends. A program elaborated on top continues each one, so its
-/// dictionary parameters (`$dg<group>$…`) and type variables are named,
-/// and its substitution is charged, as if both programs were one text.
+/// dictionary parameters (`$dg<group>$…`) and type variables are named
+/// as if both programs were one text.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElabCounts {
     /// Binding groups (strongly connected components).
@@ -63,10 +64,6 @@ pub struct ElabCounts {
     pub group_vars: u32,
     /// Type variables allocated checking instance method bodies.
     pub method_vars: u32,
-    /// Substitution nodes held when the binding groups are done.
-    pub group_nodes: usize,
-    /// Substitution nodes added checking instance method bodies.
-    pub method_nodes: usize,
 }
 
 /// What an already-elaborated program leaves for programs elaborated on
@@ -102,7 +99,10 @@ impl ElabBase {
     /// [`ElabBase::builtins`], with its core already in final form.
     pub fn of_program(program: &Program, elab: Elaboration) -> ElabBase {
         let mut globals = builtin_env();
-        globals.extend(elab.schemes);
+        globals.extend(
+            elab.scheme_names()
+                .filter_map(|n| Some((n.to_string(), elab.scheme(n)?))),
+        );
         ElabBase {
             globals,
             bindings: program.bindings.iter().map(|b| b.name.clone()).collect(),
@@ -118,7 +118,9 @@ impl ElabBase {
 }
 
 /// Result of elaboration: the dictionary-converted core program plus
-/// the inferred/declared scheme of every top-level binding.
+/// the inferred/declared scheme of every top-level binding, kept as ids
+/// of the type store in [`Elaboration::cache`] and built as a tree only
+/// when asked for ([`Elaboration::scheme`]).
 #[derive(Debug, Default)]
 pub struct Elaboration {
     /// The program's own bindings: binding groups first (the first
@@ -129,7 +131,8 @@ pub struct Elaboration {
     pub group_binds: usize,
     /// The counters after this elaboration (see [`ElabCounts`]).
     pub counts: ElabCounts,
-    pub schemes: HashMap<String, Scheme>,
+    /// The scheme of each of the program's own bindings, zonked.
+    schemes: HashMap<String, IdScheme>,
     /// Resolution counters for the whole run: goals attempted, memo
     /// table hits, dictionaries constructed (see [`ResolveStats`]).
     pub stats: ResolveStats,
@@ -144,8 +147,24 @@ pub struct Elaboration {
     /// elaboration in the same session (the coherence law harness) can
     /// reuse the warm memo table via [`elaborate_over`]. The cache's
     /// trace and metrics sinks have already been drained into the
-    /// fields above.
+    /// fields above. The schemes are ids of its store, so a session that
+    /// lends the cache out hands it back before asking for a scheme.
     pub cache: Option<WarmCache>,
+}
+
+impl Elaboration {
+    /// The scheme of `name`, one of the program's own top-level
+    /// bindings, built from the type store. `None` for other names, or
+    /// once the store has gone.
+    pub fn scheme(&self, name: &str) -> Option<Scheme> {
+        let types = &self.cache.as_ref()?.types;
+        Some(self.schemes.get(name)?.tree(types))
+    }
+
+    /// The names [`Elaboration::scheme`] answers for, in no order.
+    pub fn scheme_names(&self) -> impl Iterator<Item = &str> {
+        self.schemes.keys().map(String::as_str)
+    }
 }
 
 /// A resolve cache with the type store its memo table is keyed into.
@@ -253,34 +272,26 @@ impl IdScheme {
         types.map_vars(self.head, lookup)
     }
 
-    /// The scheme as a tree, with `subst` applied.
-    fn tree(&self, types: &Interner, subst: &Subst) -> Scheme {
+    /// The scheme as a tree. Its ids were zonked where it was
+    /// generalized, and its head checked against [`MAX_NODES`].
+    fn tree(&self, types: &Interner) -> Scheme {
+        let preds = self
+            .preds
+            .iter()
+            .map(|p| Pred::new(types.name(p.class).unwrap_or("?"), types.tree(p.ty), p.span));
         Scheme {
             vars: self.vars.clone(),
-            qual: Qual::new(
-                self.preds
-                    .iter()
-                    .map(|p| pred_tree(types, subst, p, p.span))
-                    .collect(),
-                subst.apply_tree(types, self.head),
-            ),
+            qual: Qual::new(preds.collect(), types.tree(self.head)),
         }
     }
-}
-
-/// `p` with `subst` applied, as a tree, blamed on `span`: how a
-/// predicate leaves the elaborator in a scheme or a diagnostic.
-fn pred_tree(types: &Interner, subst: &Subst, p: &IdPred, span: Span) -> Pred {
-    Pred::new(
-        types.name(p.class).unwrap_or("?"),
-        subst.apply_tree(types, p.ty),
-        span,
-    )
 }
 
 /// Instantiate `sch` at a use site: every quantified variable becomes a
 /// fresh one (allocated in the scheme's order, and pushed to `minted`),
 /// and the instantiated context, blamed on `span`, goes to `preds`.
+/// Past the store's cap ([`MAX_STORE`]), where every unification fails,
+/// the use gets a fresh variable instead, so the store stops growing
+/// with the schemes a program instantiates.
 fn instantiate(
     types: &mut Interner,
     gen: &mut VarGen,
@@ -289,6 +300,10 @@ fn instantiate(
     preds: &mut Vec<IdPred>,
     mut minted: Option<&mut Vec<TyVar>>,
 ) -> TypeId {
+    if types.len() > MAX_STORE {
+        let v = gen.fresh();
+        return types.var(v);
+    }
     let first = preds.len();
     let ty = sch.open(types, preds, |types, _| {
         let w = gen.fresh();
@@ -702,7 +717,7 @@ impl<'a> Infer<'a> {
             cenv: self.cenv,
             table: &self.table,
             types: &mut self.types,
-            subst: &self.subst,
+            subst: &mut self.subst,
             cache: &mut self.cache,
             assumptions,
             dict_params,
@@ -767,10 +782,9 @@ pub fn elaborate_with(
 /// what whole-program elaboration of the two as one text, base first,
 /// gives for them: the base's bindings are in scope through their
 /// schemes, names the base binds cannot be redefined, and every counter
-/// continues from the base's ([`ElabCounts`]): names, and the nodes the
-/// substitution's program-wide ceiling is charged. The base's code
-/// is closed: a program's bindings never change what the base's names
-/// mean, even where they shadow a builtin the base uses.
+/// continues from the base's ([`ElabCounts`]), so names do. The base's
+/// code is closed: a program's bindings never change what the base's
+/// names mean, even where they shadow a builtin the base uses.
 ///
 /// `cache`, when given, is resolved against instead of a fresh one
 /// (which memoizes iff [`ElabOptions::memoize`]) — usually a cache
@@ -881,7 +895,7 @@ pub fn elaborate_over(
                 );
             }
         }
-        let sch = Scheme::generalize(qual, &BTreeSet::new());
+        let sch = Scheme::generalize(qual);
         sig_map.insert(sig.name.clone(), IdScheme::intern(&mut inf.types, &sch));
     }
     counts.signature_vars += inf.gen.allocated() - start;
@@ -944,7 +958,6 @@ pub fn elaborate_over(
 
     // --- Binding groups, in dependency order --------------------------
     inf.gen.skip(base.counts.group_vars);
-    inf.subst.charge(base.counts.group_nodes);
     let start = inf.gen.allocated();
     let groups = binding_groups(&program.bindings, &base.bindings);
     counts.groups += groups.len();
@@ -962,9 +975,6 @@ pub fn elaborate_over(
         let (sigless, sigd): (Vec<usize>, Vec<usize>) = members
             .iter()
             .partition(|&&i| !sig_map.contains_key(&program.bindings[i].name));
-        // Each group is charged the substitution's node cap on its own:
-        // finished groups count only against the program-wide ceiling.
-        inf.subst.start_group();
 
         // 1. Monomorphic placeholders for signature-less members.
         inf.group_mono.clear();
@@ -999,14 +1009,26 @@ pub fn elaborate_over(
         }
         let mut gen_vars: BTreeSet<TyVar> = BTreeSet::new();
         let mut member_types: HashMap<&str, TypeId> = HashMap::new();
-        for (name, _, _) in &outs {
-            let t = inf.zonk(inf.group_mono[name]);
+        for (&i, (name, _, _)) in sigless.iter().zip(&outs) {
+            let mono = inf.group_mono[name];
+            let mut t = inf.zonk(mono);
+            if inf.types.size(t) > MAX_NODES {
+                // Too large to show as a scheme: the member gets E0403
+                // and `forall a. a`, as if its type had never been solved.
+                let e = TypeError {
+                    kind: TypeErrorKind::BudgetExhausted,
+                    span: program.bindings[i].span,
+                };
+                inf.diags
+                    .error(Stage::TypeCheck, "E0403", e.to_string(), e.span);
+                t = mono;
+            }
             inf.types.collect_vars(t, &mut gen_vars);
             member_types.insert(name, t);
         }
         for p in &retained {
             if !inf.types.free_vars(p.ty).is_subset(&gen_vars) {
-                let shown = p.tree(&inf.types);
+                let shown = p.tree(&mut inf.types);
                 inf.diags.error(
                     Stage::TypeCheck,
                     "E0411",
@@ -1075,23 +1097,20 @@ pub fn elaborate_over(
     }
 
     counts.group_vars += inf.gen.allocated() - start;
-    counts.group_nodes = inf.subst.nodes();
     let group_binds = inf.binds.len();
 
     // --- Instance dictionary constructors ------------------------------
     inf.gen.skip(base.counts.method_vars);
-    inf.subst.charge(base.counts.method_nodes);
-    let (start, start_nodes) = (inf.gen.allocated(), inf.subst.nodes());
+    let start = inf.gen.allocated();
     elaborate_instances(&mut inf, program);
     counts.method_vars += inf.gen.allocated() - start;
-    counts.method_nodes += inf.subst.nodes().saturating_sub(start_nodes);
 
     // --- Entry point ---------------------------------------------------
     let has_main = inf.binds.iter().any(|(n, _)| n == "main");
     if has_main {
-        // The scheme as generalized, before later groups' bindings.
+        // The scheme as generalized, as a tree only if it is shown.
         let sch = match inf.globals.get("main") {
-            Some(own) => Some(own.tree(&inf.types, &Subst::new())),
+            Some(own) => (!own.preds.is_empty()).then(|| own.tree(&inf.types)),
             None => base.globals.get("main").cloned(),
         };
         if let Some(sch) = sch {
@@ -1111,26 +1130,9 @@ pub fn elaborate_over(
         }
     }
 
-    // The base's schemes are closed, and their quantified variables
-    // were numbered by another run, so only the program's own go
-    // through this run's substitution.
-    let schemes: HashMap<String, Scheme> = program
-        .bindings
-        .iter()
-        .filter_map(|b| {
-            let s = match inf.globals.get(&b.name) {
-                Some(own) => own.tree(&inf.types, &inf.subst),
-                None => base.globals.get(&b.name)?.clone(),
-            };
-            Some((b.name.clone(), s))
-        })
-        .collect();
-
     let mut cache = inf.cache;
     cache.flush_metrics(&inf.types);
-    cache
-        .metrics
-        .add(CounterId::SubstBindWork, inf.subst.bind_work());
+    cache.metrics.add(CounterId::SubstLinks, inf.subst.links());
     (
         Elaboration {
             core: CoreProgram {
@@ -1140,7 +1142,7 @@ pub fn elaborate_over(
             },
             group_binds,
             counts,
-            schemes,
+            schemes: inf.globals,
             stats: cache.stats,
             resolution_trace: cache.take_trace(),
             metrics: std::mem::take(&mut cache.metrics),
@@ -1233,10 +1235,7 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
 
             // Instantiate the method scheme, pin its class variable to
             // the (skolemized) instance head, and freeze every other
-            // quantified variable as a fresh rigid constant. Like a
-            // binding group, each method body is charged the node cap
-            // on its own.
-            inf.subst.start_group();
+            // quantified variable as a fresh rigid constant.
             let mut minted: Vec<TyVar> = Vec::new();
             let msch = inf
                 .method_schemes
@@ -1265,7 +1264,7 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
                 if inf.zonk(var) == var {
                     let name = format!("${}", display_name(next_skolem));
                     let rigid = inf.types.con_named(&name);
-                    let _ = inf.subst.bind(&mut inf.types, v, rigid);
+                    inf.subst.bind(v, rigid);
                     next_skolem += 1;
                 }
             }

@@ -85,14 +85,17 @@ mod tests {
     #[test]
     fn monomorphic_method_use() {
         let elab = run_ok(&format!("{EQ_PRELUDE} main = eq 1 2;"));
-        assert_eq!(elab.schemes["main"].to_string(), "Bool");
+        assert_eq!(elab.scheme("main").unwrap().to_string(), "Bool");
         assert_eq!(elab.core.main.as_deref(), Some("main"));
     }
 
     #[test]
     fn generalizes_with_retained_context() {
         let elab = run_ok(&format!("{EQ_PRELUDE} same x y = eq x y;"));
-        assert_eq!(elab.schemes["same"].to_string(), "Eq a => a -> a -> Bool");
+        assert_eq!(
+            elab.scheme("same").unwrap().to_string(),
+            "Eq a => a -> a -> Bool"
+        );
     }
 
     #[test]
@@ -105,10 +108,10 @@ mod tests {
              main = member 2 (cons 1 (cons 2 nil));"
         ));
         assert_eq!(
-            elab.schemes["member"].to_string(),
+            elab.scheme("member").unwrap().to_string(),
             "Eq a => a -> List a -> Bool"
         );
-        assert_eq!(elab.schemes["main"].to_string(), "Bool");
+        assert_eq!(elab.scheme("main").unwrap().to_string(), "Bool");
     }
 
     #[test]
@@ -203,7 +206,7 @@ mod tests {
              isEven n = if eq n 0 then True else isOdd (primSubInt n 1);\n\
              isOdd n = if eq n 0 then False else isEven (primSubInt n 1);"
         ));
-        assert_eq!(elab.schemes["isEven"].to_string(), "Int -> Bool");
+        assert_eq!(elab.scheme("isEven").unwrap().to_string(), "Int -> Bool");
     }
 
     #[test]
@@ -222,7 +225,7 @@ mod tests {
     #[test]
     fn local_let_is_monomorphic_but_works() {
         let elab = run_ok("f = let { idf = \\x -> x } in idf 3;");
-        assert_eq!(elab.schemes["f"].to_string(), "Int");
+        assert_eq!(elab.scheme("f").unwrap().to_string(), "Int");
     }
 
     #[test]
@@ -231,7 +234,7 @@ mod tests {
         let elab = run_ok(&format!(
             "{EQ_PRELUDE} main = eq (cons 1 nil) (cons 1 nil);"
         ));
-        assert_eq!(elab.schemes["main"].to_string(), "Bool");
+        assert_eq!(elab.scheme("main").unwrap().to_string(), "Bool");
     }
 
     #[test]

@@ -413,15 +413,13 @@ impl Check {
     /// The inferred type scheme of a top-level binding of the program
     /// or the prelude, rendered.
     pub fn scheme(&self, name: &str) -> Option<String> {
+        if let Some(own) = self.elab.scheme(name) {
+            return Some(own.to_string());
+        }
         let base = &self.snapshot.elab;
-        self.elab
-            .schemes
-            .get(name)
-            .or_else(|| {
-                base.bindings
-                    .contains(name)
-                    .then(|| base.globals.get(name))?
-            })
+        base.bindings
+            .contains(name)
+            .then(|| base.globals.get(name))?
             .map(|s| s.to_string())
     }
 
@@ -755,7 +753,7 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
                 cancel: opts.cancel.clone(),
                 cache_capacity: opts.cache_capacity,
             },
-            elab.cache.take(),
+            &mut elab.cache,
             &mut gen,
             &mut metrics,
         ));

@@ -42,11 +42,12 @@ pub enum CounterId {
     InternHits,
     /// Type nodes interned fresh (table growth).
     InternFresh,
-    /// Type nodes visited by the type store's variable-mapping walk
-    /// (the one behind applying a substitution).
+    /// Type nodes visited by the type store's rebuilding walks (mapping
+    /// variables, applying a substitution).
     InternMapVisits,
-    /// Substitution entries examined plus type nodes stored by binds.
-    SubstBindWork,
+    /// Links the substitution followed from a bound variable to its
+    /// binding.
+    SubstLinks,
     /// Parser error-recovery skips (sync to the next declaration).
     ParseRecoveries,
     /// Shared `$sh…` dictionary bindings hoisted by the CSE pass.
@@ -104,7 +105,7 @@ impl CounterId {
         CounterId::InternHits,
         CounterId::InternFresh,
         CounterId::InternMapVisits,
-        CounterId::SubstBindWork,
+        CounterId::SubstLinks,
         CounterId::ParseRecoveries,
         CounterId::ShareDictsHoisted,
         CounterId::ShareOccurrencesShared,
@@ -139,7 +140,7 @@ impl CounterId {
             CounterId::InternHits => "intern.hits",
             CounterId::InternFresh => "intern.fresh",
             CounterId::InternMapVisits => "intern.map_visits",
-            CounterId::SubstBindWork => "subst.bind_work",
+            CounterId::SubstLinks => "subst.links",
             CounterId::ParseRecoveries => "parse.recoveries",
             CounterId::ShareDictsHoisted => "share.dicts_hoisted",
             CounterId::ShareOccurrencesShared => "share.occurrences_shared",
@@ -173,7 +174,7 @@ impl CounterId {
             CounterId::ResolveCacheEvictions => "entries",
             CounterId::ResolveDictsConstructed | CounterId::ShareDictsHoisted => "dicts",
             CounterId::InternHits | CounterId::InternFresh | CounterId::InternMapVisits => "nodes",
-            CounterId::SubstBindWork => "entries+nodes",
+            CounterId::SubstLinks => "links",
             CounterId::ParseRecoveries => "events",
             CounterId::ShareOccurrencesShared => "sites",
             CounterId::EvalThunksCreated => "thunks",

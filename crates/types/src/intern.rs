@@ -14,11 +14,10 @@
 //! lifetime of the interner, and interning the same type twice returns
 //! the same id. Alongside each node the interner caches:
 //! * its tree size (the number of nodes of the [`Type`] it stands for,
-//!   saturating), which the substitution charges against its node
-//!   budget;
+//!   saturating), checked against [`MAX_NODES`] before a type is built
+//!   as a tree;
 //! * whether it is *ground* (mentions no type variable), so applying a
-//!   substitution to a ground type, or unifying it with itself, needs
-//!   no traversal;
+//!   substitution to a ground type needs no traversal;
 //! * whether it is *pure*: ground and free of rigid skolem constants
 //!   (`$`-prefixed constructors). Only pure goals are safe to memoize
 //!   across resolution calls: anything mentioning a variable or a
@@ -26,7 +25,9 @@
 //!   assumption sets.
 //!
 //! No traversal recurses natively in proportion to type depth: each
-//! works on an explicit stack, reused across calls.
+//! works on an explicit stack, reused across calls, and remembers what
+//! it found for each node larger than `SMALL`, so it costs the store
+//! nodes it reaches, not the tree they stand for.
 
 use crate::pred::{IdPred, Pred};
 use crate::ty::{TyVar, Type};
@@ -112,6 +113,19 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// A `HashSet` keyed through [`FastHasher`].
 pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
+/// Upper bound on the nodes of a type built as a tree: a larger one is
+/// elided, and rejected where an inferred type is generalized.
+pub const MAX_NODES: usize = 250_000;
+
+/// Upper bound on the tree nodes [`Interner::show`] builds for one
+/// store's diagnostics, so thousands of errors that each mention a
+/// large type stay cheap.
+const MAX_SHOWN: usize = 4 * MAX_NODES;
+
+/// Walks remember nodes of more tree nodes than this; smaller ones are
+/// cheaper to walk again.
+const SMALL: u32 = 32;
+
 /// What the store caches per node.
 #[derive(Debug, Clone, Copy)]
 struct Info {
@@ -124,8 +138,8 @@ struct Info {
 
 /// Counters describing the interner's traffic: how many type-node
 /// interning requests were answered from the hash-cons table versus
-/// allocated fresh, and how many nodes [`Interner::map_vars`] (the walk
-/// behind [`crate::Subst::apply`]) visited. Always on — an integer add
+/// allocated fresh, and how many nodes the rebuilding walk behind
+/// [`Interner::map_vars`] and [`crate::Subst::apply`] visited. Always on — an integer add
 /// per node is cheaper than a branch — and surfaced through the metrics
 /// registry when metrics collection is enabled (`tc-types` itself stays
 /// dependency-free).
@@ -135,16 +149,29 @@ pub struct InternStats {
     pub hits: u64,
     /// Nodes interned fresh (table growth).
     pub fresh: u64,
-    /// Nodes [`Interner::map_vars`] looked at, ground roots included.
+    /// Nodes [`Interner::map_vars`] and [`crate::Subst::apply`] looked
+    /// at, ground roots included.
     pub map_visits: u64,
 }
 
-/// A step of [`Interner::map_vars`]'s post-order rebuild.
+/// A step of [`Interner::rebuild_vars`]'s post-order rebuild.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Visit(TypeId),
     /// Rebuild node `id` from the top two results.
     Build(TypeId),
+    /// The top result is the walked image of this variable.
+    Bound(TyVar, TypeId),
+}
+
+/// What [`Interner::rebuild_vars`] puts in place of a variable.
+pub(crate) enum Image {
+    /// The variable itself.
+    Keep,
+    /// This id, as it is.
+    Is(TypeId),
+    /// This id, walked in turn.
+    Through(TypeId),
 }
 
 /// The hash-consing table for types and names.
@@ -156,10 +183,16 @@ pub struct Interner {
     /// Keyed by program text, so hashed with the default SipHash.
     name_map: HashMap<Box<str>, NameId>,
     stats: InternStats,
+    /// Tree nodes [`Interner::show`] has built, against `MAX_SHOWN`.
+    shown: usize,
     /// Scratch stacks, kept between traversals so a traversal does not
     /// allocate once the store has warmed up.
     ids: Vec<TypeId>,
     steps: Vec<Step>,
+    /// What the current walk found per node: an entry counts only if
+    /// its stamp is `walk`.
+    memo: Vec<(u32, TypeId)>,
+    walk: u32,
 }
 
 impl Interner {
@@ -339,23 +372,19 @@ impl Interner {
         }
     }
 
-    /// The structural type behind an id. Iterative, like [`Interner::intern`].
+    /// The structural type behind an id, or [`Type::elided`] if its tree
+    /// has more than [`MAX_NODES`] nodes. Iterative, like
+    /// [`Interner::intern`].
     pub fn tree(&self, id: TypeId) -> Type {
-        self.tree_with(id, |_| None)
-    }
-
-    /// The structural type behind `id`, with every variable `v` for
-    /// which `f(v)` answers replaced by the tree of the answer.
-    pub(crate) fn tree_with(&self, id: TypeId, f: impl Fn(TyVar) -> Option<TypeId>) -> Type {
+        if self.size(id) > MAX_NODES {
+            return Type::elided();
+        }
         let mut work = vec![Step::Visit(id)];
         let mut out: Vec<Type> = Vec::new();
         while let Some(step) = work.pop() {
             match step {
                 Step::Visit(id) => match self.node(id) {
-                    Node::Var(v) => out.push(match f(v) {
-                        Some(b) => self.tree(b),
-                        None => Type::Var(v),
-                    }),
+                    Node::Var(v) => out.push(Type::Var(v)),
                     Node::Con(n) => out.push(Type::Con(self.name(n).unwrap_or("?").to_string())),
                     Node::App(a, b) | Node::Fun(a, b) => {
                         work.push(Step::Build(id));
@@ -372,42 +401,99 @@ impl Interner {
                         _ => Type::Fun(Box::new(a), Box::new(b)),
                     });
                 }
+                Step::Bound(..) => {}
             }
         }
         out.pop().unwrap_or(Type::Var(TyVar(u32::MAX)))
     }
 
+    /// The tree of `id` for a diagnostic: [`Interner::tree`], elided also
+    /// once the store's diagnostics have built `MAX_SHOWN` tree nodes.
+    pub fn show(&mut self, id: TypeId) -> Type {
+        let size = self.size(id);
+        if size > MAX_NODES || self.shown.saturating_add(size) > MAX_SHOWN {
+            return Type::elided();
+        }
+        self.shown += size;
+        self.tree(id)
+    }
+
+    /// Start a walk: what earlier walks remembered no longer counts.
+    fn begin_walk(&mut self) {
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            self.memo.clear();
+            self.walk = 1;
+        }
+    }
+
+    /// What the current walk remembered for `id`.
+    fn recall(&self, id: TypeId) -> Option<TypeId> {
+        match self.memo.get(id.0 as usize) {
+            Some(&(stamp, found)) if stamp == self.walk => Some(found),
+            _ => None,
+        }
+    }
+
+    /// Remember `found` for `id` in the current walk, if `id` is larger
+    /// than `SMALL`.
+    fn remember(&mut self, id: TypeId, found: TypeId) {
+        if self.info(id).size <= SMALL {
+            return;
+        }
+        let i = id.0 as usize;
+        if i >= self.memo.len() {
+            self.memo.resize(self.info.len().max(i + 1), (0, id));
+        }
+        self.memo[i] = (self.walk, found);
+    }
+
+    /// Count one node visited by a rebuilding walk.
+    pub(crate) fn count_visit(&mut self) {
+        self.stats.map_visits = self.stats.map_visits.saturating_add(1);
+    }
+
     /// `t` with every variable `v` for which `f(v)` answers replaced by
-    /// the answer. Ground subtrees are never entered, and a subtree
-    /// with nothing replaced keeps its id, so the cost is the size of
+    /// the answer. Ground subtrees are never entered and a subtree with
+    /// nothing replaced keeps its id, so the cost is the store nodes of
     /// the part of `t` that mentions variables.
     pub fn map_vars(&mut self, t: TypeId, mut f: impl FnMut(TyVar) -> Option<TypeId>) -> TypeId {
-        self.stats.map_visits = self.stats.map_visits.saturating_add(1);
-        if self.is_ground(t) {
-            return t;
-        }
-        let (a, b) = match self.node(t) {
-            Node::Var(v) => return f(v).unwrap_or(t),
-            Node::Con(_) => return t,
-            Node::App(a, b) | Node::Fun(a, b) => (a, b),
-        };
+        self.rebuild_vars(t, |v, _| f(v).map_or(Image::Keep, Image::Is))
+    }
+
+    /// The walk behind [`Interner::map_vars`] and [`crate::Subst::apply`]:
+    /// `t` with each variable `v` put as `image(v, None)` says. After an
+    /// [`Image::Through`], if walking its id changed it, `image(v,
+    /// Some(changed))` is told. Each node larger than `SMALL` is
+    /// rebuilt once per walk.
+    pub(crate) fn rebuild_vars(
+        &mut self,
+        t: TypeId,
+        mut image: impl FnMut(TyVar, Option<TypeId>) -> Image,
+    ) -> TypeId {
+        self.begin_walk();
         let mut steps = std::mem::take(&mut self.steps);
         let mut out = std::mem::take(&mut self.ids);
-        steps.extend([Step::Build(t), Step::Visit(b), Step::Visit(a)]);
+        steps.push(Step::Visit(t));
         while let Some(step) = steps.pop() {
             match step {
                 Step::Visit(id) => {
-                    self.stats.map_visits = self.stats.map_visits.saturating_add(1);
+                    self.count_visit();
                     let info = self.info(id);
                     match info.node {
                         _ if info.ground => out.push(id),
-                        Node::Var(v) => out.push(f(v).unwrap_or(id)),
+                        Node::Var(v) => match image(v, None) {
+                            Image::Keep => out.push(id),
+                            Image::Is(to) => out.push(to),
+                            Image::Through(to) => {
+                                steps.extend([Step::Bound(v, to), Step::Visit(to)]);
+                            }
+                        },
                         Node::Con(_) => out.push(id),
-                        Node::App(a, b) | Node::Fun(a, b) => {
-                            steps.push(Step::Build(id));
-                            steps.push(Step::Visit(b));
-                            steps.push(Step::Visit(a));
-                        }
+                        Node::App(a, b) | Node::Fun(a, b) => match self.recall(id) {
+                            Some(found) => out.push(found),
+                            None => steps.extend([Step::Build(id), Step::Visit(b), Step::Visit(a)]),
+                        },
                     }
                 }
                 Step::Build(id) => {
@@ -419,8 +505,15 @@ impl Interner {
                         Node::Fun(a, b) if (a, b) != (a2, b2) => self.fun(a2, b2),
                         _ => id,
                     };
+                    self.remember(id, rebuilt);
                     out.push(rebuilt);
                 }
+                Step::Bound(v, to) => match out.last() {
+                    Some(&changed) if changed != to => {
+                        image(v, Some(changed));
+                    }
+                    _ => {}
+                },
             }
         }
         let result = out.pop();
@@ -430,9 +523,10 @@ impl Interner {
         result.unwrap_or(t)
     }
 
-    /// Call `f` on every variable occurrence in `t`, left to right,
-    /// until it returns `false`. Ground subtrees are skipped.
+    /// Call `f` on the variables of `t`, left to right, until it returns
+    /// `false`. Ground subtrees are skipped.
     fn each_var(&mut self, t: TypeId, mut f: impl FnMut(TyVar) -> bool) {
+        self.begin_walk();
         let mut stack = std::mem::take(&mut self.ids);
         stack.push(t);
         while let Some(id) = stack.pop() {
@@ -448,6 +542,12 @@ impl Interner {
                 }
                 Node::Con(_) => {}
                 Node::App(a, b) | Node::Fun(a, b) => {
+                    if info.size > SMALL {
+                        if self.recall(id).is_some() {
+                            continue;
+                        }
+                        self.remember(id, id);
+                    }
                     stack.push(b);
                     stack.push(a);
                 }

@@ -92,13 +92,11 @@ impl IdPred {
     }
 
     /// The predicate as a tree: how it leaves the store, in diagnostics
-    /// and explain traces.
-    pub fn tree(&self, types: &Interner) -> Pred {
-        Pred::new(
-            types.name(self.class).unwrap_or("?"),
-            types.tree(self.ty),
-            self.span,
-        )
+    /// and explain traces ([`Interner::show`], so an over-size type is
+    /// elided).
+    pub fn tree(&self, types: &mut Interner) -> Pred {
+        let ty = types.show(self.ty);
+        Pred::new(types.name(self.class).unwrap_or("?"), ty, self.span)
     }
 }
 
@@ -194,7 +192,7 @@ mod tests {
         let mut types = Interner::new();
         let p = Pred::new("Ord", Type::list(Type::Var(TyVar(2))), Span::new(3, 9));
         let id = types.intern_pred(&p);
-        let back = id.tree(&types);
+        let back = id.tree(&mut types);
         assert_eq!(back, p);
         assert_eq!(back.span, p.span);
         assert_eq!(back.to_string(), "Ord (List t2)");

@@ -1,16 +1,14 @@
 //! Type schemes (polytypes).
 
-use crate::pred::{Pred, Qual};
+use crate::pred::Qual;
 use crate::ty::{TyVar, Type};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
-/// `forall vars. preds => ty`.
-///
-/// Quantified variables are stored as the concrete [`TyVar`]s that were
-/// generalized; [`Scheme::instantiate`] replaces them with fresh
-/// variables supplied by the caller, so the scheme itself never needs a
-/// fresh-variable source.
+/// `forall vars. preds => ty`, with the quantified variables stored as
+/// the concrete [`TyVar`]s that were generalized. Inference opens
+/// schemes on type ids; this tree is how a scheme is written down
+/// (signatures, builtins, class methods) and shown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scheme {
     pub vars: Vec<TyVar>,
@@ -26,36 +24,11 @@ impl Scheme {
         }
     }
 
-    /// Quantify every free variable of `qual` not present in `env_vars`.
-    pub fn generalize(qual: Qual<Type>, env_vars: &BTreeSet<TyVar>) -> Self {
-        let vars: Vec<TyVar> = qual
-            .free_vars()
-            .into_iter()
-            .filter(|v| !env_vars.contains(v))
-            .collect();
+    /// Quantify every free variable of `qual`: a top-level scheme is
+    /// closed.
+    pub fn generalize(qual: Qual<Type>) -> Self {
+        let vars = qual.free_vars().into_iter().collect();
         Scheme { vars, qual }
-    }
-
-    /// Replace each quantified variable with a fresh one from `fresh`.
-    /// Returns the instantiated context and body type.
-    pub fn instantiate(&self, mut fresh: impl FnMut() -> TyVar) -> (Vec<Pred>, Type) {
-        if self.vars.is_empty() {
-            return (self.qual.preds.clone(), self.qual.head.clone());
-        }
-        let map: HashMap<TyVar, Type> =
-            self.vars.iter().map(|v| (*v, Type::Var(fresh()))).collect();
-        let qual = self.qual.substitute(&map);
-        (qual.preds, qual.head)
-    }
-
-    /// Free (unquantified) variables — needed to compute the
-    /// environment's free variables during generalization.
-    pub fn free_vars(&self) -> BTreeSet<TyVar> {
-        let mut fv = self.qual.free_vars();
-        for v in &self.vars {
-            fv.remove(v);
-        }
-        fv
     }
 }
 
@@ -87,41 +60,25 @@ fn display_name(i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pred::Pred;
     use tc_syntax::Span;
 
     #[test]
-    fn generalize_and_instantiate() {
-        // Eq t0 => t0 -> Bool, generalized over t0.
+    fn generalize_quantifies_every_free_variable() {
+        // Eq t0 => t0 -> t1, generalized over t0 and t1.
         let q = Qual::new(
             vec![Pred::new("Eq", Type::Var(TyVar(0)), Span::DUMMY)],
-            Type::fun(Type::Var(TyVar(0)), Type::bool()),
+            Type::fun(Type::Var(TyVar(0)), Type::Var(TyVar(1))),
         );
-        let sch = Scheme::generalize(q, &BTreeSet::new());
-        assert_eq!(sch.vars, vec![TyVar(0)]);
-
-        let mut next = 100u32;
-        let (preds, ty) = sch.instantiate(|| {
-            next += 1;
-            TyVar(next)
-        });
-        assert_eq!(preds.len(), 1);
-        assert_eq!(preds[0].ty, Type::Var(TyVar(101)));
-        assert_eq!(ty, Type::fun(Type::Var(TyVar(101)), Type::bool()));
-    }
-
-    #[test]
-    fn env_vars_not_generalized() {
-        let q = Qual::unqualified(Type::fun(Type::Var(TyVar(0)), Type::Var(TyVar(1))));
-        let mut env = BTreeSet::new();
-        env.insert(TyVar(0));
-        let sch = Scheme::generalize(q, &env);
-        assert_eq!(sch.vars, vec![TyVar(1)]);
+        let sch = Scheme::generalize(q);
+        assert_eq!(sch.vars, vec![TyVar(0), TyVar(1)]);
+        assert_eq!(sch.to_string(), "Eq a => a -> b");
     }
 
     #[test]
     fn display_renames() {
         let q = Qual::unqualified(Type::fun(Type::Var(TyVar(7)), Type::Var(TyVar(7))));
-        let sch = Scheme::generalize(q, &BTreeSet::new());
+        let sch = Scheme::generalize(q);
         assert_eq!(sch.to_string(), "a -> a");
     }
 }

@@ -84,6 +84,11 @@ impl Type {
         Type::Fun(Box::new(a), Box::new(b))
     }
 
+    /// What a type too large to show is shown as: `…`.
+    pub fn elided() -> Type {
+        Type::Con("…".into())
+    }
+
     /// Curried function type from a parameter list.
     pub fn fun_from(params: Vec<Type>, ret: Type) -> Type {
         params

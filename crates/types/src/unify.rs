@@ -61,19 +61,25 @@ impl fmt::Display for TypeError {
 
 /// Upper bound on unification work items for one `unify` call: one per
 /// pair of nodes compared, as a walk over the two types as trees would
-/// visit them. Large enough for any sane program; small enough that an
+/// visit them, except that two equal ids are one unit whatever their
+/// size. Large enough for any sane program; small enough that an
 /// adversarial exponential blowup fails in microseconds.
 pub const UNIFY_BUDGET: usize = 100_000;
+
+/// Upper bound on the nodes of the type store a request's unifications
+/// run over ([`Interner::len`]). Every type a request infers lives in
+/// its store, so this bounds the memory its types hold; past it every
+/// `unify` fails with [`TypeErrorKind::BudgetExhausted`].
+pub const MAX_STORE: usize = 1 << 20;
 
 /// Unify `a` and `b`, two types of `types`, under (and extending)
 /// `subst`.
 ///
-/// Each side of a pair is resolved shallowly (a bound variable becomes
-/// its binding, which the idempotent invariant keeps fully applied).
-/// Two equal ground ids are done at once, charged their tree size, which
-/// is what a walk over the two trees would spend comparing them. A
-/// variable is bound to the fully applied other side. Trees are built
-/// only for error messages, which show both sides fully applied.
+/// Each side of a pair is resolved through its links
+/// ([`Subst::find`]); two equal ids are done at once. A variable is
+/// bound to the other side zonked ([`Subst::apply`]), after the occurs
+/// check. Trees are built only for error messages, which show both
+/// sides zonked.
 ///
 /// Uses an explicit worklist so native stack depth is constant, and a
 /// work budget so pathological inputs produce
@@ -84,6 +90,9 @@ pub fn unify(
     a: TypeId,
     b: TypeId,
 ) -> Result<(), TypeError> {
+    if types.len() > MAX_STORE {
+        return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
+    }
     let mut work = std::mem::take(&mut subst.work);
     work.clear();
     work.push((a, b));
@@ -103,21 +112,14 @@ fn unify_pairs(
         if budget == 0 {
             return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
         }
-        let (x, y) = (subst.resolve(types, x), subst.resolve(types, y));
-        if x == y && types.is_ground(x) {
-            let n = types.size(x);
-            if n > budget {
-                return Err(TypeError::new(TypeErrorKind::BudgetExhausted));
-            }
-            budget -= n;
+        budget -= 1;
+        let (x, y) = (subst.find(types, x), subst.find(types, y));
+        if x == y {
             continue;
         }
-        budget -= 1;
         match (types.node(x), types.node(y)) {
-            (Node::Var(v), Node::Var(w)) if v == w => {}
             (Node::Var(v), _) => bind_var(types, subst, v, y)?,
             (_, Node::Var(v)) => bind_var(types, subst, v, x)?,
-            (Node::Con(n), Node::Con(m)) if n == m => {}
             (Node::App(f1, a1), Node::App(f2, a2)) => {
                 work.push((a1, a2));
                 work.push((f1, f2));
@@ -127,9 +129,10 @@ fn unify_pairs(
                 work.push((p1, p2));
             }
             _ => {
+                let (x, y) = (subst.apply(types, x), subst.apply(types, y));
                 return Err(TypeError::new(TypeErrorKind::Mismatch {
-                    expected: subst.apply_tree(types, x),
-                    found: subst.apply_tree(types, y),
+                    expected: types.show(x),
+                    found: types.show(y),
                 }));
             }
         }
@@ -137,18 +140,17 @@ fn unify_pairs(
     Ok(())
 }
 
-/// Bind the unbound variable `v` to `t`, after the occurs check.
+/// Bind the unbound variable `v` to `t` zonked, after the occurs check.
 fn bind_var(types: &mut Interner, subst: &mut Subst, v: TyVar, t: TypeId) -> Result<(), TypeError> {
     let t = subst.apply(types, t);
     if types.contains_var(t, v) {
         return Err(TypeError::new(TypeErrorKind::Occurs {
             var: v,
-            ty: types.tree(t),
+            ty: types.show(t),
         }));
     }
-    subst
-        .bind_applied(types, v, t)
-        .map_err(|_| TypeError::new(TypeErrorKind::BudgetExhausted))
+    subst.bind(v, t);
+    Ok(())
 }
 
 /// One-way matching: bind variables of `pattern` so that it equals
@@ -156,11 +158,11 @@ fn bind_var(types: &mut Interner, subst: &mut Subst, v: TyVar, t: TypeId) -> Res
 /// instance lookup (`Eq (List a)` against `Eq (List Int)`). On success
 /// `out` holds one binding per variable of `pattern`, each to a subterm
 /// of `target`, in the order the variables are first met. Matching is
-/// charged one unit of [`UNIFY_BUDGET`] per pair of nodes compared, and
-/// the bound subterms together may hold at most [`Subst::MAX_NODES`]
-/// nodes as trees; past either limit it fails. A failure (`false`)
-/// builds no error: instance lookup tries heads until one matches, and
-/// a failed try is not a diagnostic. `work` is scratch.
+/// charged one unit of [`UNIFY_BUDGET`] per pair of nodes compared, so
+/// its work is bounded by the pattern's size; a bound subterm is an id,
+/// however large its tree. A failure (`false`) builds no error: instance
+/// lookup tries heads until one matches, and a failed try is not a
+/// diagnostic. `work` is scratch.
 pub fn match_ids(
     types: &Interner,
     pattern: TypeId,
@@ -171,7 +173,6 @@ pub fn match_ids(
     out.clear();
     work.clear();
     work.push((pattern, target));
-    let mut nodes = 0usize;
     let mut budget = UNIFY_BUDGET;
     while let Some((p, t)) = work.pop() {
         if budget == 0 {
@@ -185,13 +186,7 @@ pub fn match_ids(
                         return false;
                     }
                 }
-                None => {
-                    nodes = nodes.saturating_add(types.size(t));
-                    if nodes > Subst::MAX_NODES {
-                        return false;
-                    }
-                    out.push((v, t));
-                }
+                None => out.push((v, t)),
             },
             (Node::Con(n), Node::Con(m)) if n == m => {}
             (Node::App(f1, a1), Node::App(f2, a2)) | (Node::Fun(f1, a1), Node::Fun(f2, a2)) => {
@@ -217,26 +212,27 @@ mod tests {
         (r, i, s)
     }
 
-    fn solved(i: &mut Interner, s: &Subst, v: u32) -> Type {
+    fn solved(i: &mut Interner, s: &mut Subst, v: u32) -> Type {
         let t = i.var(TyVar(v));
-        s.apply_tree(i, t)
+        let t = s.apply(i, t);
+        i.tree(t)
     }
 
     #[test]
     fn unify_simple() {
-        let (r, mut i, s) = unify_trees(&Type::Var(TyVar(0)), &Type::int());
+        let (r, mut i, mut s) = unify_trees(&Type::Var(TyVar(0)), &Type::int());
         r.unwrap();
-        assert_eq!(solved(&mut i, &s, 0), Type::int());
+        assert_eq!(solved(&mut i, &mut s, 0), Type::int());
     }
 
     #[test]
     fn unify_functions() {
         let a = Type::fun(Type::Var(TyVar(0)), Type::bool());
         let b = Type::fun(Type::int(), Type::Var(TyVar(1)));
-        let (r, mut i, s) = unify_trees(&a, &b);
+        let (r, mut i, mut s) = unify_trees(&a, &b);
         r.unwrap();
-        assert_eq!(solved(&mut i, &s, 0), Type::int());
-        assert_eq!(solved(&mut i, &s, 1), Type::bool());
+        assert_eq!(solved(&mut i, &mut s, 0), Type::int());
+        assert_eq!(solved(&mut i, &mut s, 1), Type::bool());
     }
 
     #[test]
@@ -259,20 +255,29 @@ mod tests {
     }
 
     #[test]
-    fn equal_ground_types_are_charged_their_size() {
-        let mut big = Type::int();
-        for _ in 0..UNIFY_BUDGET / 2 {
-            big = Type::fun(Type::int(), big);
+    fn equal_ids_are_one_unit_and_distinct_walks_are_charged() {
+        let arrows =
+            |depth: usize, leaf: Type| (0..depth).fold(leaf, |acc, _| Type::fun(Type::int(), acc));
+        // Equal sides cost one unit, ground or not, however large.
+        for leaf in [Type::bool(), Type::Var(TyVar(0))] {
+            let big = arrows(UNIFY_BUDGET, leaf);
+            let (r, _, _) = unify_trees(&big, &big);
+            r.unwrap();
+            std::mem::forget(big);
         }
-        // 2 * (budget / 2) + 1 nodes: one more than the budget.
-        let (r, _, _) = unify_trees(&big, &big);
-        assert_eq!(r.unwrap_err().kind, TypeErrorKind::BudgetExhausted);
-        let Type::Fun(_, smaller) = &big else {
-            unreachable!()
-        };
-        let (r, _, _) = unify_trees(smaller, smaller);
-        r.unwrap();
-        std::mem::forget(big);
+        // Sides that differ only at their last node are walked pair by
+        // pair: 2 * depth + 1 units.
+        for (depth, fits) in [(UNIFY_BUDGET / 2 - 1, true), (UNIFY_BUDGET / 2, false)] {
+            let (a, b) = (arrows(depth, Type::bool()), arrows(depth, Type::int()));
+            let (r, _, _) = unify_trees(&a, &b);
+            let kind = r.unwrap_err().kind;
+            assert_eq!(
+                matches!(kind, TypeErrorKind::Mismatch { .. }),
+                fits,
+                "{kind:?}"
+            );
+            std::mem::forget((a, b));
+        }
     }
 
     /// Match two trees in a fresh store: the bindings as trees, or
@@ -325,19 +330,24 @@ mod tests {
     }
 
     #[test]
-    fn exponential_blowup_hits_budget_or_occurs() {
-        // t0 ~ (t1,t1), t1 ~ (t2,t2), ... produces doubling types;
-        // either the occurs check or the budget must stop it quickly.
+    fn doubling_chains_bind_cheaply_and_exhaust_the_budget_when_compared() {
+        // t_k ~ (t_{k+1}, t_{k+1}) doubles t0's tree with every bind,
+        // but each bind is one link. Unifying two such chains compares
+        // their trees, which runs out of work long before it ends.
         let (mut i, mut s) = (Interner::new(), Subst::new());
-        let mut r = Ok(());
-        for k in 0..64u32 {
-            let (v, next) = (i.var(TyVar(k)), i.var(TyVar(k + 1)));
-            let rhs = i.app(next, next);
-            r = unify(&mut i, &mut s, v, rhs);
-            if r.is_err() {
-                break;
+        let pair = i.con_named("Pair");
+        let chain = |i: &mut Interner, s: &mut Subst, base: u32| {
+            for k in base..base + 64 {
+                let (v, next) = (i.var(TyVar(k)), i.var(TyVar(k + 1)));
+                let half = i.app(pair, next);
+                let rhs = i.app(half, next);
+                unify(i, s, v, rhs).unwrap();
             }
-        }
+            i.var(TyVar(base))
+        };
+        let (a, b) = (chain(&mut i, &mut s, 0), chain(&mut i, &mut s, 100));
+        assert!(i.len() < 600, "{} store nodes", i.len());
+        let r = unify(&mut i, &mut s, a, b);
         assert_eq!(r.unwrap_err().kind, TypeErrorKind::BudgetExhausted);
     }
 }

@@ -97,8 +97,8 @@ fn thousands_of_chained_bindings_compile_and_run() {
 fn thousands_of_independent_recursive_bindings_compile_and_run() {
     // 6,400 one-line recursive functions share one program-wide
     // substitution. Finishing inside the bound needs elaboration linear
-    // in the number of bindings, so a bind may touch only the entries
-    // that mention the bound variable, never every solved one.
+    // in the number of bindings, so a bind must never revisit the
+    // bindings already made.
     let mut src = String::new();
     for i in 0..6_400 {
         src.push_str(&format!(
@@ -113,9 +113,11 @@ fn thousands_of_independent_recursive_bindings_compile_and_run() {
 #[test]
 fn exponential_type_family_is_rejected_as_too_large() {
     // `f_i` applies `f_{i-1}` to its own result, so the factor by which
-    // `f_i`'s type outgrows its argument squares at every level. The
-    // substitution's node cap turns that into a "types too large"
-    // diagnostic (E0403) instead of a hang or an out-of-memory abort.
+    // `f_i`'s type outgrows its argument squares at every level. Its
+    // store nodes grow by a handful per level, but generalization
+    // refuses a type of more tree nodes than a scheme may show: a "types
+    // too large" diagnostic (E0403) instead of a hang or an
+    // out-of-memory abort.
     let mut src = String::from("f0 y = \\k -> k y y;\n");
     for i in 1..40 {
         src.push_str(&format!("f{i} y = f{} (f{} y);\n", i - 1, i - 1));
@@ -136,10 +138,11 @@ fn exponential_type_family_is_rejected_as_too_large() {
 
 #[test]
 fn node_cap_is_charged_per_binding_group() {
-    // `f3`'s type is large but fits the substitution's node cap; 170
-    // bindings that each instantiate it once add up past the cap. The
-    // cap is charged per binding group, so the program compiles and
-    // runs instead of failing with spurious E0403s on the late copies.
+    // `f3`'s type is large as a tree but small in the type store; 170
+    // bindings that each instantiate it once add up to far more tree
+    // nodes than one scheme may show. Nothing is charged by tree, so the
+    // program compiles and runs instead of failing with spurious E0403s
+    // on the late copies.
     let mut src = String::from("f0 y = \\k -> k y y;\n");
     for i in 1..=3 {
         src.push_str(&format!("f{i} y = f{} (f{} y);\n", i - 1, i - 1));
@@ -154,18 +157,17 @@ fn node_cap_is_charged_per_binding_group() {
 
 #[test]
 fn node_ceiling_bounds_a_program_of_many_groups() {
-    // Every `g{j}` copy fits its own group's cap, but the substitution
-    // keeps each finished group's ~3,000 nodes. The program-wide
-    // ceiling stops the sum, so the nodes one request can store do not
-    // grow with its length: the first copy to fail is the same for
-    // 1,000 and 10,000 copies, and every copy after it fails too.
+    // Every `g{j}` instantiates a 390-field constructor eight times,
+    // about 3,200 type-store nodes, and every group's types stay in the
+    // request's store. Its cap stops the sum, so the nodes one request
+    // can store do not grow with its length: the first copy to fail is
+    // the same for 400 and 1,600 copies, every copy after it fails too,
+    // and the failing copies stop adding to the store.
     let first_failing = |copies: usize| -> (usize, usize) {
-        let mut src = String::from("f0 y = \\k -> k y y;\n");
-        for i in 1..=3 {
-            src.push_str(&format!("f{i} y = f{} (f{} y);\n", i - 1, i - 1));
-        }
+        let mut src = format!("data P a = P {};\nh = P;\n", vec!["a"; 390].join(" "));
+        let list = (0..8).fold("nil".to_string(), |l, _| format!("cons h ({l})"));
         for j in 0..copies {
-            src.push_str(&format!("g{j} y = f3 y;\n"));
+            src.push_str(&format!("g{j} = {list};\n"));
         }
         src.push_str("main = 1;\n");
         let (tx, rx) = mpsc::channel();
@@ -187,12 +189,29 @@ fn node_ceiling_bounds_a_program_of_many_groups() {
             .expect("pipeline exceeded the wall-clock bound or panicked");
         (first.expect("the ceiling was never reached"), errors)
     };
-    let (short, short_errors) = first_failing(1_000);
-    let (long, long_errors) = first_failing(10_000);
+    let (short, short_errors) = first_failing(400);
+    let (long, long_errors) = first_failing(1_600);
     assert_eq!(short, long, "the ceiling moved with the program's length");
-    assert!(short > 170, "the per-group charge still admits 170 copies");
-    assert!(short_errors >= 1_000 - short, "{short_errors} errors");
-    assert!(long_errors >= 10_000 - long, "{long_errors} errors");
+    assert!(short > 200, "the store admits 200 copies");
+    assert!(short_errors >= 400 - short, "{short_errors} errors");
+    assert!(long_errors >= 1_600 - long, "{long_errors} errors");
+}
+
+#[test]
+fn bindings_of_large_tree_types_are_charged_by_store_nodes() {
+    // `d14`'s type has about 196,600 nodes as a tree and fewer than a
+    // hundred in the type store. 10,000 bindings that each instantiate
+    // it compile: nothing charges a type by its tree unless it is shown.
+    let mut src = String::from("d0 y = \\k -> k y y;\n");
+    for i in 1..15 {
+        src.push_str(&format!("d{i} y = d0 (d{} y);\n", i - 1));
+    }
+    for j in 0..10_000 {
+        src.push_str(&format!("g{j} = d14;\n"));
+    }
+    src.push_str("main = 1;\n");
+    let out = bounded_with(src, Options::default());
+    assert!(matches!(out, Outcome::Value(ref v) if v == "1"), "{out:?}");
 }
 
 #[test]
@@ -568,29 +587,46 @@ fn a_large_let_is_linear_in_every_pass() {
     // A 64,000-binding `let` chain. Every reference inside it used to
     // scan the binders in scope, in inference, dependency analysis and
     // the evaluator's lowering, and `L0004` re-walked the group once
-    // per binding; each now looks names up in an index.
-    let mut src = String::from("main = let { x0 = 0");
+    // per binding; each now looks names up in an index. Then a
+    // 16,000-binding chain whose every binding unifies the parameter's
+    // type with a fresh variable: a bind that rewrote every binding
+    // mentioning the old variable would make it quadratic.
+    let mut big = String::from("main = let { x0 = 0");
     for i in 1..64_000 {
-        src.push_str(&format!("; x{i} = primAddInt x{} 1", i - 1));
+        big.push_str(&format!("; x{i} = primAddInt x{} 1", i - 1));
     }
-    src.push_str(" } in 0;\n");
+    big.push_str(" } in 0;\n");
+    let mut chain = String::from("f y = let { x0 = y;");
+    for i in 1..16_000 {
+        chain.push_str(&format!(" x{i} = add x{} y;", i - 1));
+    }
+    chain.push_str(" } in x15999;\nmain = 1;\n");
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
-        let check = lint_source(&src, &Options::default());
-        let warnings: Vec<&str> = check.diags.iter().map(|d| d.code).collect();
-        let run = run_source(&src, &Options::default());
-        let _ = tx.send((check.ok(), warnings, run.outcome));
+        let out: Vec<_> = [big, chain]
+            .iter()
+            .map(|src| {
+                let check = lint_source(src, &Options::default());
+                let warnings: Vec<&str> = check.diags.iter().map(|d| d.code).collect();
+                let run = run_source(src, &Options::default());
+                (check.ok(), warnings, run.outcome)
+            })
+            .collect();
+        let _ = tx.send(out);
     });
-    let (ok, warnings, outcome) = rx
+    let out = rx
         .recv_timeout(WALL_CLOCK)
         .expect("pipeline exceeded the wall-clock bound or panicked");
-    assert!(ok, "{warnings:?}");
-    // Only the last binding goes unused.
-    assert_eq!(warnings, ["L0004"]);
-    assert!(
-        matches!(outcome, Outcome::Value(ref v) if v == "0"),
-        "{outcome:?}"
-    );
+    // Only the first's last binding goes unused.
+    let want: [(&[&str], &str); 2] = [(&["L0004"], "0"), (&[], "1")];
+    for ((ok, warnings, outcome), (codes, value)) in out.into_iter().zip(want) {
+        assert!(ok, "{warnings:?}");
+        assert_eq!(warnings, codes);
+        assert!(
+            matches!(outcome, Outcome::Value(ref v) if v == value),
+            "{outcome:?}"
+        );
+    }
 }
 
 #[test]

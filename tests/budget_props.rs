@@ -310,9 +310,9 @@ fn outcomes_are_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Differential tests: the id-based `Subst` and `unify` against the
-// tree-based reference they replaced (`tests/common/tree_types.rs`):
-// the full-scan bind and the tree-walking unifier.
+// Differential tests: the union-find `Subst` and the id-based `unify`
+// against the tree-based reference (`tests/common/tree_types.rs`): the
+// idempotent full-scan bind and the tree-walking unifier.
 // ---------------------------------------------------------------------
 
 #[path = "common/tree_types.rs"]
@@ -322,13 +322,12 @@ use std::collections::BTreeSet;
 use tree_types::FullScanSubst;
 use typeclasses::types::{Interner, Subst, TyVar};
 
-/// Both substitutions, bound in lockstep and compared after each bind.
+/// Both substitutions, each seen variable applied alike in both.
 struct Lockstep {
     types: Interner,
     fast: Subst,
     slow: FullScanSubst,
     seen: BTreeSet<TyVar>,
-    overflows: usize,
 }
 
 impl Lockstep {
@@ -338,38 +337,35 @@ impl Lockstep {
             fast: Subst::new(),
             slow: FullScanSubst::default(),
             seen: BTreeSet::new(),
-            overflows: 0,
         }
     }
 
-    fn start_group(&mut self) {
-        self.fast.start_group();
-        self.slow.start_group();
-        assert_eq!(self.fast.group_nodes(), 0);
-    }
-
+    /// Bind `v := t` in both, as unification binds: `v` unbound and not
+    /// in `t` applied. The union-find side stores `t` as it is.
     fn bind(&mut self, v: TyVar, t: Type) {
+        assert!(self.unify_like(v, &t), "{v} := {t} is not a unifier's bind");
         self.seen.insert(v);
         self.seen.extend(t.free_vars());
-        let slow = self.slow.bind(v, &t);
+        self.slow.bind(v, &t);
         let id = self.types.intern(&t);
-        let fast = self.fast.bind(&mut self.types, v, id);
-        assert_eq!(fast, slow, "bind {v} := {t}");
-        self.overflows += usize::from(fast.is_err());
-        assert_eq!(self.fast.len(), self.slow.map.len(), "len after {v} := {t}");
-        assert_eq!(self.fast.nodes(), self.slow.nodes, "nodes after {v} := {t}");
+        self.fast.bind(v, id);
+        self.agree(&format!("{v} := {t}"));
+    }
+
+    fn unify_like(&self, v: TyVar, t: &Type) -> bool {
+        !self.slow.map.contains_key(&v) && !self.slow.apply(t).contains_var(v)
+    }
+
+    /// The two substitutions apply every seen variable, the bound ones
+    /// among them, to the same type.
+    fn agree(&mut self, after: &str) {
         for &w in &self.seen {
-            assert_eq!(
-                self.fast.lookup(w).map(|id| self.types.tree(id)).as_ref(),
-                self.slow.map.get(&w),
-                "lookup {w} after {v} := {t}"
-            );
             let var = self.types.var(w);
             let applied = self.fast.apply(&mut self.types, var);
             assert_eq!(
                 self.types.tree(applied),
                 self.slow.apply(&Type::Var(w)),
-                "apply {w} after {v} := {t}"
+                "apply {w} after {after}"
             );
         }
     }
@@ -414,17 +410,8 @@ fn indexed_bind_agrees_with_full_scan_on_random_sequences() {
         for _ in 0..40 {
             let v = TyVar(rng.below(vars) as u32);
             let t = arbitrary_range(&mut rng, vars, 3);
-            // Mostly the binds unification makes: `v` unbound and not
-            // in the solved range. One in eight is any bind at all,
-            // rebinding or self-referential, which the API allows too.
-            let unify_like = !s.slow.map.contains_key(&v) && !s.slow.apply(&t).contains_var(v);
-            if unify_like || rng.below(8) == 0 {
+            if s.unify_like(v, &t) {
                 s.bind(v, t);
-            }
-            // Group boundaries fall between binds, as between the
-            // binding groups elaboration charges separately.
-            if rng.below(10) == 0 {
-                s.start_group();
             }
         }
     }
@@ -434,7 +421,7 @@ fn indexed_bind_agrees_with_full_scan_on_random_sequences() {
 fn indexed_bind_agrees_with_full_scan_on_shared_variables_and_chains() {
     let var = |i: u32| Type::Var(TyVar(i));
 
-    // Fifty entries share `t0`; binding it rewrites all of them at once.
+    // Fifty entries share `t0`; binding it solves all of them at once.
     let mut s = Lockstep::new();
     for i in 1..=50 {
         s.bind(TyVar(i), Type::fun(var(0), var(100 + i)));
@@ -442,189 +429,58 @@ fn indexed_bind_agrees_with_full_scan_on_shared_variables_and_chains() {
     s.bind(TyVar(0), Type::list(var(99)));
     s.bind(TyVar(99), Type::int());
 
-    // A chain bound head first: every bind rewrites every entry so far.
+    // A chain bound head first: each bind extends every entry so far.
     let mut s = Lockstep::new();
     for i in 0..150 {
         s.bind(TyVar(i), Type::fun(var(i + 1), Type::int()));
     }
     s.bind(TyVar(150), Type::bool());
 
-    // The same chain bound tail first: no bind rewrites anything.
+    // The same chain bound tail first.
     let mut s = Lockstep::new();
     for i in (0..150).rev() {
         s.bind(TyVar(i), Type::fun(var(i + 1), Type::int()));
     }
-}
 
-#[test]
-fn indexed_bind_agrees_with_full_scan_on_the_overflowing_doubling_chain() {
-    // t_i := (t_{i+1}, t_{i+1}) doubles t0's entry on every bind until
-    // the node cap refuses one; both must refuse the same bind and stay
-    // unchanged by it, and later binds must still agree.
-    let var = |i: u32| Type::Var(TyVar(i));
+    // Variable-to-variable links, then the end of the chain solved.
     let mut s = Lockstep::new();
-    let mut i = 0;
-    while s.overflows == 0 {
-        assert!(i < 64, "the doubling chain never hit the node cap");
+    for i in 0..100 {
+        s.bind(TyVar(i), var(i + 1));
+    }
+    s.bind(TyVar(100), Type::list(var(200)));
+
+    // `t_i := (t_{i+1}, t_{i+1})` doubles `t0`'s solved tree on every
+    // bind; the union-find side shares it.
+    let mut s = Lockstep::new();
+    for i in 0..12 {
         s.bind(TyVar(i), pair(var(i + 1), var(i + 1)));
-        i += 1;
     }
-    s.bind(TyVar(i - 1), Type::int());
-    s.bind(TyVar(i), Type::bool());
-    s.bind(TyVar(1000), Type::list(var(0)));
-}
-
-#[test]
-fn indexed_bind_counts_each_rewritten_entry_once_at_the_node_cap() {
-    // A balanced tree of pairs over `Int`, 4 * 2^depth - 3 nodes.
-    fn tree(depth: u32) -> Type {
-        if depth == 0 {
-            Type::int()
-        } else {
-            pair(tree(depth - 1), tree(depth - 1))
-        }
-    }
-    let var = |i: u32| Type::Var(TyVar(i));
-
-    // `t1` comes to mention `t0` twice through two binds, and a padding
-    // entry takes the node count to where binding `t0` to a large tree
-    // fits only if each rewritten entry is counted once.
-    let mut s = Lockstep::new();
-    s.bind(TyVar(9), tree(15));
-    s.bind(TyVar(1), pair(var(0), var(2)));
-    s.bind(TyVar(2), var(0));
-    s.bind(TyVar(0), tree(14));
-    assert_eq!(s.overflows, 0, "the bind fits when counted once");
-
-    // Rebinding `t1` leaves it with a range that no longer mentions
-    // `t0`; binding `t0` must not count that range against the cap.
-    let mut s = Lockstep::new();
-    s.bind(TyVar(1), pair(var(0), var(0)));
-    s.bind(TyVar(1), tree(15));
-    s.bind(TyVar(0), tree(16));
-    assert_eq!(s.overflows, 0, "the stale range was counted");
-}
-
-#[test]
-fn indexed_bind_agrees_with_full_scan_on_the_per_group_node_cap() {
-    // Two doubling chains in one substitution. Each fits the cap alone;
-    // together they overflow unless a group boundary separates them,
-    // and both substitutions must agree on exactly which bind fails.
-    let var = |i: u32| Type::Var(TyVar(i));
-    let chain = |s: &mut Lockstep, base: u32| {
-        for i in 0..15 {
-            s.bind(TyVar(base + i), pair(var(base + i + 1), var(base + i + 1)));
-        }
-    };
-    let mut s = Lockstep::new();
-    chain(&mut s, 0);
-    assert_eq!(s.overflows, 0, "one chain fits the cap");
-    chain(&mut s, 100);
-    assert!(s.overflows > 0, "two chains in one group overflow");
-
-    let mut s = Lockstep::new();
-    chain(&mut s, 0);
-    s.start_group();
-    chain(&mut s, 100);
-    assert_eq!(s.overflows, 0, "a new group is charged from zero");
-    // Rewriting an earlier group's entry is charged to the current one.
-    s.start_group();
-    s.bind(TyVar(15), Type::int());
-    s.bind(TyVar(115), Type::bool());
-
-    // Chains in groups of their own fit until the program-wide ceiling,
-    // and both substitutions fail the same bind there. (Only the
-    // outcomes are compared: applying every variable after every bind
-    // of a near-ceiling substitution is too slow.)
-    let (mut types, mut fast, mut slow) = (Interner::new(), Subst::new(), FullScanSubst::default());
-    let mut groups = 0;
-    'groups: loop {
-        fast.start_group();
-        slow.start_group();
-        for i in 0..15 {
-            let v = groups * 100 + i;
-            let t = pair(var(v + 1), var(v + 1));
-            let id = types.intern(&t);
-            let outcome = fast.bind(&mut types, TyVar(v), id);
-            assert_eq!(outcome, slow.bind(TyVar(v), &t), "bind {v}");
-            if outcome.is_err() {
-                break 'groups;
-            }
-        }
-        groups += 1;
-        assert!(groups < 100, "no program-wide ceiling");
-    }
-    assert!(groups >= 2, "the ceiling is above one group's cap");
-    assert_eq!(fast.nodes(), slow.nodes);
-    assert!(fast.nodes() <= Subst::MAX_TOTAL_NODES);
-}
-
-#[test]
-fn a_base_programs_nodes_count_against_the_ceiling() {
-    // A program elaborated over a base (the prelude snapshot) is charged
-    // the substitution nodes the base stored, phase by phase, as if the
-    // two were one text: the base's binding-group nodes before the
-    // program's binding groups, its method-body nodes before the
-    // program's method bodies.
-    use typeclasses::classes::build_class_env;
-    use typeclasses::core_elab::{elaborate_over, ElabBase, ElabOptions};
-    use typeclasses::syntax::{lex, parse_program_with, ParseOptions};
-
-    let src = "class C a where { c :: a -> a; }\n\
-               instance C Int where { c = \\x -> x; }\n\
-               f x = x;\n";
-    let method_end = src.find("f x").unwrap() as u32;
-    // Where the program's E0403s are: (in method bodies, in groups).
-    let too_large = |group_nodes: usize, method_nodes: usize| -> (bool, bool) {
-        let (toks, _) = lex(src);
-        let (prog, _, _) = parse_program_with(&toks, ParseOptions::default());
-        let mut gen = VarGen::new();
-        let (cenv, _) = build_class_env(&prog, &mut gen);
-        let mut base = ElabBase::builtins().clone();
-        base.counts.group_nodes = group_nodes;
-        base.counts.method_nodes = method_nodes;
-        let (_, diags) =
-            elaborate_over(&prog, &cenv, &base, &mut gen, ElabOptions::default(), None);
-        let at = |in_method: bool| {
-            diags
-                .iter()
-                .any(|d| d.code == "E0403" && (d.span.start < method_end) == in_method)
-        };
-        (at(true), at(false))
-    };
-    assert_eq!(too_large(0, 0), (false, false));
-    assert_eq!(too_large(Subst::MAX_TOTAL_NODES, 0), (true, true));
-    assert_eq!(too_large(0, Subst::MAX_TOTAL_NODES), (true, false));
+    s.bind(TyVar(12), Type::int());
 }
 
 /// The id-based unifier and the tree walker, run on the same problems
 /// in lockstep: each call must agree on success, on the error's kind
-/// and message, and on the substitution it leaves.
+/// and message, and on every seen variable applied.
 struct UnifyLockstep {
-    types: Interner,
-    fast: Subst,
-    slow: FullScanSubst,
-    seen: BTreeSet<TyVar>,
+    s: Lockstep,
     errors: usize,
 }
 
 impl UnifyLockstep {
     fn new() -> Self {
         UnifyLockstep {
-            types: Interner::new(),
-            fast: Subst::new(),
-            slow: FullScanSubst::default(),
-            seen: BTreeSet::new(),
+            s: Lockstep::new(),
             errors: 0,
         }
     }
 
     fn unify(&mut self, a: &Type, b: &Type) -> Result<(), String> {
-        self.seen.extend(a.free_vars());
-        self.seen.extend(b.free_vars());
-        let slow = tree_types::unify(&mut self.slow, a, b);
-        let (ia, ib) = (self.types.intern(a), self.types.intern(b));
-        let fast = typeclasses::types::unify(&mut self.types, &mut self.fast, ia, ib);
+        let s = &mut self.s;
+        s.seen.extend(a.free_vars());
+        s.seen.extend(b.free_vars());
+        let slow = tree_types::unify(&mut s.slow, a, b);
+        let (ia, ib) = (s.types.intern(a), s.types.intern(b));
+        let fast = typeclasses::types::unify(&mut s.types, &mut s.fast, ia, ib);
         let shown = |r: &Result<(), typeclasses::types::TypeError>| {
             r.as_ref()
                 .map_err(|e| (e.kind.clone(), e.to_string()))
@@ -632,27 +488,8 @@ impl UnifyLockstep {
         };
         assert_eq!(shown(&fast), shown(&slow), "unify {a} ~ {b}");
         self.errors += usize::from(fast.is_err());
-        self.agree(&format!("{a} ~ {b}"));
+        s.agree(&format!("{a} ~ {b}"));
         fast.map_err(|e| e.to_string())
-    }
-
-    /// The two substitutions hold the same bindings.
-    fn agree(&mut self, after: &str) {
-        assert_eq!(self.fast.len(), self.slow.map.len(), "len after {after}");
-        assert_eq!(self.fast.nodes(), self.slow.nodes, "nodes after {after}");
-        for &w in &self.seen {
-            assert_eq!(
-                self.fast.lookup(w).map(|id| self.types.tree(id)).as_ref(),
-                self.slow.map.get(&w),
-                "lookup {w} after {after}"
-            );
-            let var = self.types.var(w);
-            assert_eq!(
-                self.fast.apply_tree(&self.types, var),
-                self.slow.apply(&Type::Var(w)),
-                "apply {w} after {after}"
-            );
-        }
     }
 }
 
@@ -668,16 +505,13 @@ fn id_unify_agrees_with_the_tree_walker_on_random_problems() {
         for _ in 0..12 {
             let a = arbitrary_range(&mut rng, vars, 4);
             let b = if rng.below(4) == 0 {
-                // Equal sides: the ground ones are skipped whole.
+                // Equal sides: one unit on the id path, a walk on the tree
+                // path, so small.
                 a.clone()
             } else {
                 arbitrary_range(&mut rng, vars, 4)
             };
             s.unify(&a, &b).ok();
-            if rng.below(6) == 0 {
-                s.fast.start_group();
-                s.slow.start_group();
-            }
         }
         failures += s.errors;
     }
@@ -724,48 +558,18 @@ fn near_the_budgets() {
     let arrows =
         |depth: usize, leaf: Type| (0..depth).fold(leaf, |acc, _| Type::fun(Type::int(), acc));
 
-    // Equal ground types on either side of the work budget: the id path
-    // skips them whole but must charge exactly what the walk would.
-    for depth in [49_998usize, 49_999, 50_000] {
+    // Types that differ only at their last node: 2 * depth + 1 pairs,
+    // on either side of the budget.
+    for (depth, fits) in [(49_999, true), (50_000, false)] {
         let mut s = UnifyLockstep::new();
-        let t = arrows(depth, Type::bool());
-        let r = s.unify(&t, &t);
-        assert_eq!(r.is_err(), 2 * depth + 1 > tree_types::UNIFY_BUDGET);
-        std::mem::forget(t);
+        let (a, b) = (arrows(depth, Type::bool()), arrows(depth, Type::int()));
+        let e = s.unify(&a, &b).unwrap_err();
+        assert_eq!(e.contains("type mismatch"), fits, "{e}");
+        std::mem::forget((a, b));
     }
-    // A type that differs only at its last node, and one that binds a
-    // variable there, just inside the budget.
+    // One that binds a variable there, just inside the budget.
     let mut s = UnifyLockstep::new();
-    let (a, b) = (arrows(40_000, Type::bool()), arrows(40_000, Type::int()));
-    s.unify(&a, &b).unwrap_err();
-    let c = arrows(40_000, var(7));
+    let (a, c) = (arrows(40_000, Type::bool()), arrows(40_000, var(7)));
     s.unify(&a, &c).unwrap();
-    std::mem::forget((a, b, c));
-
-    // An equal ground part is charged its full size before the work
-    // that follows it: 60,005 units plus two per arrow after it.
-    for (depth, fits) in [(15_000, true), (25_000, false)] {
-        let mut s = UnifyLockstep::new();
-        let shared = arrows(30_000, Type::bool());
-        let a = pair(shared.clone(), arrows(depth, Type::bool()));
-        let b = pair(shared.clone(), arrows(depth, var(7)));
-        assert_eq!(s.unify(&a, &b).is_ok(), fits);
-        std::mem::forget((shared, a, b));
-    }
-
-    // A doubling chain reached through unification: the substitution's
-    // node cap refuses the same bind on both paths.
-    let mut s = UnifyLockstep::new();
-    let mut refused = false;
-    for i in 0..40 {
-        if s.unify(&var(i), &pair(var(i + 1), var(i + 1))).is_err() {
-            refused = true;
-            break;
-        }
-    }
-    assert!(refused, "the doubling chain never hit the node cap");
-    // `t0` is now solved to a type of over 100,000 nodes that still
-    // mentions a variable: unifying it with itself walks it on both
-    // paths and runs out of work the same way.
-    assert!(s.unify(&var(0), &var(0)).is_err());
+    std::mem::forget((a, c));
 }

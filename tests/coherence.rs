@@ -376,3 +376,39 @@ fn instances_over_distinct_types_are_not_unified_pairwise() {
         assert!(pairs <= n, "{n} instances: {pairs} pairs unified");
     }
 }
+
+/// Heads whose unifier doubles as a tree with every pair of
+/// arguments: `T x1 x1 … xn xn` against `T (P y0 y0) y1 (P y1 y1) y2 …
+/// (P y(n-1) y(n-1)) yn`. They unify, so they overlap however large the
+/// counterexample; past the size a type may be shown it is elided.
+#[test]
+fn heads_with_an_exponentially_large_unifier_still_overlap() {
+    for pairs in [15usize, 25] {
+        let params: Vec<String> = (0..2 * pairs).map(|i| format!("a{i}")).collect();
+        let first: Vec<String> = (1..=pairs).map(|k| format!("x{k} x{k}")).collect();
+        let second: Vec<String> = (0..pairs)
+            .map(|k| format!("(P y{k} y{k}) y{}", k + 1))
+            .collect();
+        let src = format!(
+            "data P a b = MkP; data T {} = MkT; class C a where {{ c :: a -> Int; }};\n\
+             instance C (T {}) where {{ c = \\x -> 1; }};\n\
+             instance C (T {}) where {{ c = \\x -> 2; }};\n\
+             main = 1;\n",
+            params.join(" "),
+            first.join(" "),
+            second.join(" ")
+        );
+        let check = check_source(&src, &Options::default());
+        let overlap = check
+            .diags
+            .iter()
+            .find(|d| d.code == "L0008")
+            .unwrap_or_else(|| panic!("{pairs} pairs: no L0008 in {:?}", check.diags));
+        assert!(
+            overlap.message.contains("counterexample type `…`"),
+            "{pairs} pairs: {}",
+            overlap.message
+        );
+        assert!(!check.ok(), "L0008 denies by default");
+    }
+}

@@ -1,75 +1,45 @@
 //! The tree-based substitution and unifier that inference ran on before
-//! it moved onto interned type ids, kept as the reference the id-based
-//! [`Subst`] and `unify` are tested against in lockstep.
+//! it moved onto interned type ids, kept as the semantic reference the
+//! id-based [`typeclasses::types::Subst`] and `unify` are tested
+//! against in lockstep.
 //!
-//! [`FullScanSubst`] is the substitution as it was before `Subst` grew
-//! its occurrence index: a bind applies the map to the new range, then
-//! scans every entry and rewrites those that mention the bound variable.
-//! [`unify`] is the tree walker unchanged, over [`FullScanSubst`].
+//! [`FullScanSubst`] is an idempotent substitution: a bind applies the
+//! map to the new range, then scans every entry and rewrites those that
+//! mention the bound variable, so every range is solved. [`unify`] is
+//! the tree walker over it. The id-based substitution keeps union-find
+//! links instead and solves a type only when it is applied; the two
+//! must agree on every applied type and on every unification's outcome.
 
 use std::collections::HashMap;
 use typeclasses::syntax::Span;
-use typeclasses::types::{Subst, SubstOverflow, TyVar, Type, TypeError, TypeErrorKind};
+use typeclasses::types::{TyVar, Type, TypeError, TypeErrorKind};
 
-/// The node accounting is `Subst`'s: a bind may create at most
-/// `MAX_NODES - (nodes - group_floor)` nodes (the new range plus every
-/// rewritten entry), and at most `MAX_TOTAL_NODES - nodes`, or it fails
-/// and changes nothing; `start_group` moves the floor up to the current
-/// count.
 #[derive(Default)]
 pub struct FullScanSubst {
     pub map: HashMap<TyVar, Type>,
-    pub nodes: usize,
-    group_floor: usize,
-    /// Bumped on every successful `bind`.
+    /// Bumped on every `bind`.
     generation: u64,
 }
 
 impl FullScanSubst {
-    pub fn start_group(&mut self) {
-        self.group_floor = self.nodes;
-    }
-
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    pub fn bind(&mut self, v: TyVar, t: &Type) -> Result<(), SubstOverflow> {
-        let charged = self.nodes.saturating_sub(self.group_floor);
-        let budget = Subst::MAX_NODES
-            .saturating_sub(charged)
-            .min(Subst::MAX_TOTAL_NODES.saturating_sub(self.nodes));
-        // Count before building, so the bind that overflows never
-        // builds its oversized types.
-        let t_size = size_after(t, &|w| self.map.get(&w));
+    pub fn bind(&mut self, v: TyVar, t: &Type) {
+        let t = rebuild(t, &|w| self.map.get(&w));
         let users: Vec<TyVar> = self
             .map
             .iter()
             .filter(|(_, range)| range.contains_var(v))
             .map(|(k, _)| *k)
             .collect();
-        let mut needed = t_size;
-        for k in &users {
-            let old = &self.map[k];
-            needed += old.size() + old.occurrences(v) * (t_size - 1);
-        }
-        if needed > budget {
-            return Err(SubstOverflow);
-        }
-        let t = rebuild(t, &|w| self.map.get(&w));
         for k in users {
             let new = rebuild(&self.map[&k], &|w| (w == v).then_some(&t));
-            self.put(k, new);
+            self.map.insert(k, new);
         }
-        self.put(v, t);
+        self.map.insert(v, t);
         self.generation += 1;
-        Ok(())
-    }
-
-    fn put(&mut self, k: TyVar, range: Type) {
-        let added = range.size();
-        let removed = self.map.insert(k, range).map_or(0, |old| old.size());
-        self.nodes = self.nodes.saturating_add(added).saturating_sub(removed);
     }
 
     pub fn apply(&self, t: &Type) -> Type {
@@ -87,19 +57,13 @@ fn rebuild<'a>(t: &Type, lookup: &dyn Fn(TyVar) -> Option<&'a Type>) -> Type {
     }
 }
 
-/// `rebuild(t, lookup).size()`, without building it.
-fn size_after<'a>(t: &Type, lookup: &dyn Fn(TyVar) -> Option<&'a Type>) -> usize {
-    match t {
-        Type::Var(w) => lookup(*w).map_or(1, Type::size),
-        Type::Con(_) => 1,
-        Type::App(a, b) | Type::Fun(a, b) => 1 + size_after(a, lookup) + size_after(b, lookup),
-    }
-}
-
 /// Upper bound on unification work items for one `unify` call.
 pub const UNIFY_BUDGET: usize = 100_000;
 
-/// Unify `a` and `b` under (and extending) `subst`: the tree walker.
+/// Unify `a` and `b` under (and extending) `subst`: the tree walker,
+/// one unit of the budget per pair of applied types. The id-based
+/// unifier does an equal pair of ids at once, so the two agree on the
+/// budget where no large subtree is equal on both sides.
 pub fn unify(subst: &mut FullScanSubst, a: &Type, b: &Type) -> Result<(), TypeError> {
     // Work items carry the substitution generation they were normalized
     // under; re-applying is skipped when no bind happened since, which
@@ -129,10 +93,7 @@ pub fn unify(subst: &mut FullScanSubst, a: &Type, b: &Type) -> Result<(), TypeEr
                         span: Span::DUMMY,
                     });
                 }
-                subst.bind(v, &t).map_err(|_| TypeError {
-                    kind: TypeErrorKind::BudgetExhausted,
-                    span: Span::DUMMY,
-                })?;
+                subst.bind(v, &t);
             }
             (Type::Con(n), Type::Con(m)) if n == m => {}
             (Type::App(f1, a1), Type::App(f2, a2)) => {

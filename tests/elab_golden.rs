@@ -96,16 +96,36 @@ fn type_layer_programs() -> Vec<(String, String)> {
                 .into(),
         ),
     ];
-    // 400 copies of a binding that instantiates `f3`, whose type fits
-    // one group's node cap: the copies together reach the program-wide
-    // ceiling, and every copy past it reports E0403.
-    let mut copies = exponential_family(4);
-    for j in 0..400 {
-        copies.push_str(&format!("g{j} y = f3 y;\n"));
+    out.push(("E0403-program-ceiling", store_ceiling_program(400)));
+    // Well typed, with types small in the store and large as trees: a
+    // spine whose first argument's type doubles as a tree with every
+    // application, and seven spines that each bind 400 variables to the
+    // rest of a constructor's type.
+    let spine = vec!["f"; 16].join(" ");
+    out.push(("spine-of-16-f", format!("f x = x;\nmain = {spine} 1;\n")));
+    let fields = vec!["Int"; 400].join(" ");
+    let args = vec!["1"; 400].join(" ");
+    let mut spines = format!("data P = P {fields};\n");
+    for i in 0..7 {
+        spines.push_str(&format!("p{i} = P {args};\n"));
     }
-    copies.push_str("main = 1;\n");
-    out.push(("E0403-program-ceiling", copies));
+    spines.push_str("main = 1;\n");
+    out.push(("seven-400-argument-spines", spines));
     out.into_iter().map(|(l, s)| (l.to_string(), s)).collect()
+}
+
+/// `copies` bindings that each instantiate `h`, a 390-field
+/// constructor, eight times: each adds about 3,200 nodes to the type
+/// store, so the copies together reach its cap, and every copy past it
+/// reports E0403.
+fn store_ceiling_program(copies: usize) -> String {
+    let mut src = format!("data P a = P {};\nh = P;\n", vec!["a"; 390].join(" "));
+    let list = (0..8).fold("nil".to_string(), |l, _| format!("cons h ({l})"));
+    for j in 0..copies {
+        src.push_str(&format!("g{j} = {list};\n"));
+    }
+    src.push_str("main = 1;\n");
+    src
 }
 
 fn inputs() -> Vec<(String, String)> {
@@ -177,10 +197,10 @@ fn snapshot() -> String {
             let (line, col) = lines.location(d.span.start);
             let _ = writeln!(out, "diag {} {line}:{col} {}", d.code, d.message);
         }
-        let mut names: Vec<&String> = c.elab.schemes.keys().collect();
+        let mut names: Vec<&str> = c.elab.scheme_names().collect();
         names.sort();
         for n in names {
-            let text = c.elab.schemes[n].to_string();
+            let text = c.elab.scheme(n).map(|s| s.to_string()).unwrap_or_default();
             if text.len() <= LONG_SCHEME {
                 let _ = writeln!(out, "scheme {n} :: {text}");
             } else {

@@ -33,6 +33,23 @@ fn member_scheme_matches_the_paper() {
         c.scheme("map").as_deref(),
         Some("(a -> b) -> List a -> List b")
     );
+    // A program's own schemes are built from its type store, which the
+    // law harness borrows and hands back.
+    let src =
+        "data C = R | G deriving (Eq);\nisIn x xs = member x xs;\nmain = isIn R (cons G nil);";
+    for check_laws in [false, true] {
+        let opts = Options {
+            check_laws,
+            ..Options::default()
+        };
+        let c = check_source(src, &opts);
+        assert!(c.ok(), "{}", c.render_diagnostics());
+        assert_eq!(
+            c.scheme("isIn").as_deref(),
+            Some("Eq a => a -> List a -> Bool"),
+            "check_laws: {check_laws}"
+        );
+    }
 }
 
 #[test]

@@ -138,7 +138,7 @@ fn reference(src: &str, opts: &Options, lint: bool) -> Produced {
                 reduce: opts.reduce,
                 ..LawOptions::default()
             },
-            elab.cache.take(),
+            &mut elab.cache,
             &mut gen,
             &mut metrics,
         ));
