@@ -320,7 +320,7 @@ mod tree_types;
 
 use std::collections::BTreeSet;
 use tree_types::FullScanSubst;
-use typeclasses::types::{Interner, Subst, TyVar};
+use typeclasses::types::{Interner, Node, Subst, TyVar, TypeId, MAX_NODES};
 
 /// Both substitutions, each seen variable applied alike in both.
 struct Lockstep {
@@ -362,12 +362,36 @@ impl Lockstep {
         for &w in &self.seen {
             let var = self.types.var(w);
             let applied = self.fast.apply(&mut self.types, var);
-            assert_eq!(
-                self.types.tree(applied),
-                self.slow.apply(&Type::Var(w)),
-                "apply {w} after {after}"
-            );
+            let want = self.slow.apply(&Type::Var(w));
+            if self.types.size(applied) > MAX_NODES {
+                // Too large to build as a tree: the store elides it, so
+                // it is compared node by node.
+                assert_eq!(
+                    self.types.tree(applied),
+                    Type::elided(),
+                    "tree of {w} after {after}"
+                );
+                assert!(
+                    is_tree(&self.types, applied, &want),
+                    "apply {w} after {after}"
+                );
+            } else {
+                assert_eq!(self.types.tree(applied), want, "apply {w} after {after}");
+            }
         }
+    }
+}
+
+/// Is `id`, read through `types`, the tree `t`? A walk over `t`, so it
+/// also reads types too large for [`Interner::tree`] to build.
+fn is_tree(types: &Interner, id: TypeId, t: &Type) -> bool {
+    match (types.node(id), t) {
+        (Node::Var(v), Type::Var(w)) => v == *w,
+        (Node::Con(n), Type::Con(c)) => types.name(n) == Some(c.as_str()),
+        (Node::App(a, b), Type::App(x, y)) | (Node::Fun(a, b), Type::Fun(x, y)) => {
+            is_tree(types, a, x) && is_tree(types, b, y)
+        }
+        _ => false,
     }
 }
 
@@ -448,14 +472,36 @@ fn indexed_bind_agrees_with_full_scan_on_shared_variables_and_chains() {
         s.bind(TyVar(i), var(i + 1));
     }
     s.bind(TyVar(100), Type::list(var(200)));
+}
 
-    // `t_i := (t_{i+1}, t_{i+1})` doubles `t0`'s solved tree on every
-    // bind; the union-find side shares it.
+#[test]
+fn indexed_bind_agrees_with_full_scan_on_the_overflowing_doubling_chain() {
+    // t_i := (t_{i+1}, t_{i+1}) doubles t0's solved tree on every bind,
+    // to 4 * 2^k - 3 nodes after k binds, until it overflows the tree
+    // cap MAX_NODES. No bind is refused: both sides bind on past it and
+    // agree, and the union-find side shares the tree, so the store
+    // stays small. Later binds must still agree.
+    let var = |i: u32| Type::Var(TyVar(i));
     let mut s = Lockstep::new();
-    for i in 0..12 {
-        s.bind(TyVar(i), pair(var(i + 1), var(i + 1)));
+    let mut k = 0;
+    loop {
+        assert!(k < 32, "the doubling chain never overflowed MAX_NODES");
+        s.bind(TyVar(k), pair(var(k + 1), var(k + 1)));
+        k += 1;
+        let t0 = s.types.var(TyVar(0));
+        let t0 = s.fast.apply(&mut s.types, t0);
+        assert_eq!(s.types.size(t0), 4 * (1 << k) - 3, "t0 after {k} binds");
+        if s.types.size(t0) > MAX_NODES {
+            break;
+        }
     }
-    s.bind(TyVar(12), Type::int());
+    assert!(
+        s.types.len() < 64 * k as usize,
+        "{} store nodes after {k} binds",
+        s.types.len()
+    );
+    s.bind(TyVar(k), Type::int());
+    s.bind(TyVar(1000), Type::list(var(0)));
 }
 
 /// The id-based unifier and the tree walker, run on the same problems
