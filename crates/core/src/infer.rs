@@ -291,16 +291,24 @@ impl IdScheme {
 /// and the instantiated context, blamed on `span`, goes to `preds`.
 /// Past the store's cap ([`MAX_STORE`]), where every unification fails,
 /// the use gets a fresh variable instead, so the store stops growing
-/// with the schemes a program instantiates.
+/// with the schemes a program instantiates. It is reported (`E0403`)
+/// here: a use left without its context, such as an instance method's,
+/// may meet no unification that would report it.
 fn instantiate(
     types: &mut Interner,
     gen: &mut VarGen,
+    diags: &mut Diagnostics,
     sch: &IdScheme,
     span: Span,
     preds: &mut Vec<IdPred>,
     mut minted: Option<&mut Vec<TyVar>>,
 ) -> TypeId {
     if types.len() > MAX_STORE {
+        let e = TypeError {
+            kind: TypeErrorKind::BudgetExhausted,
+            span,
+        };
+        diags.error(Stage::TypeCheck, "E0403", e.to_string(), span);
         let v = gen.fresh();
         return types.var(v);
     }
@@ -437,7 +445,15 @@ impl<'a> Infer<'a> {
         }
         if let Some(sch) = self.globals.get(n).or_else(|| self.base_schemes.get(n)) {
             let mut preds = Vec::new();
-            let ty = instantiate(&mut self.types, self.gen, sch, span, &mut preds, None);
+            let ty = instantiate(
+                &mut self.types,
+                self.gen,
+                &mut self.diags,
+                sch,
+                span,
+                &mut preds,
+                None,
+            );
             let args: Vec<CoreExpr> = preds.into_iter().map(|p| self.dict_ph(p)).collect();
             return (ty, CoreExpr::apps(CoreExpr::Var(n.to_string()), args));
         }
@@ -449,7 +465,15 @@ impl<'a> Infer<'a> {
                 .entry(&mi.name)
                 .or_insert_with(|| IdScheme::intern(&mut self.types, &mi.scheme));
             let mut preds = Vec::new();
-            let ty = instantiate(&mut self.types, self.gen, sch, span, &mut preds, None);
+            let ty = instantiate(
+                &mut self.types,
+                self.gen,
+                &mut self.diags,
+                sch,
+                span,
+                &mut preds,
+                None,
+            );
             let mut it = preds.into_iter();
             return match it.next() {
                 // The first predicate is always the owning class's own
@@ -487,7 +511,15 @@ impl<'a> Infer<'a> {
             .entry(&ci.name)
             .or_insert_with(|| IdScheme::intern(&mut self.types, &ci.scheme));
         let mut preds = Vec::new();
-        instantiate(&mut self.types, self.gen, sch, span, &mut preds, None)
+        instantiate(
+            &mut self.types,
+            self.gen,
+            &mut self.diags,
+            sch,
+            span,
+            &mut preds,
+            None,
+        )
     }
 
     /// Infer an expression, producing its type and placeholder-bearing
@@ -1245,6 +1277,7 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
             let mty = instantiate(
                 &mut inf.types,
                 inf.gen,
+                &mut inf.diags,
                 msch,
                 body.span,
                 &mut rest,

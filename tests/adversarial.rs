@@ -155,39 +155,63 @@ fn node_cap_is_charged_per_binding_group() {
     assert!(matches!(out, Outcome::Value(ref v) if v == "1"), "{out:?}");
 }
 
+/// `prefix`, a 390-field constructor `h`, and `copies` bindings that
+/// each instantiate `h` eight times: about 3,200 type-store nodes
+/// apiece, every group's types stay in the request's store, and the
+/// copies together reach its cap.
+fn store_ceiling_program(prefix: &str, copies: usize) -> String {
+    let mut src = format!(
+        "{prefix}data P a = P {};\nh = P;\n",
+        vec!["a"; 390].join(" ")
+    );
+    let list = (0..8).fold("nil".to_string(), |l, _| format!("cons h ({l})"));
+    for j in 0..copies {
+        src.push_str(&format!("g{j} = {list};\n"));
+    }
+    src
+}
+
+/// Run `src` within the wall-clock bound: its outcome, the source line
+/// of each `E0403` in the order reported, and the errors reported.
+fn e0403_lines(src: String) -> (Outcome, Vec<String>, usize) {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let r = run_source(&src, &Options::default());
+        let check = &r.check;
+        let lines = check.diags.iter().filter(|d| d.code == "E0403").map(|d| {
+            let start = check.full_source[..d.span.start as usize]
+                .rfind('\n')
+                .map_or(0, |i| i + 1);
+            let line = check.full_source[start..].lines().next().unwrap_or("");
+            line.to_string()
+        });
+        let _ = tx.send((r.outcome, lines.collect(), check.diags.error_count()));
+    });
+    rx.recv_timeout(WALL_CLOCK)
+        .expect("pipeline exceeded the wall-clock bound or panicked")
+}
+
+/// The `j` of the first `g{j}` line an `E0403` is reported on.
+fn first_failing_copy(lines: &[String]) -> usize {
+    let first = lines.first().expect("the ceiling was never reached");
+    let digits: String = first[1..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("an E0403 on a `g{j}` line")
+}
+
 #[test]
 fn node_ceiling_bounds_a_program_of_many_groups() {
-    // Every `g{j}` instantiates a 390-field constructor eight times,
-    // about 3,200 type-store nodes, and every group's types stay in the
-    // request's store. Its cap stops the sum, so the nodes one request
-    // can store do not grow with its length: the first copy to fail is
-    // the same for 400 and 1,600 copies, every copy after it fails too,
-    // and the failing copies stop adding to the store.
+    // The store's cap stops the copies of `store_ceiling_program`, so
+    // the nodes one request can store do not grow with its length: the
+    // first copy to fail is the same for 400 and 1,600 copies, every
+    // copy after it fails too, and the failing copies stop adding to
+    // the store.
     let first_failing = |copies: usize| -> (usize, usize) {
-        let mut src = format!("data P a = P {};\nh = P;\n", vec!["a"; 390].join(" "));
-        let list = (0..8).fold("nil".to_string(), |l, _| format!("cons h ({l})"));
-        for j in 0..copies {
-            src.push_str(&format!("g{j} = {list};\n"));
-        }
-        src.push_str("main = 1;\n");
-        let (tx, rx) = mpsc::channel();
-        thread::spawn(move || {
-            let r = run_source(&src, &Options::default());
-            let check = &r.check;
-            let first = check.diags.iter().find(|d| d.code == "E0403").map(|d| {
-                let line_start = check.full_source[..d.span.start as usize]
-                    .rfind('\n')
-                    .map_or(0, |i| i + 1);
-                let line = &check.full_source[line_start..];
-                let digits: String = line[1..].chars().take_while(char::is_ascii_digit).collect();
-                digits.parse::<usize>().expect("an E0403 on a `g{j}` line")
-            });
-            let _ = tx.send((first, check.diags.error_count()));
-        });
-        let (first, errors) = rx
-            .recv_timeout(WALL_CLOCK)
-            .expect("pipeline exceeded the wall-clock bound or panicked");
-        (first.expect("the ceiling was never reached"), errors)
+        let src = store_ceiling_program("", copies) + "main = 1;\n";
+        let (_, lines, errors) = e0403_lines(src);
+        (first_failing_copy(&lines), errors)
     };
     let (short, short_errors) = first_failing(400);
     let (long, long_errors) = first_failing(1_600);
@@ -195,6 +219,31 @@ fn node_ceiling_bounds_a_program_of_many_groups() {
     assert!(short > 200, "the store admits 200 copies");
     assert!(short_errors >= 400 - short, "{short_errors} errors");
     assert!(long_errors >= 1_600 - long, "{long_errors} errors");
+}
+
+#[test]
+fn an_instance_method_past_the_store_cap_reports_e0403() {
+    // `main` comes first and the instance's method is elaborated after
+    // every binding group. With only the copies that all pass, no group
+    // unifies past the store's cap; the store crosses it after the
+    // last copy's last unification, at the latest while the instance's
+    // 2,000-variable head is skolemized (about 8,000 nodes, more than
+    // one copy adds). The method's scheme then gets no instance at its
+    // use, and that must be an error, not a method that fails when run.
+    let vars: Vec<String> = (0..2_000).map(|i| format!("a{i}")).collect();
+    let vars = vars.join(" ");
+    let prefix = format!(
+        "main = 1;\nclass C a where {{ c :: a -> Int; }};\ndata T {vars} = MkT;\n\
+         instance C (T {vars}) where {{ c = \\x -> 0; }};\n"
+    );
+    let (_, lines, _) = e0403_lines(store_ceiling_program(&prefix, 400));
+    let passing = first_failing_copy(&lines);
+    let (outcome, lines, _) = e0403_lines(store_ceiling_program(&prefix, passing));
+    assert!(matches!(outcome, Outcome::CompileErrors), "{outcome:?}");
+    assert!(
+        lines.iter().any(|l| l.starts_with("instance C")),
+        "no E0403 at the instance: {lines:?}"
+    );
 }
 
 #[test]
