@@ -289,10 +289,10 @@ impl<'p> Machine<'p> {
         Ok(id)
     }
 
-    /// Record the allocation of a suspension: in the budget, the
+    /// Charge the allocation of a suspension: to the budget, the
     /// counters, and the profile.
     #[inline(always)]
-    fn record_thunk(&mut self) -> Result<(), EvalError> {
+    fn charge_thunk(&mut self) -> Result<(), EvalError> {
         self.alloc()?;
         self.thunks_created += 1;
         if let Some(e) = self.profile.as_mut().and_then(|p| p.top()) {
@@ -303,7 +303,7 @@ impl<'p> Machine<'p> {
 
     #[inline(always)]
     fn thunk(&mut self, code: &'p Code, env: EnvId) -> Result<ThunkId, EvalError> {
-        self.record_thunk()?;
+        self.charge_thunk()?;
         self.push_thunk(Thunk::Delayed(code, env))
     }
 
@@ -338,7 +338,7 @@ impl<'p> Machine<'p> {
         if t != NONE {
             return Ok(t);
         }
-        self.record_thunk()?;
+        self.charge_thunk()?;
         let t = self.push_thunk(Thunk::Global(g))?;
         self.globals[g as usize] = t;
         if let Some(p) = self.profile.as_mut() {
