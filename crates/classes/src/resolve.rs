@@ -284,9 +284,6 @@ impl ResolveStats {
 #[derive(Debug, Clone)]
 struct CacheEntry {
     deriv: DictDeriv,
-    /// Budget steps the original derivation consumed (≥ 1). A table
-    /// hit charges exactly one step, never more than this.
-    cost: usize,
     /// Sequence number (1-based, session-wide goal count) of the goal
     /// whose derivation populated this entry. Explain-traces report it
     /// so a memo hit can point back at the originating derivation.
@@ -399,12 +396,13 @@ struct Scratch {
 }
 
 /// The memo table for instance resolution: goal ids to completed closed
-/// derivations, plus session counters. One cache is intended to live
-/// for a whole elaboration run, and may live longer, together with the
-/// type store its keys and its view of the class environment are
-/// interned in. Entries never go stale: they are context-independent,
+/// derivations, plus session counters. A cache belongs to one
+/// elaboration run, which creates it beside the type store its keys and
+/// its view of the class environment are interned in, and drops it when
+/// the run ends. Entries never go stale: they are context-independent,
 /// and class environments are immutable once built; a cache serves one
-/// class environment and one store.
+/// class environment and one store, and its table grows only with the
+/// distinct goals its run derives.
 #[derive(Debug, Default)]
 pub struct ResolveCache {
     table: FastMap<(NameId, TypeId), CacheEntry>,
@@ -422,17 +420,12 @@ pub struct ResolveCache {
     /// [`ResolveCache::enable_metrics`] and harvest with
     /// [`ResolveCache::flush_metrics`].
     pub metrics: MetricsRegistry,
-    /// Entry cap for the memo table. `None` (the default) means
-    /// unbounded; `Some(n)` evicts an arbitrary tabled derivation
-    /// before each insert that would exceed `n` entries.
-    capacity: Option<usize>,
     /// Cooperative cancellation, polled every [`CANCEL_POLL_GOALS`]
     /// goals inside the search loop. `None` (the default) costs one
     /// branch per poll site.
     cancel: Option<CancelToken>,
     /// Flight-recorder scope: one `goal` event per resolved goal
-    /// (depth, memo hit/miss) and one `cache-evict` event per capacity
-    /// trim. Off (one branch per site) by default.
+    /// (depth, memo hit/miss). Off (one branch per site) by default.
     events: EventScope,
 }
 
@@ -460,11 +453,6 @@ impl ResolveCache {
         self.table.is_empty()
     }
 
-    /// The cost (in budget steps) recorded for a goal, if tabled.
-    pub fn cost_of(&self, goal: &IdPred) -> Option<usize> {
-        self.table.get(&(goal.class, goal.ty)).map(|e| e.cost)
-    }
-
     /// Turn on explain-tracing: subsequent resolutions append one goal
     /// tree per top-level goal to the trace log. Idempotent.
     pub fn enable_trace(&mut self) {
@@ -478,21 +466,13 @@ impl ResolveCache {
         self.trace.take().map(|b| *b)
     }
 
-    /// Turn on metrics collection. Idempotent; live counters (e.g.
-    /// evictions) and the goal-depth histogram accumulate as
-    /// resolution runs, while table/interner totals are folded in by
-    /// [`ResolveCache::flush_metrics`].
+    /// Turn on metrics collection. Idempotent; the goal-depth histogram
+    /// accumulates as resolution runs, while table/interner totals are
+    /// folded in by [`ResolveCache::flush_metrics`].
     pub fn enable_metrics(&mut self) {
         if !self.metrics.is_enabled() {
             self.metrics = MetricsRegistry::new();
         }
-    }
-
-    /// Cap the memo table at `n` entries; inserts beyond the cap evict
-    /// an arbitrary existing entry (counted under
-    /// `resolve.cache.evictions` when metrics are on).
-    pub fn set_capacity(&mut self, n: usize) {
-        self.capacity = Some(n);
     }
 
     /// Install a cancellation token; subsequent resolutions return
@@ -501,8 +481,8 @@ impl ResolveCache {
         self.cancel = Some(token);
     }
 
-    /// Install a flight-recorder scope; per-goal and eviction events
-    /// record into it as resolution runs.
+    /// Install a flight-recorder scope; per-goal events record into it
+    /// as resolution runs.
     pub fn set_events(&mut self, events: EventScope) {
         self.events = events;
     }
@@ -791,7 +771,6 @@ impl<'e> Search<'e> {
             self.cache.events.record(EventKind::Goal, depth as u64, 2);
             None
         };
-        let steps_at_entry = self.steps;
 
         // 4. Cycle check before chaining through instances.
         if self.cache.scratch.in_progress.contains(&key) {
@@ -849,31 +828,10 @@ impl<'e> Search<'e> {
         let mut tabled = false;
         if let Some(key) = cache_key {
             if deriv.is_closed() {
-                // Honour the entry cap: make room by dropping an
-                // arbitrary tabled derivation. Correctness is
-                // unaffected — an evicted goal is simply re-derived.
-                if let Some(cap) = self.cache.capacity {
-                    let cap = cap.max(1);
-                    let mut evicted = 0u64;
-                    while self.cache.table.len() >= cap {
-                        let Some(victim) = self.cache.table.keys().next().copied() else {
-                            break;
-                        };
-                        self.cache.table.remove(&victim);
-                        self.cache.metrics.incr(CounterId::ResolveCacheEvictions);
-                        evicted += 1;
-                    }
-                    if evicted > 0 {
-                        self.cache.events.record(EventKind::CacheEvict, evicted, 0);
-                    }
-                }
-                // The goal's own entry step plus everything below it.
-                let cost = (self.steps - steps_at_entry).saturating_add(1);
                 self.cache.table.insert(
                     key,
                     CacheEntry {
                         deriv: deriv.clone(),
-                        cost,
                         origin: goal_seq,
                     },
                 );
@@ -1451,8 +1409,7 @@ mod tests {
         let goal = tower(6);
         e.resolve_tree(&goal, &[], Default::default(), &mut cache, &mut types)
             .unwrap();
-        let original_cost = cache.cost_of(&types.intern_pred(&goal)).expect("tabled");
-        assert!(original_cost > 1, "a tower derivation is multi-step");
+        assert!(cache.stats.steps > 1, "a tower derivation is multi-step");
         // A second resolution fits in a one-step budget: pure lookup.
         let tight = ReduceBudget {
             max_depth: 64,
@@ -1732,25 +1689,6 @@ mod tests {
         cache.flush_metrics(&types);
         assert!(cache.metrics.allocates_nothing());
         assert_eq!(cache.metrics.counter(CounterId::ResolveGoals), 0);
-    }
-
-    #[test]
-    fn capacity_caps_table_and_counts_evictions() {
-        let e = env();
-        let mut cache = ResolveCache::new();
-        let mut types = Interner::new();
-        cache.enable_metrics();
-        cache.set_capacity(2);
-        // A depth-6 tower tables one derivation per layer: 7 without a
-        // cap, so the cap must evict.
-        e.resolve_tree(&tower(6), &[], Default::default(), &mut cache, &mut types)
-            .unwrap();
-        assert!(cache.len() <= 2, "table holds {} entries", cache.len());
-        assert!(cache.metrics.counter(CounterId::ResolveCacheEvictions) > 0);
-        // Capped resolution still answers identically to fresh.
-        let fresh = e.resolve(&tower(6), &[], Default::default());
-        let capped = e.resolve_tree(&tower(6), &[], Default::default(), &mut cache, &mut types);
-        assert_eq!(fresh, capped);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!    law holds and `False` on a counterexample (implications encoded
 //!    as `if p then q else True`),
 //! 4. **elaborates** the extended program through the ordinary
-//!    dictionary conversion — laws exercise the very dictionaries the
-//!    program would run with, reusing the session's warm
-//!    [`tc_classes::ResolveCache`] so resolution is O(1) per goal — and
+//!    dictionary conversion, in a session of its own (a fresh type
+//!    store and memo table), so laws exercise the very dictionaries the
+//!    program would run with, and
 //! 5. **runs** each law under a small evaluation budget, reporting
 //!    every `False` as `L0011` with the failing sample.
 //!
@@ -34,10 +34,10 @@ use crate::{CoherenceConfig, Emitter, Rule};
 use std::collections::HashMap;
 use std::rc::Rc;
 use tc_classes::{ClassEnv, DataEnv, Instance, ReduceBudget};
-use tc_core::{ElabBase, ElabOptions, WarmCache};
+use tc_core::{ElabBase, ElabOptions};
 use tc_eval::{Budget, EvalOptions, LoweredProgram};
 use tc_syntax::{Binding, Diagnostics, Expr, Program, Span};
-use tc_trace::{CancelToken, CounterId, MetricsRegistry};
+use tc_trace::{CancelToken, CounterId, EventScope, MetricsRegistry};
 use tc_types::{Pred, TyVar, Type, VarGen};
 
 /// Everything one law-checking run looks at.
@@ -69,9 +69,6 @@ pub struct LawOptions {
     /// elaboration and evaluation — a serve deadline stops the
     /// harness mid-run.
     pub cancel: Option<CancelToken>,
-    /// Resolve-cache capacity cap, threaded through so a degraded
-    /// serve session's shrunken cache stays shrunken.
-    pub cache_capacity: Option<usize>,
 }
 
 impl Default for LawOptions {
@@ -80,7 +77,6 @@ impl Default for LawOptions {
             eval_budget: Budget::small(),
             reduce: ReduceBudget::default(),
             cancel: None,
-            cache_capacity: None,
         }
     }
 }
@@ -125,21 +121,17 @@ impl Sample {
 
 /// Generate, elaborate, and evaluate the class-law programs for every
 /// `Eq`/`Ord` instance in `input.cenv`, reporting violations as
-/// `L0011`. `cache` holds the resolve cache, with its type store, of
-/// the session's main elaboration ([`tc_core::Elaboration::cache`]):
-/// its tabled derivations answer the law programs' goals in O(1), and
-/// the law programs are elaborated into the same store, which goes back
-/// into `cache` afterwards, so the session's schemes can still be read
-/// from it. When the session ran without memoization the cache arrives
-/// disabled and is explicitly re-enabled — the harness always tables,
-/// since every law of one instance resolves the same dictionary.
+/// `L0011`. The law program is elaborated in a session of its own,
+/// memoized whatever the main run's setting (every law of one instance
+/// resolves the same dictionary); its resolver goals record into
+/// `events`.
 pub fn check_laws(
     input: &LawInput<'_>,
     config: &CoherenceConfig,
     opts: &LawOptions,
-    cache: &mut Option<WarmCache>,
     gen: &mut VarGen,
     metrics: &mut MetricsRegistry,
+    events: &EventScope,
 ) -> Diagnostics {
     let mut em = Emitter {
         config,
@@ -158,21 +150,17 @@ pub fn check_laws(
     let mut prog = input.program.clone();
     prog.bindings.extend(bindings);
 
-    let mut seed = cache.take().unwrap_or_default();
-    seed.cache.enabled = true;
     let eopts = ElabOptions {
         budget: opts.reduce,
         cancel: opts.cancel.clone(),
-        cache_capacity: opts.cache_capacity,
+        events: events.clone(),
         ..ElabOptions::default()
     };
     // Law-specific elaboration diagnostics are dropped: a law that
     // fails to elaborate (e.g. a missing superclass instance, already
     // reported by the main pipeline) leaves a `Fail` node whose
     // evaluation errors, and errored laws are skipped below.
-    let (mut elab, _) =
-        tc_core::elaborate_over(&prog, input.cenv, input.base, gen, eopts, Some(seed));
-    *cache = elab.cache.take();
+    let (elab, _) = tc_core::elaborate_over(&prog, input.cenv, input.base, gen, eopts);
 
     let run_opts = EvalOptions {
         budget: opts.eval_budget,
@@ -647,9 +635,9 @@ mod tests {
             },
             cfg,
             &LawOptions::default(),
-            &mut None,
             &mut b.gen,
             &mut metrics,
+            &EventScope::off(),
         )
         .into_vec()
     }
@@ -767,9 +755,9 @@ mod tests {
             },
             &CoherenceConfig::default(),
             &LawOptions::default(),
-            &mut None,
             &mut b.gen,
             &mut metrics,
+            &EventScope::off(),
         );
         // 3 Int samples: 3 reflexivity + 6 symmetry + 27 transitivity.
         assert_eq!(metrics.counter(CounterId::CoherenceLawsRun), 36);

@@ -42,8 +42,8 @@ use tc_coreir::{CoreExpr, CoreProgram, LinkedBase, Literal, PlaceholderKind, Pla
 use tc_syntax::{Diagnostics, Expr, Program, Scope, Span, Stage};
 use tc_trace::{CounterId, MetricsRegistry};
 use tc_types::{
-    IdPred, Interner, Node, Pred, Qual, Scheme, Subst, TyVar, Type, TypeError, TypeErrorKind,
-    TypeId, VarGen, MAX_NODES, MAX_STORE,
+    IdPred, Interner, Node, Pred, Qual, Scheme, Subst, TyVar, Type, TypeErrorKind, TypeId, VarGen,
+    MAX_NODES, MAX_STORE,
 };
 
 use crate::builtins::builtin_env;
@@ -119,8 +119,8 @@ impl ElabBase {
 
 /// Result of elaboration: the dictionary-converted core program plus
 /// the inferred/declared scheme of every top-level binding, kept as ids
-/// of the type store in [`Elaboration::cache`] and built as a tree only
-/// when asked for ([`Elaboration::scheme`]).
+/// of the run's type store and built as a tree only when asked for
+/// ([`Elaboration::scheme`]).
 #[derive(Debug, Default)]
 pub struct Elaboration {
     /// The program's own bindings: binding groups first (the first
@@ -143,38 +143,21 @@ pub struct Elaboration {
     /// (flushed from the cache) iff [`ElabOptions::collect_metrics`]
     /// was set; otherwise off and allocation-free.
     pub metrics: MetricsRegistry,
-    /// The run's resolve cache and type store, handed back so a later
-    /// elaboration in the same session (the coherence law harness) can
-    /// reuse the warm memo table via [`elaborate_over`]. The cache's
-    /// trace and metrics sinks have already been drained into the
-    /// fields above. The schemes are ids of its store, so a session that
-    /// lends the cache out hands it back before asking for a scheme.
-    pub cache: Option<WarmCache>,
+    /// The run's type store, which the schemes are ids of.
+    types: Interner,
 }
 
 impl Elaboration {
     /// The scheme of `name`, one of the program's own top-level
-    /// bindings, built from the type store. `None` for other names, or
-    /// once the store has gone.
+    /// bindings, built from the type store. `None` for other names.
     pub fn scheme(&self, name: &str) -> Option<Scheme> {
-        let types = &self.cache.as_ref()?.types;
-        Some(self.schemes.get(name)?.tree(types))
+        Some(self.schemes.get(name)?.tree(&self.types))
     }
 
     /// The names [`Elaboration::scheme`] answers for, in no order.
     pub fn scheme_names(&self) -> impl Iterator<Item = &str> {
         self.schemes.keys().map(String::as_str)
     }
-}
-
-/// A resolve cache with the type store its memo table is keyed into.
-/// The table's keys are ids of that store, so the two travel together
-/// from one elaboration to the next ([`Elaboration::cache`],
-/// [`elaborate_over`]).
-#[derive(Debug, Default)]
-pub struct WarmCache {
-    pub cache: ResolveCache,
-    pub types: Interner,
 }
 
 /// Knobs for one elaboration run.
@@ -198,13 +181,9 @@ pub struct ElabOptions {
     /// and each instance method body, where a tripped token stops
     /// elaboration (the driver's next stage boundary reports it).
     pub cancel: Option<tc_trace::CancelToken>,
-    /// Cap the resolve cache's memo table at this many entries
-    /// (`None` = unbounded). Used by servers shedding memory under
-    /// load via [`ResolveCache::set_capacity`].
-    pub cache_capacity: Option<usize>,
     /// Flight-recorder scope: when enabled, the resolver records one
-    /// event per goal (depth, memo hit/miss) and per cache eviction.
-    /// The default scope is off and costs one branch per site.
+    /// event per goal (depth, memo hit/miss). The default scope is off
+    /// and costs one branch per site.
     pub events: tc_trace::EventScope,
 }
 
@@ -216,7 +195,6 @@ impl Default for ElabOptions {
             trace_resolution: false,
             collect_metrics: false,
             cancel: None,
-            cache_capacity: None,
             events: tc_trace::EventScope::off(),
         }
     }
@@ -289,28 +267,19 @@ impl IdScheme {
 /// Instantiate `sch` at a use site: every quantified variable becomes a
 /// fresh one (allocated in the scheme's order, and pushed to `minted`),
 /// and the instantiated context, blamed on `span`, goes to `preds`.
-/// Past the store's cap ([`MAX_STORE`]), where every unification fails,
-/// the use gets a fresh variable instead, so the store stops growing
-/// with the schemes a program instantiates. It is reported (`E0403`)
-/// here: a use left without its context, such as an instance method's,
-/// may meet no unification that would report it.
+/// `None` past the store's cap ([`MAX_STORE`]), where every unification
+/// fails: the caller types the use with [`Infer::past_cap`], so the
+/// store stops growing with the schemes a program instantiates.
 fn instantiate(
     types: &mut Interner,
     gen: &mut VarGen,
-    diags: &mut Diagnostics,
     sch: &IdScheme,
     span: Span,
     preds: &mut Vec<IdPred>,
     mut minted: Option<&mut Vec<TyVar>>,
-) -> TypeId {
+) -> Option<TypeId> {
     if types.len() > MAX_STORE {
-        let e = TypeError {
-            kind: TypeErrorKind::BudgetExhausted,
-            span,
-        };
-        diags.error(Stage::TypeCheck, "E0403", e.to_string(), span);
-        let v = gen.fresh();
-        return types.var(v);
+        return None;
     }
     let first = preds.len();
     let ty = sch.open(types, preds, |types, _| {
@@ -323,7 +292,7 @@ fn instantiate(
     for p in &mut preds[first..] {
         p.span = span;
     }
-    ty
+    Some(ty)
 }
 
 struct Infer<'a> {
@@ -361,6 +330,9 @@ struct Infer<'a> {
     skolem_names: HashMap<u32, String>,
     /// Polled before each binding group and each instance method.
     cancel: Option<tc_trace::CancelToken>,
+    /// The current binding group or instance-method body has reported
+    /// the store's cap ([`Infer::store_full`]).
+    store_full_reported: bool,
     int: TypeId,
     bool: TypeId,
 }
@@ -391,7 +363,42 @@ impl<'a> Infer<'a> {
         self.types.fun(a, b)
     }
 
+    /// Is the type store past its cap ([`MAX_STORE`])? From then on
+    /// every unification fails and every use is typed as a fresh
+    /// variable, so the store stops growing. The first time this holds
+    /// in a binding group or an instance-method body, it reports
+    /// `E0403` at `span`; later failures of the same group or body add
+    /// nothing to it.
+    fn store_full(&mut self, span: Span) -> bool {
+        if self.types.len() <= MAX_STORE {
+            return false;
+        }
+        if !self.store_full_reported {
+            self.store_full_reported = true;
+            self.diags.error(
+                Stage::TypeCheck,
+                "E0403",
+                format!(
+                    "the program's types fill the type store past its cap of {MAX_STORE} \
+                     nodes, so nothing from here on is type-checked"
+                ),
+                span,
+            );
+        }
+        true
+    }
+
+    /// The type of a use instantiated past the store's cap: a fresh
+    /// variable, reported by [`Infer::store_full`].
+    fn past_cap(&mut self, span: Span) -> TypeId {
+        self.store_full(span);
+        self.fresh_ty()
+    }
+
     fn unify_at(&mut self, expected: TypeId, found: TypeId, span: Span) {
+        if self.store_full(span) {
+            return;
+        }
         if let Err(e) = tc_types::unify(&mut self.types, &mut self.subst, expected, found) {
             let e = e.at(span);
             let code = match e.kind {
@@ -445,15 +452,8 @@ impl<'a> Infer<'a> {
         }
         if let Some(sch) = self.globals.get(n).or_else(|| self.base_schemes.get(n)) {
             let mut preds = Vec::new();
-            let ty = instantiate(
-                &mut self.types,
-                self.gen,
-                &mut self.diags,
-                sch,
-                span,
-                &mut preds,
-                None,
-            );
+            let ty = instantiate(&mut self.types, self.gen, sch, span, &mut preds, None)
+                .unwrap_or_else(|| self.past_cap(span));
             let args: Vec<CoreExpr> = preds.into_iter().map(|p| self.dict_ph(p)).collect();
             return (ty, CoreExpr::apps(CoreExpr::Var(n.to_string()), args));
         }
@@ -465,15 +465,8 @@ impl<'a> Infer<'a> {
                 .entry(&mi.name)
                 .or_insert_with(|| IdScheme::intern(&mut self.types, &mi.scheme));
             let mut preds = Vec::new();
-            let ty = instantiate(
-                &mut self.types,
-                self.gen,
-                &mut self.diags,
-                sch,
-                span,
-                &mut preds,
-                None,
-            );
+            let ty = instantiate(&mut self.types, self.gen, sch, span, &mut preds, None)
+                .unwrap_or_else(|| self.past_cap(span));
             let mut it = preds.into_iter();
             return match it.next() {
                 // The first predicate is always the owning class's own
@@ -511,15 +504,8 @@ impl<'a> Infer<'a> {
             .entry(&ci.name)
             .or_insert_with(|| IdScheme::intern(&mut self.types, &ci.scheme));
         let mut preds = Vec::new();
-        instantiate(
-            &mut self.types,
-            self.gen,
-            &mut self.diags,
-            sch,
-            span,
-            &mut preds,
-            None,
-        )
+        instantiate(&mut self.types, self.gen, sch, span, &mut preds, None)
+            .unwrap_or_else(|| self.past_cap(span))
     }
 
     /// Infer an expression, producing its type and placeholder-bearing
@@ -803,7 +789,7 @@ pub fn elaborate_with(
     gen: &mut VarGen,
     opts: ElabOptions,
 ) -> (Elaboration, Diagnostics) {
-    elaborate_over(program, cenv, ElabBase::builtins(), gen, opts, None)
+    elaborate_over(program, cenv, ElabBase::builtins(), gen, opts)
 }
 
 /// Elaborate `program` on top of `base`, a program elaborated before it
@@ -818,32 +804,23 @@ pub fn elaborate_with(
 /// code is closed: a program's bindings never change what the base's
 /// names mean, even where they shadow a builtin the base uses.
 ///
-/// `cache`, when given, is resolved against instead of a fresh one
-/// (which memoizes iff [`ElabOptions::memoize`]) — usually a cache
-/// handed back by a previous elaboration's [`Elaboration::cache`], so
-/// tabled derivations from that session answer this run's goals in
-/// O(1). Its memo entries never go stale (they are context-independent
-/// and keyed by ground goals), so seeding is sound for the same class
-/// environment.
+/// The run resolves instances against a resolve cache of its own
+/// (memoizing iff [`ElabOptions::memoize`]), keyed into its own type
+/// store; the cache is dropped when the run returns, and the store is
+/// kept in the result for [`Elaboration::scheme`].
 pub fn elaborate_over(
     program: &Program,
     cenv: &ClassEnv,
     base: &ElabBase,
     gen: &mut VarGen,
     opts: ElabOptions,
-    cache: Option<WarmCache>,
 ) -> (Elaboration, Diagnostics) {
-    let WarmCache {
-        mut cache,
-        mut types,
-    } = cache.unwrap_or_else(|| WarmCache {
-        cache: if opts.memoize {
-            ResolveCache::new()
-        } else {
-            ResolveCache::disabled()
-        },
-        types: Interner::new(),
-    });
+    let mut cache = if opts.memoize {
+        ResolveCache::new()
+    } else {
+        ResolveCache::disabled()
+    };
+    let mut types = Interner::new();
     if opts.trace_resolution {
         cache.enable_trace();
     }
@@ -852,9 +829,6 @@ pub fn elaborate_over(
     }
     if let Some(token) = opts.cancel.clone() {
         cache.set_cancel(token);
-    }
-    if let Some(cap) = opts.cache_capacity {
-        cache.set_capacity(cap);
     }
     if opts.events.is_enabled() {
         cache.set_events(opts.events.clone());
@@ -881,6 +855,7 @@ pub fn elaborate_over(
         binds: Vec::new(),
         skolem_names: HashMap::new(),
         cancel: opts.cancel.clone(),
+        store_full_reported: false,
         int,
         bool,
     };
@@ -1000,6 +975,7 @@ pub fn elaborate_over(
             break;
         }
         let gi = base.counts.groups + gi;
+        inf.store_full_reported = false;
         let members: Vec<usize> = group.into_iter().filter(|i| !skip.contains(i)).collect();
         if members.is_empty() {
             continue;
@@ -1044,15 +1020,19 @@ pub fn elaborate_over(
         for (&i, (name, _, _)) in sigless.iter().zip(&outs) {
             let mono = inf.group_mono[name];
             let mut t = inf.zonk(mono);
-            if inf.types.size(t) > MAX_NODES {
+            let size = inf.types.size(t);
+            if size > MAX_NODES {
                 // Too large to show as a scheme: the member gets E0403
                 // and `forall a. a`, as if its type had never been solved.
-                let e = TypeError {
-                    kind: TypeErrorKind::BudgetExhausted,
-                    span: program.bindings[i].span,
-                };
-                inf.diags
-                    .error(Stage::TypeCheck, "E0403", e.to_string(), e.span);
+                inf.diags.error(
+                    Stage::TypeCheck,
+                    "E0403",
+                    format!(
+                        "the type of `{name}` is too large for a scheme: {size} nodes as a \
+                         tree, more than {MAX_NODES}"
+                    ),
+                    program.bindings[i].span,
+                );
                 t = mono;
             }
             inf.types.collect_vars(t, &mut gen_vars);
@@ -1178,10 +1158,7 @@ pub fn elaborate_over(
             stats: cache.stats,
             resolution_trace: cache.take_trace(),
             metrics: std::mem::take(&mut cache.metrics),
-            cache: Some(WarmCache {
-                cache,
-                types: inf.types,
-            }),
+            types: inf.types,
         },
         inf.diags,
     )
@@ -1274,15 +1251,16 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
                 .entry(&m.name)
                 .or_insert_with(|| IdScheme::intern(&mut inf.types, &m.scheme));
             let mut rest = Vec::new();
+            inf.store_full_reported = false;
             let mty = instantiate(
                 &mut inf.types,
                 inf.gen,
-                &mut inf.diags,
                 msch,
                 body.span,
                 &mut rest,
                 Some(&mut minted),
-            );
+            )
+            .unwrap_or_else(|| inf.past_cap(body.span));
             if rest.is_empty() {
                 slots.push(CoreExpr::Fail(format!(
                     "method `{}` lost its class constraint",

@@ -31,7 +31,6 @@ pub mod scc;
 pub use builtins::{builtin_env, builtin_schemes, is_builtin};
 pub use infer::{
     elaborate, elaborate_over, elaborate_with, ElabBase, ElabCounts, ElabOptions, Elaboration,
-    WarmCache,
 };
 pub use scc::binding_groups;
 

@@ -22,7 +22,7 @@
 
 pub mod share;
 
-pub use share::{count_constructions, share_program, share_program_metered, ShareStats};
+pub use share::{share_program, share_program_metered, ShareStats};
 
 use std::collections::HashMap;
 use std::fmt;

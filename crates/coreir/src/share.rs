@@ -82,8 +82,8 @@ pub fn share_program_metered(prog: &mut CoreProgram, metrics: &mut MetricsRegist
 }
 
 /// Total maximal compound-dictionary construction sites in a program —
-/// the quantity the pass minimizes, also used by benches.
-pub fn count_constructions(prog: &CoreProgram) -> u64 {
+/// the quantity the pass minimizes, reported in [`ShareStats`].
+fn count_constructions(prog: &CoreProgram) -> u64 {
     let mut n = 0u64;
     let mut stack = Vec::new();
     for (_, expr) in &prog.binds {

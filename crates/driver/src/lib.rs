@@ -137,7 +137,6 @@ impl Snapshot {
             ElabBase::builtins(),
             &mut gen,
             ElabOptions::default(),
-            None,
         );
         tc_coreir::share_program(&mut elab.core);
         Snapshot {
@@ -201,11 +200,11 @@ pub struct Options {
     pub coherence_levels: CoherenceConfig,
     /// Run the class-law harness ([`tc_coherence::check_laws`]) after
     /// the static passes: generated `Eq`/`Ord` law programs are
-    /// elaborated through the ordinary dictionary conversion (reusing
-    /// this run's warm resolve cache) and evaluated under
-    /// [`Options::law_budget`]; violations report as `L0011`. Off by
-    /// default — it costs one extra elaboration plus a few dozen tiny
-    /// evaluations.
+    /// elaborated through the ordinary dictionary conversion (a second
+    /// elaboration of the program, with its own resolve cache) and
+    /// evaluated under [`Options::law_budget`]; violations report as
+    /// `L0011`. Off by default — it costs one extra elaboration plus a
+    /// few dozen tiny evaluations.
     pub check_laws: bool,
     /// Evaluator budget per generated law program. Laws are a handful
     /// of applications over enumerated samples, so the default is the
@@ -241,16 +240,12 @@ pub struct Options {
     /// `cancelled` eval error), never a partial hang. `None` (the
     /// default) disables every check's slow path.
     pub cancel: Option<CancelToken>,
-    /// Override the resolution memo-table capacity (graceful
-    /// degradation under load: a smaller table sheds memory, not
-    /// correctness). `None` keeps the cache's own default.
-    pub cache_capacity: Option<usize>,
     /// Deterministic fault injection for this run; disabled (and one
     /// branch per site) by default. See [`resilience`].
     pub faults: Faults,
     /// Flight-recorder scope for this run (see [`tc_trace::events`]):
-    /// stage boundaries, resolver goals, cache evictions, evaluator
-    /// budget checkpoints, deadline cancellations, and fault firings
+    /// stage boundaries, resolver goals, evaluator budget
+    /// checkpoints, deadline cancellations, and fault firings
     /// each record one fixed-size event into the scope's ring buffer.
     /// This is the run's only timing record: the stage timing table,
     /// the Chrome trace, and [`RunResult::trace_json`] are views over
@@ -276,7 +271,6 @@ impl Default for Options {
             profile_eval: false,
             collect_metrics: false,
             cancel: None,
-            cache_capacity: None,
             faults: Faults::none(),
             events: EventScope::off(),
         }
@@ -294,8 +288,8 @@ impl Options {
     }
 
     /// Options with the resolution memo table and dictionary sharing
-    /// both off — the unoptimized baseline the differential suite and
-    /// benches compare against.
+    /// both off — the unoptimized baseline the differential suite
+    /// compares against.
     pub fn unoptimized() -> Self {
         Options {
             memoize_resolution: false,
@@ -313,8 +307,8 @@ impl Options {
 
 /// Counters from one pipeline run: instance resolution, dictionary
 /// sharing, and — after evaluation — evaluator resource usage.
-/// Rendered by the example runner's `--stats` flag and serialized into
-/// bench reports.
+/// Rendered by the example runner's `--stats` flag and by a serve
+/// response's `stats` object.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineStats {
     pub resolve: ResolveStats,
@@ -682,10 +676,8 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
                 trace_resolution: opts.trace_resolution,
                 collect_metrics: opts.collect_metrics,
                 cancel: opts.cancel.clone(),
-                cache_capacity: opts.cache_capacity,
                 events: opts.events.clone(),
             },
-            None,
         );
         diags.extend(ed);
         opts.events
@@ -726,13 +718,11 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             .stage_end(TraceStage::Lint, (diags.len() - seen) as u64);
     }
 
-    // The law harness runs last among the static passes: it needs the
-    // elaboration's warm resolve cache (seeded below, so law goals
-    // resolve in O(1)) and only makes sense for programs that compile
-    // — law verdicts on an erroneous program would blame dictionaries
-    // that were never built. It runs as a second `Coherence` stage,
-    // the structural checks' stage, so its goal events fall inside a
-    // stage span like every other goal's.
+    // The law harness runs last among the static passes: it only makes
+    // sense for programs that compile — law verdicts on an erroneous
+    // program would blame dictionaries that were never built. It runs
+    // as a second `Coherence` stage, the structural checks' stage, so
+    // its goal events fall inside a stage span like every other goal's.
     if opts.check_laws
         && !diags.has_errors()
         && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Coherence)
@@ -751,11 +741,10 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
                 eval_budget: opts.law_budget,
                 reduce: opts.reduce,
                 cancel: opts.cancel.clone(),
-                cache_capacity: opts.cache_capacity,
             },
-            &mut elab.cache,
             &mut gen,
             &mut metrics,
+            &opts.events,
         ));
         opts.events
             .stage_end(TraceStage::Coherence, (diags.len() - before) as u64);

@@ -176,8 +176,9 @@ impl Constructors {
 
 /// A core program's globals, lowered once. Lowering is linear in
 /// program size, so callers that evaluate many entry points of the
-/// same program (the class-law harness, bench loops) should lower once
-/// and evaluate each entry from the shared result.
+/// same program (the class-law harness, the prelude under every
+/// request) should lower once and evaluate each entry from the shared
+/// result.
 ///
 /// A program may be linked against a base program lowered before it
 /// ([`LoweredProgram::over`]): a global the program does not bind is

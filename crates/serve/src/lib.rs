@@ -17,14 +17,11 @@
 //!   the evaluator's fuel loop, so a deadline trips mid-stage and the
 //!   request answers `{"error":"deadline"}` instead of hogging a
 //!   worker.
-//! - **Load shedding and graceful degradation.** Admission is a
-//!   fixed-capacity queue: a full queue answers
-//!   `{"error":"overloaded","retry_after_ms":...}` immediately. Under
-//!   partial load the server degrades before it sheds — at ≥50%
-//!   occupancy optional observability (explain traces and the
-//!   evaluator profile) is dropped, while the flight recorder stays
-//!   on; at ≥75% the resolution memo table is capped so memory stays
-//!   bounded.
+//! - **Load shedding.** Admission is a fixed-capacity queue: a full
+//!   queue answers `{"error":"overloaded","retry_after_ms":...}`
+//!   immediately. An admitted request is compiled and answered as on
+//!   an idle server; only its deadline, which counts the queue wait,
+//!   can cut it short.
 //! - **Deterministic fault injection.** A [`FaultPlan`] makes workers
 //!   panic / stall / exhaust budgets at named pipeline sites, keyed by
 //!   the request sequence number — the chaos suite replays the exact
@@ -74,10 +71,9 @@
 //! lint, and (with `check_laws`) the class-law harness (`L0011`) —
 //! and the response carries every diagnostic as a structured object
 //! (`code`, `severity`, `message`, byte span) plus an overall
-//! `"ok"` verdict. Deadlines, shedding, and degradation apply exactly
-//! as for `run`; the law harness reuses the request's warm resolve
-//! cache, so `check_laws` costs one cheap extra elaboration, not a
-//! cold resolution sweep.
+//! `"ok"` verdict. Deadlines and shedding apply exactly as for `run`;
+//! `check_laws` costs one extra elaboration of the program with its
+//! law bindings, plus a few dozen tiny evaluations.
 //!
 //! `{"cmd":"stats"}` answers with the fleet metrics snapshot: every
 //! worker keeps a private [`MetricsRegistry`] (no contention on the
@@ -175,9 +171,6 @@ pub mod alloc;
 pub mod socket;
 
 pub use socket::{serve_socket, SocketHandle, WRITE_TIMEOUT};
-
-/// Memo-table cap applied under heavy load (≥75% queue occupancy).
-const DEGRADED_CACHE_CAPACITY: usize = 256;
 
 /// Length of the health probe's sliding shed-rate window, seconds.
 pub const SHED_WINDOW_SECS: u64 = 10;
@@ -530,10 +523,6 @@ pub struct ServeSummary {
     pub lines: u64,
     /// Requests admitted to the worker queue.
     pub admitted: u64,
-    /// Requests shed at admission (queue full).
-    pub shed: u64,
-    /// Lines that failed to parse as requests.
-    pub bad_requests: u64,
     /// `stats` commands answered.
     pub stats_requests: u64,
     /// `dump` commands answered.
@@ -569,6 +558,15 @@ impl ServeSummary {
     /// Requests answered `error:"deadline"`.
     pub fn deadline(&self) -> u64 {
         self.fleet.counter(CounterId::ServeErrDeadline)
+    }
+    /// Requests shed at admission (queue full).
+    pub fn shed(&self) -> u64 {
+        self.fleet.counter(CounterId::ServeErrOverloaded)
+    }
+    /// Lines that failed to parse as requests, and `watch`
+    /// subscriptions on the stdin transport.
+    pub fn bad_requests(&self) -> u64 {
+        self.fleet.counter(CounterId::ServeErrBadRequest)
     }
     /// Traces the tail sampler kept (including ones later drained by
     /// `dump`).
@@ -611,8 +609,6 @@ struct Job {
     deadline_ms: Option<u64>,
     opts: Options,
     token: Option<CancelToken>,
-    degrade_traces: bool,
-    degrade_cache: bool,
     admitted_at: Instant,
 }
 
@@ -736,8 +732,6 @@ fn parse_request(line: &str, seq: u64, base: &Options) -> (ReqId, Result<Parsed,
                     deadline_ms: u64_field(&v, "deadline_ms")?,
                     opts,
                     token: None,
-                    degrade_traces: false,
-                    degrade_cache: false,
                     admitted_at: Instant::now(),
                 })
             })();
@@ -804,7 +798,7 @@ fn ok_response(job: &Job, r: &RunResult, latency_us: u64) -> String {
             }
         }
     }
-    if job.explain && !job.degrade_traces {
+    if job.explain {
         match r.check.render_explain() {
             Some(t) => w.field_str("explain", &t),
             None => w.field_null("explain"),
@@ -814,16 +808,6 @@ fn ok_response(job: &Job, r: &RunResult, latency_us: u64) -> String {
         w.begin_object_field("stats");
         r.check.stats.write_json(&mut w);
         w.end_object();
-    }
-    if job.degrade_traces || job.degrade_cache {
-        w.begin_array_field("degraded");
-        if job.degrade_traces {
-            w.elem_str("traces");
-        }
-        if job.degrade_cache {
-            w.elem_str("cache");
-        }
-        w.end_array();
     }
     w.field_u64("latency_us", latency_us);
     w.end_object();
@@ -861,16 +845,6 @@ fn check_response(job: &Job, c: &Check, latency_us: u64) -> String {
         w.begin_object_field("stats");
         c.stats.write_json(&mut w);
         w.end_object();
-    }
-    if job.degrade_traces || job.degrade_cache {
-        w.begin_array_field("degraded");
-        if job.degrade_traces {
-            w.elem_str("traces");
-        }
-        if job.degrade_cache {
-            w.elem_str("cache");
-        }
-        w.end_array();
     }
     w.field_u64("latency_us", latency_us);
     w.end_object();
@@ -925,8 +899,6 @@ fn classify(job: &Job, outcome: Result<Done, String>, latency_us: u64) -> (u64, 
 struct Tally {
     lines: u64,
     admitted: u64,
-    shed: u64,
-    bad_requests: u64,
     stats_requests: u64,
     dump_requests: u64,
     health_requests: u64,
@@ -1152,7 +1124,6 @@ impl Core {
         }
         match parsed {
             Err(msg) => {
-                lock_unpoisoned(&self.tally).bad_requests += 1;
                 lock_unpoisoned(&self.admission_reg).incr(CounterId::ServeErrBadRequest);
                 let kept = self.synth_trace(seq, OUTCOME_BAD_REQUEST, None);
                 self.access(&id, seq, OUTCOME_BAD_REQUEST, 0, kept, None);
@@ -1183,7 +1154,6 @@ impl Core {
                     reg.incr(CounterId::ServeErrOverloaded);
                     reg.observe(HistogramId::ServeLatencyOverloadedUs, 0);
                     drop(reg);
-                    lock_unpoisoned(&self.tally).shed += 1;
                     self.shed_window.record(self.now_sec(), true);
                     let hint = retry_after_hint(self.cfg.retry_after_ms, depth, self.workers);
                     let kept = self.synth_trace(
@@ -1200,11 +1170,6 @@ impl Core {
                 }
                 drop(reg);
                 self.shed_window.record(self.now_sec(), false);
-                // Degrade *before* shedding: at half occupancy the
-                // pool is behind, so optional observability goes
-                // first; at three quarters, cap the memo table too.
-                job.degrade_traces = depth * 2 >= self.cap;
-                job.degrade_cache = depth * 4 >= self.cap * 3;
                 job.admitted_at = Instant::now();
                 job.token = job
                     .deadline_ms
@@ -1470,8 +1435,8 @@ impl Core {
         kept.then_some(reason)
     }
 
-    /// Process one admitted job on a worker: apply degradation, arm
-    /// faults, run the pipeline under panic isolation (recording its
+    /// Process one admitted job on a worker: arm faults, run the
+    /// pipeline under panic isolation (recording its
     /// events under `trace_id = seq`), classify, record metrics and
     /// the access-log record, make the tail-sampling decision, and
     /// return the single response line.
@@ -1485,28 +1450,7 @@ impl Core {
             job.seq,
             job.admitted_at.elapsed().as_micros() as u64,
         );
-        {
-            let mut m = lock_unpoisoned(reg);
-            m.incr(CounterId::ServeProcessed);
-            if job.degrade_traces {
-                m.incr(CounterId::ServeDegradedTraces);
-            }
-            if job.degrade_cache {
-                m.incr(CounterId::ServeDegradedCache);
-            }
-        }
-        if job.degrade_traces {
-            // Shed optional observability first: correctness of the
-            // answer is untouched, only explain/profile detail is
-            // lost. The flight recorder stays on — it is the
-            // instrument that explains exactly these degraded
-            // requests.
-            job.opts.trace_resolution = false;
-            job.opts.profile_eval = false;
-        }
-        if job.degrade_cache {
-            job.opts.cache_capacity = Some(DEGRADED_CACHE_CAPACITY);
-        }
+        lock_unpoisoned(reg).incr(CounterId::ServeProcessed);
         job.opts.cancel = job.token.clone();
         job.opts.events = scope.clone();
         let faults = cfg
@@ -1609,8 +1553,6 @@ impl Core {
         let mut summary = ServeSummary {
             lines: t.lines,
             admitted: t.admitted,
-            shed: t.shed,
-            bad_requests: t.bad_requests,
             stats_requests: t.stats_requests,
             dump_requests: t.dump_requests,
             health_requests: t.health_requests,
@@ -1762,7 +1704,6 @@ fn serve_to(input: impl BufRead, sink: Arc<LineSink>, cfg: &ServeConfig) -> Serv
         core.admit_all(input, &sink, |id, _| {
             // Streaming needs a connection to stream to; on the
             // one-shot stdin transport it is a bad request.
-            lock_unpoisoned(&core.tally).bad_requests += 1;
             lock_unpoisoned(&core.admission_reg).incr(CounterId::ServeErrBadRequest);
             core.reply(
                 &sink,
@@ -1859,7 +1800,7 @@ mod tests {
         ];
         let (out, summary) = serve_lines(&lines, &ServeConfig::default());
         assert_eq!(out.len(), 4);
-        assert_eq!(summary.bad_requests, 4);
+        assert_eq!(summary.bad_requests(), 4);
         assert_eq!(summary.admitted, 0);
         let vals = parse_all(&out);
         for v in &vals {
@@ -1959,9 +1900,9 @@ mod tests {
             .collect();
         let (out, summary) = serve_lines(&lines, &cfg);
         assert_eq!(out.len(), 40);
-        assert_eq!(summary.admitted + summary.shed, 40);
+        assert_eq!(summary.admitted + summary.shed(), 40);
         assert_eq!(summary.responses, 40);
-        if summary.shed > 0 {
+        if summary.shed() > 0 {
             let vals = parse_all(&out);
             let shed = vals
                 .iter()
@@ -2271,7 +2212,7 @@ mod tests {
             .collect();
         let (out, summary) = serve_lines(&lines, &cfg);
         assert_eq!(out.len(), 60);
-        if summary.shed == 0 {
+        if summary.shed() == 0 {
             return; // machine drained too fast to overload; nothing to check
         }
         let vals = parse_all(&out);
@@ -2290,7 +2231,7 @@ mod tests {
             .iter()
             .filter(|t| t.outcome == tc_trace::events::OUTCOME_OVERLOADED)
             .collect();
-        assert_eq!(overloaded.len() as u64, summary.shed);
+        assert_eq!(overloaded.len() as u64, summary.shed());
         for t in overloaded {
             assert!(
                 t.events.iter().any(|e| e.kind == EventKind::Shed),
@@ -2431,7 +2372,7 @@ mod tests {
         let (out, summary) = serve_lines(&lines, &ServeConfig::default());
         assert_eq!(out.len(), 1);
         assert_eq!(summary.watch_requests, 0, "nothing subscribed");
-        assert_eq!(summary.bad_requests, 1);
+        assert_eq!(summary.bad_requests(), 1);
         let vals = parse_all(&out);
         assert_eq!(
             vals[0].get("error").and_then(|s| s.as_str()),

@@ -1,7 +1,7 @@
 //! `deriving (Eq, Ord)` — mechanical instance generation.
 //!
 //! Runs at the end of parsing so every consumer of [`Program`] (the
-//! driver, test utilities, benches) sees derived instances exactly as
+//! driver, lints, test utilities) sees derived instances exactly as
 //! if the user had written them by hand. This is the translation of
 //! Peterson & Jones (PLDI 1993): a derived instance is an ordinary
 //! dictionary whose methods are built from the data declaration's

@@ -5,8 +5,8 @@
 //! happened" in aggregate, the [`EventLog`] answers "what happened
 //! *inside this request*, and when": a monotonic-clock-stamped
 //! sequence of statically-keyed events (stage boundaries, resolver
-//! goals, cache evictions, evaluator budget checkpoints,
-//! cancellations, injected faults) tagged with a per-request
+//! goals, evaluator budget checkpoints, cancellations, injected
+//! faults, sheds) tagged with a per-request
 //! `trace_id`. The design constraints mirror the metrics registry:
 //!
 //! * **Static keys.** Every event is an [`EventKind`] variant with two
@@ -32,7 +32,7 @@
 //! and [`traces_chrome_json`], behind both `report --chrome` and the
 //! example runner's `--chrome-trace`), and the runner's `--trace-json`.
 
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, Value};
 use crate::Stage;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -56,6 +56,20 @@ pub fn outcome_name(code: u64) -> &'static str {
     }
 }
 
+/// The outcome code a class label names: the inverse of
+/// [`outcome_name`].
+pub fn outcome_code(name: &str) -> Option<u64> {
+    [
+        OUTCOME_OK,
+        OUTCOME_INTERNAL,
+        OUTCOME_DEADLINE,
+        OUTCOME_OVERLOADED,
+        OUTCOME_BAD_REQUEST,
+    ]
+    .into_iter()
+    .find(|&code| outcome_name(code) == name)
+}
+
 /// What a recorded event means. The two payload args are interpreted
 /// per kind; see each variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +89,6 @@ pub enum EventKind {
     /// The resolver answered one goal. `arg0` = backward-chaining
     /// depth, `arg1` = 0 memo miss / 1 memo hit / 2 not cacheable.
     Goal,
-    /// The resolve cache evicted entries to stay under capacity.
-    /// `arg0` = entries evicted by this trim.
-    CacheEvict,
     /// The evaluator passed a budget checkpoint (the cancellation-poll
     /// cadence). `arg0` = fuel used so far, `arg1` = current depth.
     EvalCheckpoint,
@@ -93,6 +104,18 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    pub const ALL: [EventKind; 9] = [
+        EventKind::RequestStart,
+        EventKind::RequestEnd,
+        EventKind::StageStart,
+        EventKind::StageEnd,
+        EventKind::Goal,
+        EventKind::EvalCheckpoint,
+        EventKind::Cancelled,
+        EventKind::FaultInjected,
+        EventKind::Shed,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             EventKind::RequestStart => "request-start",
@@ -100,7 +123,6 @@ impl EventKind {
             EventKind::StageStart => "stage-start",
             EventKind::StageEnd => "stage-end",
             EventKind::Goal => "goal",
-            EventKind::CacheEvict => "cache-evict",
             EventKind::EvalCheckpoint => "eval-checkpoint",
             EventKind::Cancelled => "cancelled",
             EventKind::FaultInjected => "fault-injected",
@@ -113,6 +135,38 @@ impl EventKind {
 /// index is out of range — a malformed event, not a panic).
 fn stage_name(index: u64) -> &'static str {
     Stage::ALL.get(index as usize).map_or("?", |s| s.name())
+}
+
+/// The stage index a stage name stands for: the inverse of
+/// [`stage_name`], out of range (so "?" again) for an unknown name.
+fn stage_index(name: &str) -> u64 {
+    Stage::ALL
+        .iter()
+        .position(|s| s.name() == name)
+        .unwrap_or(Stage::ALL.len()) as u64
+}
+
+/// A goal's memo payload (`arg1`), named by index; 2 and up are
+/// "uncached".
+const MEMO: [&str; 3] = ["miss", "hit", "uncached"];
+
+/// A fault's action payload (`arg1`), named by index; 2 and up are
+/// "budget".
+const FAULT_ACTIONS: [&str; 3] = ["panic", "delay", "budget"];
+
+/// The name of payload `arg` in `names`; the last name stands for
+/// every larger value.
+fn arg_name(names: &[&'static str; 3], arg: u64) -> &'static str {
+    names[(arg as usize).min(names.len() - 1)]
+}
+
+/// The payload `name` stands for in `names`; an unknown name is read
+/// as the last.
+fn arg_code(names: &[&str; 3], name: &str) -> u64 {
+    names
+        .iter()
+        .position(|n| *n == name)
+        .unwrap_or(names.len() - 1) as u64
 }
 
 /// One recorded event: fixed-size, `Copy`, no heap.
@@ -148,16 +202,8 @@ impl Event {
             }
             EventKind::Goal => {
                 w.field_u64("depth", self.arg0);
-                w.field_str(
-                    "memo",
-                    match self.arg1 {
-                        0 => "miss",
-                        1 => "hit",
-                        _ => "uncached",
-                    },
-                );
+                w.field_str("memo", arg_name(&MEMO, self.arg1));
             }
-            EventKind::CacheEvict => w.field_u64("evicted", self.arg0),
             EventKind::EvalCheckpoint => {
                 w.field_u64("fuel_used", self.arg0);
                 w.field_u64("depth", self.arg1);
@@ -165,14 +211,7 @@ impl Event {
             EventKind::Cancelled => w.field_str("stage", stage_name(self.arg0)),
             EventKind::FaultInjected => {
                 w.field_str("stage", stage_name(self.arg0));
-                w.field_str(
-                    "action",
-                    match self.arg1 {
-                        0 => "panic",
-                        1 => "delay",
-                        _ => "budget",
-                    },
-                );
+                w.field_str("action", arg_name(&FAULT_ACTIONS, self.arg1));
             }
             EventKind::Shed => {
                 w.field_u64("queue_depth", self.arg0);
@@ -180,6 +219,41 @@ impl Event {
             }
         }
         w.end_object();
+    }
+
+    /// The event that [`Event::write_json`] wrote as `v`, in trace
+    /// `trace_id` (a dump names the trace once, not per event): the
+    /// field names decoded back into `arg0`/`arg1`. `None` when `v`
+    /// has no timestamp or names no [`EventKind`].
+    pub fn from_json(trace_id: u64, v: &Value) -> Option<Event> {
+        let ts_ns = v.get("ts_ns")?.as_u64()?;
+        let name = v.get("kind")?.as_str()?;
+        let kind = EventKind::ALL.into_iter().find(|k| k.name() == name)?;
+        let num = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let text = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or("");
+        let (arg0, arg1) = match kind {
+            EventKind::RequestStart => (num("seq"), 0),
+            EventKind::RequestEnd => (
+                outcome_code(text("outcome")).unwrap_or(u64::MAX),
+                num("latency_us"),
+            ),
+            EventKind::StageStart | EventKind::Cancelled => (stage_index(text("stage")), 0),
+            EventKind::StageEnd => (stage_index(text("stage")), num("diags")),
+            EventKind::Goal => (num("depth"), arg_code(&MEMO, text("memo"))),
+            EventKind::EvalCheckpoint => (num("fuel_used"), num("depth")),
+            EventKind::FaultInjected => (
+                stage_index(text("stage")),
+                arg_code(&FAULT_ACTIONS, text("action")),
+            ),
+            EventKind::Shed => (num("queue_depth"), num("retry_after_ms")),
+        };
+        Some(Event {
+            trace_id,
+            ts_ns,
+            kind,
+            arg0,
+            arg1,
+        })
     }
 }
 
@@ -604,6 +678,43 @@ pub fn traces_chrome_json(traces: &[(u64, Vec<SpanEvent>)]) -> String {
 mod tests {
     use super::*;
     use crate::json;
+
+    #[test]
+    fn every_event_kind_round_trips_through_json() {
+        // One event of each kind, with payloads its JSON fields can name.
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            let (arg0, arg1) = match kind {
+                EventKind::RequestStart => (41, 0),
+                EventKind::RequestEnd => (OUTCOME_OVERLOADED, 1_234),
+                EventKind::StageStart | EventKind::Cancelled => (3, 0),
+                EventKind::StageEnd => (4, 2),
+                EventKind::Goal => (5, 1),
+                EventKind::EvalCheckpoint => (80_000, 17),
+                EventKind::FaultInjected => (2, 1),
+                EventKind::Shed => (64, 250),
+            };
+            let event = Event {
+                trace_id: 9,
+                ts_ns: 1_000 + i as u64,
+                kind,
+                arg0,
+                arg1,
+            };
+            let mut w = JsonWriter::new();
+            event.write_json(&mut w);
+            let text = w.finish();
+            let v = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(Event::from_json(9, &v), Some(event), "{text}");
+        }
+        // The outcome and stage names invert too.
+        for code in 0..5 {
+            assert_eq!(outcome_code(outcome_name(code)), Some(code));
+        }
+        assert_eq!(outcome_code("unknown"), None);
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            assert_eq!(stage_index(stage.name()), i as u64);
+        }
+    }
 
     #[test]
     fn off_log_allocates_nothing_and_records_nothing() {

@@ -32,8 +32,6 @@ pub enum CounterId {
     ResolveCacheHits,
     /// Cacheable resolution goals derived from scratch.
     ResolveCacheMisses,
-    /// Memo-table entries discarded to stay under a capacity cap.
-    ResolveCacheEvictions,
     /// Goals entering the resolver (including subgoals).
     ResolveGoals,
     /// Fresh `FromInstance` derivation nodes built.
@@ -72,10 +70,6 @@ pub enum CounterId {
     ServeErrOverloaded,
     /// Serve requests rejected as malformed (`error:bad-request`).
     ServeErrBadRequest,
-    /// Requests whose optional traces were shed under queue pressure.
-    ServeDegradedTraces,
-    /// Requests whose resolve-cache capacity was shrunk under pressure.
-    ServeDegradedCache,
     /// Faults injected by the deterministic fault plan.
     ServeFaultsInjected,
     /// Requests fully processed by this worker (per-worker registries
@@ -96,10 +90,9 @@ pub enum CounterId {
 }
 
 impl CounterId {
-    pub const ALL: [CounterId; 31] = [
+    pub const ALL: [CounterId; 28] = [
         CounterId::ResolveCacheHits,
         CounterId::ResolveCacheMisses,
-        CounterId::ResolveCacheEvictions,
         CounterId::ResolveGoals,
         CounterId::ResolveDictsConstructed,
         CounterId::InternHits,
@@ -118,8 +111,6 @@ impl CounterId {
         CounterId::ServeErrDeadline,
         CounterId::ServeErrOverloaded,
         CounterId::ServeErrBadRequest,
-        CounterId::ServeDegradedTraces,
-        CounterId::ServeDegradedCache,
         CounterId::ServeFaultsInjected,
         CounterId::ServeProcessed,
         CounterId::ServeTracesRetained,
@@ -134,7 +125,6 @@ impl CounterId {
         match self {
             CounterId::ResolveCacheHits => "resolve.cache.hits",
             CounterId::ResolveCacheMisses => "resolve.cache.misses",
-            CounterId::ResolveCacheEvictions => "resolve.cache.evictions",
             CounterId::ResolveGoals => "resolve.goals",
             CounterId::ResolveDictsConstructed => "resolve.dicts_constructed",
             CounterId::InternHits => "intern.hits",
@@ -153,8 +143,6 @@ impl CounterId {
             CounterId::ServeErrDeadline => "serve.err.deadline",
             CounterId::ServeErrOverloaded => "serve.err.overloaded",
             CounterId::ServeErrBadRequest => "serve.err.bad_request",
-            CounterId::ServeDegradedTraces => "serve.degraded.traces",
-            CounterId::ServeDegradedCache => "serve.degraded.cache",
             CounterId::ServeFaultsInjected => "serve.faults_injected",
             CounterId::ServeProcessed => "serve.processed",
             CounterId::ServeTracesRetained => "serve.traces.retained",
@@ -171,7 +159,6 @@ impl CounterId {
             CounterId::ResolveCacheHits
             | CounterId::ResolveCacheMisses
             | CounterId::ResolveGoals => "goals",
-            CounterId::ResolveCacheEvictions => "entries",
             CounterId::ResolveDictsConstructed | CounterId::ShareDictsHoisted => "dicts",
             CounterId::InternHits | CounterId::InternFresh | CounterId::InternMapVisits => "nodes",
             CounterId::SubstLinks => "links",
@@ -186,8 +173,6 @@ impl CounterId {
             | CounterId::ServeErrDeadline
             | CounterId::ServeErrOverloaded
             | CounterId::ServeErrBadRequest
-            | CounterId::ServeDegradedTraces
-            | CounterId::ServeDegradedCache
             | CounterId::ServeProcessed => "requests",
             CounterId::ServeFaultsInjected => "faults",
             CounterId::ServeTracesRetained | CounterId::ServeTracesDropped => "traces",
@@ -734,16 +719,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Nonzero counters as `(name, value)` pairs, catalog order. Used
-    /// by bench reports, which want compact deterministic output.
-    pub fn counters_snapshot(&self) -> Vec<(&'static str, u64)> {
-        CounterId::ALL
-            .iter()
-            .map(|&id| (id.name(), self.counter(id)))
-            .filter(|&(_, v)| v > 0)
-            .collect()
-    }
-
     /// Fold another registry's counts into this one: counters add,
     /// gauges take the elementwise max, histograms merge bucket-wise.
     /// Every operation is commutative and associative, so fleet-wide
@@ -941,7 +916,6 @@ mod tests {
         assert_eq!(m.counter(CounterId::ResolveGoals), 0);
         assert_eq!(m.gauge(GaugeId::InternTableSize), 0);
         assert!(m.histogram(HistogramId::ShareLetSize).is_none());
-        assert!(m.counters_snapshot().is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::ty::TyVar;
 /// [`Subst::apply`] zonks a type on demand. Both are iterative.
 ///
 /// The map lives beside the store, not in it, because a store can
-/// outlive its substitution: the law harness elaborates a second
-/// program in the store of the first.
+/// outlive its substitution: coherence's overlap check unifies each
+/// pair of instance heads under a fresh substitution in one store.
 #[derive(Debug, Clone, Default)]
 pub struct Subst {
     map: FastMap<TyVar, TypeId>,

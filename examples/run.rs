@@ -383,6 +383,16 @@ const ERROR_CODES: &[(&str, &str, &str)] = &[
          parameter of its `data` declaration",
     ),
     (
+        "E0403",
+        "type-too-large",
+        "a type outgrew one of the type checker's three size limits: one \
+         unification compared more pairs of nodes than its work budget; \
+         the program's types filled the request's type store past its cap \
+         (reported once per binding group or instance method, and nothing \
+         after it is type-checked); or an inferred type has more nodes as \
+         a tree than a scheme may hold (the binding gets `forall a. a`)",
+    ),
+    (
         "E0416",
         "pattern-arity",
         "a constructor pattern binds the wrong number of fields for its \
@@ -695,8 +705,8 @@ fn serve_main(args: &[String]) -> ExitCode {
         summary.ok(),
         summary.internal(),
         summary.deadline(),
-        summary.shed,
-        summary.bad_requests,
+        summary.shed(),
+        summary.bad_requests(),
         summary.responses,
     );
     if cfg.recorder.enabled {
@@ -932,85 +942,6 @@ struct ReportTrace {
     events: Vec<typeclasses::Event>,
 }
 
-/// The [`typeclasses::Stage`] index for a stage name in a dumped
-/// event (0 when unrecognized — a malformed line, not a crash).
-fn stage_index(name: &str) -> u64 {
-    typeclasses::Stage::ALL
-        .iter()
-        .position(|s| s.name() == name)
-        .unwrap_or(0) as u64
-}
-
-/// Rebuild one in-memory [`typeclasses::Event`] from its dumped JSON
-/// object, inverting the self-describing field names back into the
-/// static `arg0`/`arg1` encoding.
-fn event_from_json(
-    trace_id: u64,
-    v: &typeclasses::trace::json::Value,
-) -> Option<typeclasses::Event> {
-    use typeclasses::EventKind;
-    let ts_ns = v.get("ts_ns")?.as_u64()?;
-    let kind = v.get("kind")?.as_str()?.to_string();
-    let num = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-    let txt = |k: &str| v.get(k).and_then(|x| x.as_str()).unwrap_or("").to_string();
-    let (kind, arg0, arg1) = match kind.as_str() {
-        "request-start" => (EventKind::RequestStart, num("seq"), 0),
-        "request-end" => (
-            EventKind::RequestEnd,
-            outcome_code(&txt("outcome")),
-            num("latency_us"),
-        ),
-        "stage-start" => (EventKind::StageStart, stage_index(&txt("stage")), 0),
-        "stage-end" => (
-            EventKind::StageEnd,
-            stage_index(&txt("stage")),
-            num("diags"),
-        ),
-        "goal" => (
-            EventKind::Goal,
-            num("depth"),
-            match txt("memo").as_str() {
-                "miss" => 0,
-                "hit" => 1,
-                _ => 2,
-            },
-        ),
-        "cache-evict" => (EventKind::CacheEvict, num("evicted"), 0),
-        "eval-checkpoint" => (EventKind::EvalCheckpoint, num("fuel_used"), num("depth")),
-        "cancelled" => (EventKind::Cancelled, stage_index(&txt("stage")), 0),
-        "fault-injected" => (
-            EventKind::FaultInjected,
-            stage_index(&txt("stage")),
-            match txt("action").as_str() {
-                "panic" => 0,
-                "delay" => 1,
-                _ => 2,
-            },
-        ),
-        "shed" => (EventKind::Shed, num("queue_depth"), num("retry_after_ms")),
-        _ => return None,
-    };
-    Some(typeclasses::Event {
-        trace_id,
-        ts_ns,
-        kind,
-        arg0,
-        arg1,
-    })
-}
-
-/// The outcome-class code for a dumped outcome name.
-fn outcome_code(name: &str) -> u64 {
-    use typeclasses::trace::events as ev;
-    match name {
-        "internal" => ev::OUTCOME_INTERNAL,
-        "deadline" => ev::OUTCOME_DEADLINE,
-        "overloaded" => ev::OUTCOME_OVERLOADED,
-        "bad-request" => ev::OUTCOME_BAD_REQUEST,
-        _ => ev::OUTCOME_OK,
-    }
-}
-
 /// Exact nearest-rank quantile over a sorted sample.
 fn pct(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -1100,7 +1031,7 @@ fn report_main(args: &[String]) -> ExitCode {
                 .and_then(|e| e.as_array())
                 .map(|evs| {
                     evs.iter()
-                        .filter_map(|e| event_from_json(trace_id, e))
+                        .filter_map(|e| typeclasses::Event::from_json(trace_id, e))
                         .collect()
                 })
                 .unwrap_or_default();
@@ -1174,8 +1105,6 @@ fn report_main(args: &[String]) -> ExitCode {
     let mut goals = 0u64;
     let mut hits = 0u64;
     let mut misses = 0u64;
-    let mut evictions = 0u64;
-    let mut evicted_entries = 0u64;
     let mut faults: BTreeMap<&str, u64> = BTreeMap::new();
     let mut cancelled: BTreeMap<String, u64> = BTreeMap::new();
     let mut sheds = 0u64;
@@ -1198,10 +1127,6 @@ fn report_main(args: &[String]) -> ExitCode {
                         1 => hits += 1,
                         _ => {}
                     }
-                }
-                EventKind::CacheEvict => {
-                    evictions += 1;
-                    evicted_entries += e.arg0;
                 }
                 EventKind::FaultInjected => {
                     let action = match e.arg1 {
@@ -1242,8 +1167,7 @@ fn report_main(args: &[String]) -> ExitCode {
         }
     }
     report.push_str(&format!(
-        "\ncache: {goals} goal(s) ({hits} memo hits, {misses} misses), \
-         {evictions} eviction event(s) dropping {evicted_entries} entr(ies)\n"
+        "\ncache: {goals} goal(s) ({hits} memo hits, {misses} misses)\n"
     ));
     if !faults.is_empty() {
         let parts: Vec<String> = faults.iter().map(|(a, n)| format!("{a}={n}")).collect();

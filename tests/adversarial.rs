@@ -207,18 +207,26 @@ fn node_ceiling_bounds_a_program_of_many_groups() {
     // the nodes one request can store do not grow with its length: the
     // first copy to fail is the same for 400 and 1,600 copies, every
     // copy after it fails too, and the failing copies stop adding to
-    // the store.
-    let first_failing = |copies: usize| -> (usize, usize) {
+    // the store. Each failing copy, a binding group of its own, reports
+    // exactly one `E0403`, and so does `main`, the last group.
+    let first_failing = |copies: usize| -> usize {
         let src = store_ceiling_program("", copies) + "main = 1;\n";
         let (_, lines, errors) = e0403_lines(src);
-        (first_failing_copy(&lines), errors)
+        let first = first_failing_copy(&lines);
+        assert_eq!(errors, copies - first + 1, "{copies} copies");
+        let expected = (first..copies)
+            .map(|j| format!("g{j} = "))
+            .chain(["main = ".to_string()]);
+        assert_eq!(lines.len(), errors.min(200), "the diagnostics keep 200");
+        for (line, want) in lines.iter().zip(expected) {
+            assert!(line.starts_with(&want), "{line:.40} is not `{want}`");
+        }
+        first
     };
-    let (short, short_errors) = first_failing(400);
-    let (long, long_errors) = first_failing(1_600);
+    let short = first_failing(400);
+    let long = first_failing(1_600);
     assert_eq!(short, long, "the ceiling moved with the program's length");
     assert!(short > 200, "the store admits 200 copies");
-    assert!(short_errors >= 400 - short, "{short_errors} errors");
-    assert!(long_errors >= 1_600 - long, "{long_errors} errors");
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn type_layer_programs() -> Vec<(String, String)> {
 /// `copies` bindings that each instantiate `h`, a 390-field
 /// constructor, eight times: each adds about 3,200 nodes to the type
 /// store, so the copies together reach its cap, and every copy past it
-/// reports E0403.
+/// reports one E0403.
 fn store_ceiling_program(copies: usize) -> String {
     let mut src = format!("data P a = P {};\nh = P;\n", vec!["a"; 390].join(" "));
     let list = (0..8).fold("nil".to_string(), |l, _| format!("cons h ({l})"));

@@ -33,8 +33,8 @@ use typeclasses::serve::{serve_lines, ServeConfig};
 use typeclasses::syntax::{lex, parse_program_with, Diagnostics};
 use typeclasses::types::VarGen;
 use typeclasses::{
-    check_source, lint_source, run_checked, run_source, CancelToken, FaultPlan, JsonWriter,
-    MetricsRegistry, Options, Outcome, PRELUDE,
+    check_source, lint_source, run_checked, run_source, CancelToken, EventScope, FaultPlan,
+    JsonWriter, MetricsRegistry, Options, Outcome, PRELUDE,
 };
 
 /// What one compile-and-run produced, in comparable form.
@@ -138,9 +138,9 @@ fn reference(src: &str, opts: &Options, lint: bool) -> Produced {
                 reduce: opts.reduce,
                 ..LawOptions::default()
             },
-            &mut elab.cache,
             &mut gen,
             &mut metrics,
+            &EventScope::off(),
         ));
     }
     let (outcome, eval) = match (&elab.core.main, diags.has_errors()) {
@@ -521,19 +521,13 @@ fn line(id: u64, program: &str, check: bool) -> String {
     w.finish()
 }
 
-/// A response without the fields that describe the server's load
-/// rather than the answer: its latency and what load shedding degraded.
+/// A response without the field that describes the server's load
+/// rather than the answer: its latency.
 fn untimed(response: &str) -> String {
-    let mut out = match response.rfind(", \"latency_us\": ") {
+    match response.rfind(", \"latency_us\": ") {
         Some(i) => format!("{}}}", &response[..i]),
         None => response.to_string(),
-    };
-    if let Some(i) = out.find(", \"degraded\": [") {
-        if let Some(len) = out[i..].find(']') {
-            out.replace_range(i..=i + len, "");
-        }
     }
-    out
 }
 
 #[test]

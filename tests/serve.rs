@@ -146,7 +146,7 @@ fn chaos_every_request_gets_exactly_one_classified_response() {
     // No worker died: the pool drained every admitted request despite
     // the panics, and the oversized queue meant nothing was shed.
     assert_eq!(summary.admitted, N);
-    assert_eq!(summary.shed, 0);
+    assert_eq!(summary.shed(), 0);
 
     // Fleet metrics reconcile: per-class counters sum to the request
     // counter, and the request counter matches the lines read.
@@ -210,7 +210,7 @@ fn overload_sheds_and_recovers() {
         .collect();
     let (out, summary) = serve_lines(&lines, &cfg);
     assert_eq!(out.len(), 60);
-    assert_eq!(summary.admitted + summary.shed, 60);
+    assert_eq!(summary.admitted + summary.shed(), 60);
     assert_eq!(summary.responses, 60);
     let vals = parse_all(&out);
     for v in vals.iter().filter(|v| class_of(v) == "overloaded") {
@@ -234,6 +234,89 @@ fn overload_sheds_and_recovers() {
     let (out2, summary2) = serve_lines(&calm, &calm_cfg);
     assert_eq!(out2.len(), 3);
     assert_eq!(summary2.ok(), 3);
+}
+
+/// A program whose resolution leans on the memo table: 250 nullary
+/// types deriving `Eq`, one binding per type whose body resolves
+/// `Eq (List^45 D_i)` (46 goals, all tabled), and `w`, which needs all
+/// 250 of those at once through a 250-parameter `W`. Each binding fits
+/// the resolver's 10,000-step budget alone; `w` fits only because the
+/// table still holds every binding's derivation, so a table capped
+/// below its 11,500 entries makes `w` fail with `E0421`.
+fn memo_table_program() -> String {
+    let mut src = String::new();
+    for i in 0..250 {
+        src.push_str(&format!("data D{i} = D{i} deriving (Eq);\n"));
+    }
+    let params: Vec<String> = (0..250).map(|i| format!("a{i}")).collect();
+    let params = params.join(" ");
+    src.push_str(&format!("data W {params} = W {params} deriving (Eq);\n"));
+    for i in 0..250 {
+        let ty = (0..45).fold(format!("D{i}"), |t, _| format!("List ({t})"));
+        src.push_str(&format!(
+            "x{i} :: {ty};\nx{i} = let {{ y = nil; }} in if eq y y then y else y;\n"
+        ));
+    }
+    let xs: Vec<String> = (0..250).map(|i| format!("x{i}")).collect();
+    let xs = xs.join(" ");
+    src.push_str(&format!(
+        "w :: Bool;\nw = eq (W {xs}) (W {xs});\nmain = 1;\n"
+    ));
+    src
+}
+
+#[test]
+fn an_admitted_request_is_answered_as_on_an_idle_server() {
+    // One worker, held 200 ms by a delay at every request's parse site,
+    // and a queue of 8. Lines 7 and 8 are admitted with 5–6 and 6–7
+    // requests queued ahead of them, whether or not the worker has
+    // taken the first yet, and long before it finishes it. However full
+    // the queue, an admitted request compiles as it would on an idle
+    // server and its response carries what it asked for and nothing
+    // about the load.
+    let plan = FaultPlan::parse("seed=1;parse=delay:200").unwrap_or_else(|e| panic!("{e}"));
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_capacity: 8,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
+    let mut lines: Vec<String> = (1..=6).map(|i| req(i, "main = 1;")).collect();
+    lines.push(
+        "{\"id\": 7, \"program\": \"main = member 3 (enumFromTo 1 5);\", \"explain\": true}"
+            .to_string(),
+    );
+    lines.push(req(8, &memo_table_program()));
+    let (out, summary) = serve_lines(&lines, &cfg);
+    assert_eq!((summary.ok(), summary.shed()), (8, 0), "{out:?}");
+    let vals = parse_all(&out);
+    let by_id = |id: u64| {
+        vals.iter()
+            .find(|v| v.get("id").and_then(|n| n.as_u64()) == Some(id))
+            .unwrap_or_else(|| panic!("missing id {id}: {out:?}"))
+    };
+    let value = |id: u64| by_id(id).get("value").and_then(|s| s.as_str());
+    assert_eq!(value(8), Some("1"), "{:.300}", out.join("\n"));
+    assert_eq!(value(7), Some("True"));
+    let explain = by_id(7).get("explain").and_then(|s| s.as_str());
+    assert!(
+        explain.is_some_and(|t| t.contains("instance #")),
+        "{explain:?}"
+    );
+    for v in &vals {
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap_or_else(|| panic!("not an object: {v:?}"))
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|&k| k != "explain")
+            .collect();
+        assert_eq!(
+            keys,
+            ["id", "status", "outcome", "value", "detail", "latency_us"],
+            "{v:?}"
+        );
+    }
 }
 
 /// The differential corpus: the checked-in examples plus the inline

@@ -149,7 +149,7 @@ fn two_concurrent_clients_interleave_run_and_watch() {
     let summary = handle.shutdown();
     assert_eq!(summary.admitted, 2);
     assert_eq!(summary.watch_requests, 1);
-    assert_eq!(summary.bad_requests, 0);
+    assert_eq!(summary.bad_requests(), 0);
 }
 
 #[test]
@@ -323,7 +323,7 @@ fn health_answers_while_the_admission_queue_is_saturated() {
     drop(probe);
     let summary = handle.shutdown();
     assert_eq!(summary.health_requests, 1);
-    assert_eq!(summary.admitted + summary.shed, 30);
+    assert_eq!(summary.admitted + summary.shed(), 30);
 }
 
 /// Strip timing-dependent fields so two runs of the same workload can
