@@ -147,11 +147,11 @@ fn add_class(
 
     // Lower each method signature in a scope where the class variable
     // is shared; the method's scheme gains the implicit class predicate.
+    // Each method is owned as soon as it registers, so a name the class
+    // repeats is a duplicate too.
     let mut methods = Vec::new();
     for (index, m) in decl.methods.iter().enumerate() {
-        if env.method_owner.contains_key(&m.name)
-            || methods.iter().any(|mm: &MethodInfo| mm.name == m.name)
-        {
+        if env.method_owner.contains_key(&m.name) {
             diags.error(
                 Stage::Classes,
                 "E0302",
@@ -184,6 +184,8 @@ fn add_class(
             continue;
         }
         let scheme = Scheme::generalize(Qual::new(preds, body));
+        env.method_owner
+            .insert(m.name.clone(), (decl.name.clone(), methods.len()));
         methods.push(MethodInfo {
             name: m.name.clone(),
             scheme,
@@ -192,9 +194,6 @@ fn add_class(
         });
     }
 
-    for m in &methods {
-        env.method_owner.insert(m.name.clone(), decl.name.clone());
-    }
     env.classes.insert(
         decl.name.clone(),
         ClassInfo {
@@ -318,7 +317,6 @@ fn add_instance(
         );
         return;
     };
-    let class_methods: Vec<String> = class.methods.iter().map(|m| m.name.clone()).collect();
 
     let mut ctx = LowerCtx::new();
     let head_ty = lower_type(&decl.head, &mut ctx, gen, diags, datas);
@@ -348,7 +346,8 @@ fn add_instance(
     // defined at most once, and every class method must be present.
     let mut seen: HashSet<&str> = HashSet::new();
     for b in &decl.methods {
-        if !class_methods.contains(&b.name) {
+        let owner = env.method_owner.get(&b.name).map(|(c, _)| c);
+        if owner != Some(&decl.class) {
             diags.error(
                 Stage::Classes,
                 "E0309",
@@ -364,12 +363,10 @@ fn add_instance(
             );
         }
     }
-    let mut missing: Vec<&str> = Vec::new();
-    for m in &class_methods {
-        if !seen.contains(m.as_str()) {
-            missing.push(m);
-        }
-    }
+    let missing: Vec<&str> = (class.methods.iter())
+        .map(|m| m.name.as_str())
+        .filter(|m| !seen.contains(m))
+        .collect();
     if !missing.is_empty() {
         diags.error(
             Stage::Classes,
@@ -389,10 +386,7 @@ fn add_instance(
         decl.span,
     );
     *next_id += 1;
-    env.instances
-        .entry(decl.class.clone())
-        .or_default()
-        .push(inst);
+    env.push_instance(inst);
 }
 
 #[cfg(test)]

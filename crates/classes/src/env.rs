@@ -99,13 +99,19 @@ pub struct ClassVarCounts {
     pub instances: u32,
 }
 
-/// The class environment: classes by name, instances by class name.
+/// The class environment: classes by name, instances by class name
+/// and by id, methods by name.
 #[derive(Debug, Clone, Default)]
 pub struct ClassEnv {
     pub classes: HashMap<String, ClassInfo>,
-    pub instances: HashMap<String, Vec<Instance>>,
-    /// Method name → owning class name (methods are global).
-    pub method_owner: HashMap<String, String>,
+    /// Each class's instances, in the order they were added (the order
+    /// instance search tries them in).
+    instances: HashMap<String, Vec<Instance>>,
+    /// Instance id → its class and its position in that class's list.
+    instance_ids: HashMap<usize, (String, usize)>,
+    /// Method name → owning class name and the method's position in the
+    /// class's [`ClassInfo::methods`] (methods are global).
+    pub method_owner: HashMap<String, (String, usize)>,
     /// Classes that participated in a superclass cycle, sorted by
     /// name. Build breaks the cycles structurally (clearing the
     /// participants' superclass lists) so traversals terminate; the
@@ -143,7 +149,15 @@ impl ClassEnv {
 
     /// Number of instances, which is also the id the next one gets.
     pub fn instance_count(&self) -> usize {
-        self.instances.values().map(Vec::len).sum()
+        self.instance_ids.len()
+    }
+
+    /// Register `inst` as its class's last instance.
+    pub(crate) fn push_instance(&mut self, inst: Instance) {
+        let list = self.instances.entry(inst.head.class.clone()).or_default();
+        self.instance_ids
+            .insert(inst.id, (inst.head.class.clone(), list.len()));
+        list.push(inst);
     }
 
     /// Is `inst` the program's own, not its base's?
@@ -172,15 +186,15 @@ impl ClassEnv {
     }
 
     pub fn instance_by_id(&self, id: usize) -> Option<&Instance> {
-        self.all_instances().find(|i| i.id == id)
+        let (class, i) = self.instance_ids.get(&id)?;
+        self.instances.get(class)?.get(*i)
     }
 
     /// Look up the class owning a method, plus its slot index.
     pub fn method(&self, name: &str) -> Option<(&ClassInfo, &MethodInfo)> {
-        let owner = self.method_owner.get(name)?;
+        let (owner, i) = self.method_owner.get(name)?;
         let class = self.classes.get(owner)?;
-        let m = class.methods.iter().find(|m| m.name == name)?;
-        Some((class, m))
+        Some((class, class.methods.get(*i)?))
     }
 
     /// The first instance whose head matches `pred`: the instance

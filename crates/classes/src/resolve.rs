@@ -345,22 +345,19 @@ struct StoreInstance {
 impl StoreClass {
     fn intern(env: &ClassEnv, types: &mut Interner, class: NameId) -> StoreClass {
         let name = types.name(class).unwrap_or_default();
-        let (info, instances) = (env.classes.get(name), env.instances.get(name));
+        let (info, instances) = (env.classes.get(name), env.instances_of(name));
         let supers = info.map_or(Vec::new(), |ci| {
             (ci.supers.iter().enumerate())
                 .map(|(i, sup)| (types.intern_name(sup), ci.super_slot(i)))
                 .collect()
         });
-        let instances = instances.map_or(Vec::new(), |insts| {
-            insts
-                .iter()
-                .map(|inst| StoreInstance {
-                    id: inst.id,
-                    head: types.intern(&inst.head.ty),
-                    context: inst.preds.iter().map(|p| types.intern_pred(p)).collect(),
-                })
-                .collect()
-        });
+        let instances = (instances.iter())
+            .map(|inst| StoreInstance {
+                id: inst.id,
+                head: types.intern(&inst.head.ty),
+                context: inst.preds.iter().map(|p| types.intern_pred(p)).collect(),
+            })
+            .collect();
         StoreClass {
             known: info.is_some(),
             supers,
@@ -1115,30 +1112,28 @@ mod tests {
                 span: sp(),
             },
         );
-        env.method_owner.insert("eq".into(), "Eq".into());
-        env.instances.insert(
-            "Eq".into(),
-            vec![
-                Instance::new(0, 0, Pred::new("Eq", Type::int(), sp()), vec![], sp()),
-                Instance::new(
-                    1,
-                    0,
-                    Pred::new("Eq", Type::list(Type::Var(TyVar(0))), sp()),
-                    vec![Pred::new("Eq", Type::Var(TyVar(0)), sp())],
-                    sp(),
-                ),
-            ],
-        );
-        env.instances.insert(
-            "Ord".into(),
-            vec![Instance::new(
-                2,
-                0,
-                Pred::new("Ord", Type::int(), sp()),
-                vec![],
-                sp(),
-            )],
-        );
+        env.method_owner.insert("eq".into(), ("Eq".into(), 0));
+        env.push_instance(Instance::new(
+            0,
+            0,
+            Pred::new("Eq", Type::int(), sp()),
+            vec![],
+            sp(),
+        ));
+        env.push_instance(Instance::new(
+            1,
+            0,
+            Pred::new("Eq", Type::list(Type::Var(TyVar(0))), sp()),
+            vec![Pred::new("Eq", Type::Var(TyVar(0)), sp())],
+            sp(),
+        ));
+        env.push_instance(Instance::new(
+            2,
+            0,
+            Pred::new("Ord", Type::int(), sp()),
+            vec![],
+            sp(),
+        ));
         env
     }
 
@@ -1223,15 +1218,13 @@ mod tests {
     fn self_referential_instance_is_cycle() {
         let mut e = env();
         // instance Eq Bool => Eq Bool  (exact self-cycle)
-        if let Some(insts) = e.instances.get_mut("Eq") {
-            insts.push(Instance::new(
-                9,
-                0,
-                Pred::new("Eq", Type::bool(), sp()),
-                vec![Pred::new("Eq", Type::bool(), sp())],
-                sp(),
-            ));
-        }
+        e.push_instance(Instance::new(
+            9,
+            0,
+            Pred::new("Eq", Type::bool(), sp()),
+            vec![Pred::new("Eq", Type::bool(), sp())],
+            sp(),
+        ));
         let err = e
             .resolve(
                 &Pred::new("Eq", Type::bool(), sp()),
@@ -1255,20 +1248,17 @@ mod tests {
             },
         );
         // instance C (List (List a)) => C (List a): goals grow forever.
-        e.instances.insert(
-            "C".into(),
-            vec![Instance::new(
-                0,
-                0,
-                Pred::new("C", Type::list(Type::Var(TyVar(0))), sp()),
-                vec![Pred::new(
-                    "C",
-                    Type::list(Type::list(Type::Var(TyVar(0)))),
-                    sp(),
-                )],
+        e.push_instance(Instance::new(
+            0,
+            0,
+            Pred::new("C", Type::list(Type::Var(TyVar(0))), sp()),
+            vec![Pred::new(
+                "C",
+                Type::list(Type::list(Type::Var(TyVar(0)))),
                 sp(),
             )],
-        );
+            sp(),
+        ));
         let err = e
             .resolve(
                 &Pred::new("C", Type::list(Type::int()), sp()),
@@ -1428,15 +1418,13 @@ mod tests {
     #[test]
     fn cycle_detection_survives_tabling() {
         let mut e = env();
-        if let Some(insts) = e.instances.get_mut("Eq") {
-            insts.push(Instance::new(
-                9,
-                0,
-                Pred::new("Eq", Type::bool(), sp()),
-                vec![Pred::new("Eq", Type::bool(), sp())],
-                sp(),
-            ));
-        }
+        e.push_instance(Instance::new(
+            9,
+            0,
+            Pred::new("Eq", Type::bool(), sp()),
+            vec![Pred::new("Eq", Type::bool(), sp())],
+            sp(),
+        ));
         let mut cache = ResolveCache::new();
         let mut types = Interner::new();
         for _ in 0..2 {

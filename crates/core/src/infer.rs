@@ -39,7 +39,7 @@ use tc_classes::{
     lower_qual_type, ClassEnv, LowerCtx, ReduceBudget, ResolveCache, ResolveStats, ResolveTraceLog,
 };
 use tc_coreir::{CoreExpr, CoreProgram, LinkedBase, Literal, PlaceholderKind, PlaceholderTable};
-use tc_syntax::{Diagnostics, Expr, Program, Scope, Span, Stage};
+use tc_syntax::{Binding, Diagnostics, Expr, Program, Scope, Span, Stage};
 use tc_trace::{CounterId, MetricsRegistry};
 use tc_types::{
     IdPred, Interner, Node, Pred, Qual, Scheme, Subst, TyVar, Type, TypeErrorKind, TypeId, VarGen,
@@ -1224,9 +1224,14 @@ fn elaborate_instances<'a>(inf: &mut Infer<'a>, program: &'a Program) {
             slots.push(cx.resolve_pred(goal));
         }
 
-        // Method slots, in class declaration order.
+        // Method slots, in class declaration order. A method defined
+        // twice (E0314) takes its first body.
+        let mut bodies: HashMap<&str, &Binding> = HashMap::new();
+        for b in &decl.methods {
+            bodies.entry(&b.name).or_insert(b);
+        }
         for m in &ci.methods {
-            let Some(body) = decl.methods.iter().find(|b| b.name == m.name) else {
+            let Some(&body) = bodies.get(m.name.as_str()) else {
                 // Already reported (E0315) at class-env build time.
                 slots.push(CoreExpr::Fail(format!(
                     "missing method `{}` in instance `{} {}`",

@@ -11,6 +11,14 @@
 //! dictionary tuples live in session-owned arenas, and continuations on
 //! a heap stack, so no guest program grows the native stack.
 //!
+//! Arguments and dictionary fields are passed by need, but an atom is
+//! not suspended: a variable (a dictionary parameter threaded through a
+//! recursive call, an instance dictionary, any local or global) passes
+//! the thunk it names, and an `Int` or `Bool` literal is one evaluated
+//! cell. Only a compound argument or field, and every `letrec`
+//! right-hand side, becomes a suspension of its own. Sharing is
+//! unchanged: every use of a variable forces the one thunk it names.
+//!
 //! Robustness model — evaluation of *any* core program terminates with
 //! a `Result`, never a panic, never an unbounded hang:
 //!
@@ -21,9 +29,11 @@
 //!   non-tail recursion returns [`EvalError::DepthExceeded`]. The cap
 //!   bounds the machine's heap continuation stack, not native frames:
 //!   any depth a request asks for is safe on any thread;
-//! * **allocations**: thunks, closures, environment frames and
-//!   constructor applications are counted and capped
-//!   ([`EvalError::AllocationLimit`]);
+//! * **allocations**: thunks (suspensions, literal cells, globals'
+//!   thunks), closures, environment frames and constructor
+//!   applications are counted and capped
+//!   ([`EvalError::AllocationLimit`]); passing a variable allocates
+//!   nothing;
 //! * **blackholing**: a thunk found under evaluation by its own
 //!   evaluation is a dependency cycle, reported as
 //!   [`EvalError::BlackHole`] (e.g. `let x = x in x`);
@@ -54,7 +64,13 @@ pub struct Budget {
     /// Maximum evaluation nesting depth: how deep non-tail evaluation
     /// may nest, which bounds the machine's continuation stack.
     pub max_depth: usize,
-    /// Maximum number of heap objects (thunks, frames, closures).
+    /// Maximum number of heap objects: thunks (a suspended compound
+    /// argument, dictionary field or `letrec` right-hand side, a
+    /// literal argument's or field's evaluated cell, a global's thunk on
+    /// its first use, a default arm's binding of its scrutinee),
+    /// closures, environment frames, and constructor values (one per
+    /// constructor evaluated and per field applied to it). An argument
+    /// or field that names a variable allocates nothing.
     pub max_allocs: u64,
 }
 
@@ -86,12 +102,17 @@ impl Budget {
 pub struct EvalStats {
     /// Evaluation steps consumed.
     pub fuel_used: u64,
-    /// Heap objects (thunks, frames, closures) allocated. Nothing is
-    /// freed mid-run, so this is also the peak live count.
+    /// Heap objects allocated (see [`Budget::max_allocs`] for what
+    /// counts). Nothing is freed mid-run, so this is also the peak live
+    /// count.
     pub peak_allocs: u64,
-    /// Call-by-need suspensions created (a subset of `peak_allocs`).
+    /// Thunks created, a subset of `peak_allocs`: suspensions, literal
+    /// cells and globals' thunks. A variable passed as an argument or
+    /// field creates none.
     pub thunks_created: u64,
-    /// Thunk forces, including re-forces of already-evaluated cells.
+    /// Thunk forces, including re-forces of already-evaluated cells. A
+    /// variable argument is forced through the thunk it names, with no
+    /// forwarding thunk of its own in between.
     pub forces: u64,
 }
 
@@ -606,6 +627,131 @@ mod tests {
         let plain = instrumented(&p, false);
         assert_eq!(plain.result.as_deref(), Ok("20"));
         assert_eq!(plain.stats, run.stats);
+    }
+
+    fn lam(x: &str, body: C) -> C {
+        C::Lam(x.into(), Box::new(body))
+    }
+
+    fn stats(fuel_used: u64, peak_allocs: u64, thunks_created: u64, forces: u64) -> EvalStats {
+        EvalStats {
+            fuel_used,
+            peak_allocs,
+            thunks_created,
+            forces,
+        }
+    }
+
+    #[test]
+    fn an_argument_naming_a_local_allocates_no_thunk() {
+        // f = \x -> x; main = (\y -> f y) 1: `y` is passed as the cell
+        // `1` was passed in. Thunks: `main`'s, `f`'s and the literal's
+        // cell; allocations add two closures and two frames. Forces:
+        // `main`, `f`, and the cell once, through `x`.
+        let p = prog(vec![
+            ("f", lam("x", var("x"))),
+            ("main", C::app(lam("y", C::app(var("f"), var("y"))), int(1))),
+        ]);
+        let run = instrumented(&p, false);
+        assert_eq!(run.result.as_deref(), Ok("1"));
+        assert_eq!(run.stats, stats(12, 7, 3, 3));
+    }
+
+    #[test]
+    fn a_local_bound_to_error_passed_but_never_forced_yields_a_value() {
+        // k = \a -> \b -> a; main = (\e -> k 7 e) error: `error` is
+        // suspended (a builtin is no atom), `e` passes that suspension
+        // on, and `k` never forces it.
+        let k = lam("a", lam("b", var("a")));
+        let body = C::apps(var("k"), vec![int(7), var("e")]);
+        let p = prog(vec![
+            ("k", k.clone()),
+            ("main", C::app(lam("e", body.clone()), var("error"))),
+        ]);
+        let run = instrumented(&p, false);
+        assert_eq!(run.result.as_deref(), Ok("7"));
+        assert_eq!(run.stats, stats(15, 10, 4, 3));
+        // The same through a `let`-bound local.
+        let p = prog(vec![
+            ("k", k),
+            (
+                "main",
+                C::LetRec(vec![("e".into(), var("error"))], Box::new(body)),
+            ),
+        ]);
+        assert_eq!(instrumented(&p, false).result.as_deref(), Ok("7"));
+    }
+
+    #[test]
+    fn a_thunk_passed_to_two_callees_is_evaluated_once() {
+        // sq = \n -> n * n; id = \v -> v;
+        // main = (\x -> id x + id x) (sq 9): both calls force the one
+        // suspension of `sq 9`, so `sq` is entered once.
+        let p = prog(vec![
+            (
+                "sq",
+                lam("n", C::apps(var("primMulInt"), vec![var("n"), var("n")])),
+            ),
+            ("id", lam("v", var("v"))),
+            (
+                "main",
+                C::app(
+                    lam(
+                        "x",
+                        C::apps(
+                            var("primAddInt"),
+                            vec![C::app(var("id"), var("x")), C::app(var("id"), var("x"))],
+                        ),
+                    ),
+                    C::app(var("sq"), int(9)),
+                ),
+            ),
+        ]);
+        let run = instrumented(&p, true);
+        assert_eq!(run.result.as_deref(), Ok("162"));
+        let profile = run.profile.expect("profiling requested");
+        let get = |n: &str| profile.get(n).expect("missing profile entry").clone();
+        assert_eq!(get("sq").forces, 1, "{profile:?}");
+        assert_eq!(get("id").forces, 2, "{profile:?}");
+        assert_eq!(run.stats, stats(37, 14, 7, 10));
+    }
+
+    #[test]
+    fn self_reference_through_a_strict_argument_is_a_black_hole() {
+        // f = \a -> a + 1; xs = f xs: `xs` is passed as its own thunk,
+        // which `f` forces while it is under evaluation.
+        let f = lam("a", C::apps(var("primAddInt"), vec![var("a"), int(1)]));
+        let global = prog(vec![
+            ("f", f.clone()),
+            ("xs", C::app(var("f"), var("xs"))),
+            ("main", var("xs")),
+        ]);
+        let local = prog(vec![
+            ("f", f),
+            (
+                "main",
+                C::LetRec(
+                    vec![("xs".into(), C::app(var("f"), var("xs")))],
+                    Box::new(var("xs")),
+                ),
+            ),
+        ]);
+        for p in [global, local] {
+            let err = run_entry(&p, "main", Budget::default()).unwrap_err();
+            assert_eq!(err, EvalError::BlackHole);
+            assert_eq!(err.code(), "black-hole");
+        }
+    }
+
+    #[test]
+    fn a_literal_argument_costs_exactly_one_allocation() {
+        // main = (\x -> 0) 5 allocates `main`'s thunk, the closure, the
+        // frame, and one evaluated cell for the literal, which is also
+        // its one thunk besides `main`'s.
+        let p = prog(vec![("main", C::app(lam("x", int(0)), int(5)))]);
+        let run = instrumented(&p, false);
+        assert_eq!(run.result.as_deref(), Ok("0"));
+        assert_eq!(run.stats, stats(6, 4, 2, 1));
     }
 
     #[test]

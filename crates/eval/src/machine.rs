@@ -75,7 +75,7 @@ enum Kont<'p> {
     Update(ThunkId),
     /// Likewise, and leave the global's right-hand side.
     UpdateGlobal(ThunkId),
-    /// Apply it, a function, to a new thunk of this argument.
+    /// Apply it, a function, to this argument's thunk.
     Arg(&'p Code, EnvId, usize),
     If(&'p [Code; 3], EnvId, usize),
     Proj(usize, usize),
@@ -307,6 +307,24 @@ impl<'p> Machine<'p> {
         self.push_thunk(Thunk::Delayed(code, env))
     }
 
+    /// The thunk an argument or a dictionary field is passed as. An
+    /// atom needs no suspension of its own: a variable passes the thunk
+    /// it names (a global's is created on first use, as when it is
+    /// evaluated), and a literal is one evaluated cell, charged like a
+    /// suspension. Anything else is suspended in `env`.
+    #[inline(always)]
+    fn arg(&mut self, code: &'p Code, env: EnvId) -> Result<ThunkId, EvalError> {
+        let v = match code {
+            Code::Local(up) => return Ok(self.lookup(env, *up)),
+            Code::Global(g) => return self.global(*g),
+            Code::Int(n) => Value::Int(*n),
+            Code::Bool(b) => Value::Bool(*b),
+            _ => return self.thunk(code, env),
+        };
+        self.charge_thunk()?;
+        self.push_thunk(Thunk::Done(v))
+    }
+
     /// Wrap an already-evaluated value as a thunk (a default arm's
     /// binding of the scrutinee). Counts as an allocation and a thunk,
     /// but charges no profile entry.
@@ -444,7 +462,7 @@ impl<'p> Machine<'p> {
             Code::Tuple(xs) => {
                 let start = self.next_id(self.items.len())?;
                 for x in xs.iter() {
-                    let t = self.thunk(x, env)?;
+                    let t = self.arg(x, env)?;
                     self.items.push(t);
                 }
                 Ctl::Return(Value::Tuple(start, xs.len() as u32))
@@ -565,7 +583,7 @@ impl<'p> Machine<'p> {
                 self.thunks[t as usize] = Thunk::Done(v);
                 Ctl::Return(v)
             }
-            Kont::Arg(x, env, depth) => Ctl::Apply(v, self.thunk(x, env)?, depth),
+            Kont::Arg(x, env, depth) => Ctl::Apply(v, self.arg(x, env)?, depth),
             Kont::If(branches, env, depth) => match v {
                 Value::Bool(true) => Ctl::Eval(&branches[1], env, depth + 1),
                 Value::Bool(false) => Ctl::Eval(&branches[2], env, depth + 1),

@@ -234,7 +234,16 @@ fn free_uses<'a>(
                 }
             }
         }
-        Expr::Con(..) | Expr::IntLit(..) | Expr::Hole(..) => {}
+        Expr::Con(..) | Expr::IntLit(..) => {}
+        // A hole stands for code the parser skipped, which may use any
+        // name in scope.
+        Expr::Hole(..) => {
+            for (n, &k) in slot {
+                if inner.get(n).is_none() {
+                    found(k);
+                }
+            }
+        }
         Expr::App(f, a, _) => {
             free_uses(f, slot, inner, found);
             free_uses(a, slot, inner, found);
@@ -285,7 +294,9 @@ fn free_uses<'a>(
 fn uses(e: &Expr, name: &str) -> bool {
     match e {
         Expr::Var(n, _) => n == name,
-        Expr::Con(..) | Expr::IntLit(..) | Expr::Hole(..) => false,
+        Expr::Con(..) | Expr::IntLit(..) => false,
+        // Skipped code may use any name in scope.
+        Expr::Hole(..) => true,
         Expr::App(f, a, _) => uses(f, name) || uses(a, name),
         Expr::If(c, t, f, _) => uses(c, name) || uses(t, name) || uses(f, name),
         Expr::Lam(p, body, _) => p != name && uses(body, name),
@@ -330,6 +341,20 @@ mod tests {
     #[test]
     fn used_parameter_is_silent() {
         assert!(!codes("f = \\x -> x;").contains(&"L0004"));
+    }
+
+    #[test]
+    fn code_skipped_past_the_nesting_budget_may_use_any_name() {
+        // The parser skips an expression nested past its budget and
+        // leaves a hole in its place; what it skipped used `x` and `a`.
+        let deep = |x: &str| format!("{}{x}{}", "(".repeat(450), ")".repeat(450));
+        for src in [
+            format!("f x = {};", deep("x")),
+            format!("f = let {{ a = 1 }} in {};", deep("a")),
+        ] {
+            let c = codes(&src);
+            assert!(!c.contains(&"L0004"), "{c:?}");
+        }
     }
 
     #[test]

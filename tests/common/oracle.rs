@@ -7,7 +7,9 @@
 //!
 //! Unlike the evaluator it was, it does not clamp `max_depth`, so it
 //! agrees with the machine at any depth; callers keep the depth within
-//! what their thread's stack holds.
+//! what their thread's stack holds. It follows the machine's argument
+//! rule: an argument or dictionary field that is a variable passes the
+//! thunk the variable names, and a literal is one evaluated cell.
 
 #![allow(dead_code)]
 
@@ -531,14 +533,40 @@ impl Evaluator {
     }
 
     fn thunk(&mut self, e: Rc<RExpr>, env: Env) -> Result<ThunkRef, EvalError> {
+        self.cell(Thunk::Unevaluated(e, env))
+    }
+
+    /// Allocate a call-by-need cell, charged as a suspension.
+    fn cell(&mut self, thunk: Thunk) -> Result<ThunkRef, EvalError> {
         self.alloc()?;
         self.thunks_created += 1;
         if let Some(p) = self.profile.as_mut() {
             p.charge_thunk();
         }
-        let t = Rc::new(RefCell::new(Thunk::Unevaluated(e, env)));
+        let t = Rc::new(RefCell::new(thunk));
         self.arena.push(t.clone());
         Ok(t)
+    }
+
+    /// The thunk an argument or a dictionary field is passed as: a
+    /// variable bound locally or globally passes the thunk it names, a
+    /// literal is one evaluated cell, and anything else (builtins and
+    /// unbound names included) is suspended.
+    fn arg(&mut self, x: &Rc<RExpr>, env: &Env) -> Result<ThunkRef, EvalError> {
+        match &**x {
+            RExpr::Var(n) => {
+                if let Some(t) = env_lookup(env, n) {
+                    return Ok(t);
+                }
+                if let Some(t) = self.global_thunk(n)? {
+                    return Ok(t);
+                }
+            }
+            RExpr::Lit(Literal::Int(n)) => return self.cell(Thunk::Evaluated(Value::Int(*n))),
+            RExpr::Lit(Literal::Bool(b)) => return self.cell(Thunk::Evaluated(Value::Bool(*b))),
+            _ => {}
+        }
+        self.thunk(x.clone(), env.clone())
     }
 
     fn frame(&mut self, name: String, thunk: ThunkRef, next: Env) -> Result<Env, EvalError> {
@@ -646,7 +674,7 @@ impl Evaluator {
             RExpr::Lit(Literal::Bool(b)) => Ok(Value::Bool(*b)),
             RExpr::App(f, x) => {
                 let fv = self.eval(f, env, depth + 1)?;
-                let arg = self.thunk(x.clone(), env.clone())?;
+                let arg = self.arg(x, env)?;
                 self.apply(fv, arg, depth)
             }
             RExpr::Lam(p, b) => {
@@ -683,7 +711,7 @@ impl Evaluator {
             RExpr::Tuple(xs) => {
                 let mut ts = Vec::with_capacity(xs.len());
                 for x in xs {
-                    ts.push(self.thunk(x.clone(), env.clone())?);
+                    ts.push(self.arg(x, env)?);
                 }
                 Ok(Value::Tuple(ts))
             }

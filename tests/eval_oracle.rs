@@ -299,6 +299,12 @@ const EDGE_CASES: &[(&str, &str)] = &[
         "a0 = 1;\na1 = a0;\na2 = a1;\na3 = a2;\nmain = a3;",
     ),
     (
+        "aliased arguments",
+        "data P = MkP Int Int;\ng = mul 6 7;\nk a b = a;\n\
+         main = let { x = add 1 2; h = MkP x } in\n\
+         case h x of { MkP a b -> add (k a g) (add (k b x) (k g x)) };",
+    ),
+    (
         "deep data",
         "data N = Z | S N;\nmk n = if lte n 0 then Z else S (mk (sub n 1));\nmain = mk 300;",
     ),

@@ -460,6 +460,33 @@ const LINEAR: &[Axis] = &[
         compiles: true,
     },
     Axis {
+        name: "one-instance classes, each used once",
+        n: 50,
+        program: |n| {
+            let decls = list(n, "; ", |i| {
+                format!(
+                    "class C{i} a where {{ c{i} :: a -> Int; }}; \
+                     instance C{i} Int where {{ c{i} = \\x -> {i}; }}; u{i} = c{i} 1"
+                )
+            });
+            format!("{decls}; main = u0;")
+        },
+        compiles: true,
+    },
+    Axis {
+        name: "methods per class",
+        n: 100,
+        program: |n| {
+            let sigs = list(n, " ", |i| format!("m{i} :: a -> Int;"));
+            let binds = list(n, " ", |i| format!("m{i} = \\x -> {i};"));
+            format!(
+                "class C a where {{ {sigs} }}; instance C Int where {{ {binds} }}; main = m{} 1;",
+                n - 1
+            )
+        },
+        compiles: true,
+    },
+    Axis {
         name: "ill-typed application spine",
         n: 10,
         program: |n| format!("g x = 1; main = g {};", list(n, " ", |_| "1".into())),
