@@ -19,6 +19,15 @@
 //! right-hand side, becomes a suspension of its own. Sharing is
 //! unchanged: every use of a variable forces the one thunk it names.
 //!
+//! A call that gives a builtin exactly its arity (`primAddInt a b`,
+//! `null xs`, `cons x xs`) is one step rather than a curried
+//! application of a builtin value. Its strict operands are not passed:
+//! a variable forces the thunk it names, and anything else is
+//! evaluated in place and allocates nothing. `cons` passes its fields
+//! as arguments, so lists stay lazy. A partial application, a builtin
+//! passed as a value or selected from a dictionary, and a name a local
+//! or global shadows take the first-class path.
+//!
 //! Robustness model — evaluation of *any* core program terminates with
 //! a `Result`, never a panic, never an unbounded hang:
 //!
@@ -70,7 +79,9 @@ pub struct Budget {
     /// its first use, a default arm's binding of its scrutinee),
     /// closures, environment frames, and constructor values (one per
     /// constructor evaluated and per field applied to it). An argument
-    /// or field that names a variable allocates nothing.
+    /// or field that names a variable allocates nothing, and neither
+    /// does a saturated builtin's strict operand, which is evaluated in
+    /// place.
     pub max_allocs: u64,
 }
 
@@ -100,7 +111,7 @@ impl Budget {
 /// collect (always on), reported in [`EvalRun::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Evaluation steps consumed.
+    /// Evaluation steps consumed. A saturated builtin call is one.
     pub fuel_used: u64,
     /// Heap objects allocated (see [`Budget::max_allocs`] for what
     /// counts). Nothing is freed mid-run, so this is also the peak live
@@ -108,11 +119,13 @@ pub struct EvalStats {
     pub peak_allocs: u64,
     /// Thunks created, a subset of `peak_allocs`: suspensions, literal
     /// cells and globals' thunks. A variable passed as an argument or
-    /// field creates none.
+    /// field creates none, and a saturated builtin's strict operand,
+    /// evaluated in place, creates none either.
     pub thunks_created: u64,
     /// Thunk forces, including re-forces of already-evaluated cells. A
     /// variable argument is forced through the thunk it names, with no
-    /// forwarding thunk of its own in between.
+    /// forwarding thunk of its own in between. A saturated builtin
+    /// forces a variable operand's thunk and no other.
     pub forces: u64,
 }
 
@@ -351,6 +364,7 @@ pub fn run_entry(prog: &CoreProgram, entry: &str, budget: Budget) -> Result<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lower::Code;
     use tc_coreir::{CoreExpr as C, Literal};
 
     fn var(n: &str) -> C {
@@ -686,7 +700,20 @@ mod tests {
     fn a_thunk_passed_to_two_callees_is_evaluated_once() {
         // sq = \n -> n * n; id = \v -> v;
         // main = (\x -> id x + id x) (sq 9): both calls force the one
-        // suspension of `sq 9`, so `sq` is entered once.
+        // suspension of `sq 9`, so `sq` is entered once. `+` and `*`
+        // are saturated: `+` evaluates each `id x` in place, and `*`
+        // forces `n` twice. Steps (27): forcing `main`; the application,
+        // the lambda and the apply that suspends `sq 9`; `+`; for the
+        // left `id x`, the application, `id`'s global, forcing `id`
+        // and its lambda, the apply, `v` and forcing `sq 9`, whose
+        // evaluation is the application, `sq`'s global, forcing `sq`
+        // and its lambda, the apply, `*` and two forces of `n`; for the
+        // right `id x`, the application, `id`'s global, the force of
+        // `id`, the apply, `v` and the force of `sq 9`'s value; and
+        // printing. Thunks (5): `main`'s, `id`'s, `sq`'s, the
+        // suspension and the cell `9`; allocations (12) add three
+        // closures and four frames. Forces (8): `main`, `id` twice,
+        // `sq 9` twice, `sq`, `n` twice.
         let p = prog(vec![
             (
                 "sq",
@@ -713,7 +740,173 @@ mod tests {
         let get = |n: &str| profile.get(n).expect("missing profile entry").clone();
         assert_eq!(get("sq").forces, 1, "{profile:?}");
         assert_eq!(get("id").forces, 2, "{profile:?}");
-        assert_eq!(run.stats, stats(37, 14, 7, 10));
+        assert_eq!(run.stats, stats(27, 12, 5, 8));
+    }
+
+    #[test]
+    fn a_saturated_builtin_suspends_none_of_its_operands() {
+        // main = primAddInt (primMulInt 2 3) (primSubInt 10 4): both
+        // compound operands are evaluated in place, and so are the
+        // literals. Steps (9): forcing `main`, the three calls, the four
+        // literals, printing. The one thunk, allocation and force are
+        // `main`'s.
+        let p = prog(vec![(
+            "main",
+            C::apps(
+                var("primAddInt"),
+                vec![
+                    C::apps(var("primMulInt"), vec![int(2), int(3)]),
+                    C::apps(var("primSubInt"), vec![int(10), int(4)]),
+                ],
+            ),
+        )]);
+        let run = instrumented(&p, false);
+        assert_eq!(run.result.as_deref(), Ok("12"));
+        assert_eq!(run.stats, stats(9, 1, 1, 1));
+    }
+
+    #[test]
+    fn a_list_builtin_on_a_local_costs_two_steps() {
+        // main = let xs = cons 7 nil in op xs. Each run forces `main`,
+        // enters the `let` (a suspension of `cons 7 nil` and a frame),
+        // evaluates `cons 7 nil` when `xs` is forced (one step, with a
+        // literal cell for `7` and a suspension of `nil`) and prints:
+        // four steps, five allocations, four thunks. `op xs` adds two
+        // steps, the call and the force of `xs`; `head` then forces the
+        // cell `7` (one step), and `tail` forces and evaluates `nil`
+        // (two).
+        let xs = C::apps(var("cons"), vec![int(7), var("nil")]);
+        for (op, out, want) in [
+            ("null", "False", stats(6, 5, 4, 2)),
+            ("head", "7", stats(7, 5, 4, 3)),
+            ("tail", "[]", stats(8, 5, 4, 3)),
+        ] {
+            let body = C::app(var(op), var("xs"));
+            let p = prog(vec![(
+                "main",
+                C::LetRec(vec![("xs".into(), xs.clone())], Box::new(body)),
+            )]);
+            let run = instrumented(&p, false);
+            assert_eq!(run.result.as_deref(), Ok(out), "{op}");
+            assert_eq!(run.stats, want, "{op}");
+        }
+    }
+
+    #[test]
+    fn a_saturated_cons_costs_one_step_and_its_literal_cell() {
+        // main = let xs = nil in cons 1 xs: `cons 1 xs` is one step and
+        // one allocation, the literal cell `1`; `xs` is passed as the
+        // thunk it names. The other steps (8) force `main`, enter the
+        // `let`, and print `[1]`: the cell, its head, the `1`, then
+        // forcing `xs` and evaluating `nil`. The other allocations (3)
+        // are `main`'s thunk, the `let`'s suspension and its frame.
+        let body = C::apps(var("cons"), vec![int(1), var("xs")]);
+        let p = prog(vec![(
+            "main",
+            C::LetRec(vec![("xs".into(), var("nil"))], Box::new(body)),
+        )]);
+        let run = instrumented(&p, false);
+        assert_eq!(run.result.as_deref(), Ok("[1]"));
+        assert_eq!(run.stats, stats(9, 4, 3, 3));
+    }
+
+    /// The saturated node (`p a b`) and the first-class path
+    /// (`(\f -> f a b) p`, a builtin value applied argument by
+    /// argument) of the builtin `p`, run with a global `five = 5`.
+    fn saturated_and_first_class(p: &str, ops: &[C]) -> [Result<String, EvalError>; 2] {
+        let saturated = C::apps(var(p), ops.to_vec());
+        let first_class = C::app(lam("f", C::apps(var("f"), ops.to_vec())), var(p));
+        [(saturated, true), (first_class, false)].map(|(main, one_node)| {
+            let p = prog(vec![("five", int(5)), ("main", main)]);
+            let lowered = LoweredProgram::new(&p);
+            let body = lowered.body(lowered.resolve("main").unwrap());
+            let node = matches!(body, Code::Prim1(..) | Code::Prim2(..) | Code::Cons(..));
+            assert_eq!(node, one_node);
+            run_lowered_with(&lowered, "main", &EvalOptions::default()).result
+        })
+    }
+
+    #[test]
+    fn saturated_builtins_agree_with_first_class_ones() {
+        let b = |b| C::Lit(Literal::Bool(b));
+        let cons = |h, t| C::apps(var("cons"), vec![h, t]);
+        let operands = [
+            int(7),
+            int(-3),
+            int(0),
+            int(i64::MAX),
+            int(i64::MIN),
+            b(true),
+            b(false),
+            var("nil"),
+            cons(int(1), var("nil")),
+            cons(var("error"), var("nil")),
+            C::apps(var("primAddInt"), vec![int(2), int(3)]),
+            var("five"),
+            var("error"),
+            C::apps(var("primDivInt"), vec![int(1), int(0)]),
+        ];
+        let unary = ["primNegInt", "null", "head", "tail"];
+        let binary = [
+            "primAddInt",
+            "primSubInt",
+            "primMulInt",
+            "primDivInt",
+            "primModInt",
+            "primEqInt",
+            "primLtInt",
+            "primLeInt",
+            "primEqBool",
+            "cons",
+        ];
+        let mut calls: Vec<(&str, Vec<C>)> = Vec::new();
+        for p in unary {
+            calls.extend(operands.iter().map(|a| (p, vec![a.clone()])));
+        }
+        for p in binary {
+            for a in &operands {
+                calls.extend(operands.iter().map(|b| (p, vec![a.clone(), b.clone()])));
+            }
+        }
+        let mut codes = std::collections::BTreeSet::new();
+        for (p, ops) in &calls {
+            let [saturated, first_class] = saturated_and_first_class(p, ops);
+            assert_eq!(saturated, first_class, "{p} {ops:?}");
+            codes.insert(saturated.map_or_else(|e| e.code(), |_| "value"));
+        }
+        for code in [
+            "value",
+            "not-an-int",
+            "not-a-bool",
+            "not-a-list",
+            "empty-list",
+            "divide-by-zero",
+            "int-overflow",
+            "failure",
+        ] {
+            assert!(codes.contains(code), "no call ended in {code}: {codes:?}");
+        }
+        // Of two failing operands, the left one's error wins, and an
+        // ill-typed left operand fails before the right is evaluated.
+        let div0 = C::apps(var("primDivInt"), vec![int(1), int(0)]);
+        for (ops, want) in [
+            (
+                [var("error"), div0.clone()],
+                EvalError::Failure("`error` evaluated".into()),
+            ),
+            ([div0, var("error")], EvalError::DivideByZero),
+            ([b(true), var("error")], EvalError::NotAnInt),
+        ] {
+            let runs = saturated_and_first_class("primAddInt", &ops);
+            assert_eq!(runs, [Err(want.clone()), Err(want)]);
+        }
+        // A cell whose head is `error` is built and taken apart without
+        // forcing it.
+        let cell = cons(var("error"), var("nil"));
+        for (p, want) in [("null", "False"), ("tail", "[]")] {
+            let runs = saturated_and_first_class(p, std::slice::from_ref(&cell));
+            assert_eq!(runs, [Ok(want.to_string()), Ok(want.to_string())]);
+        }
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! the program, else of its base, else to a builtin. A name none of
 //! those bind lowers to [`Code::Unbound`], which fails when evaluated.
 //! Constructor names are interned, so `case` matches by integer compare.
+//!
+//! An application that gives a builtin exactly its arity lowers to one
+//! node ([`Code::Prim1`], [`Code::Prim2`], [`Code::Cons`]), which the
+//! machine runs in one step. The head must name the builtin after
+//! binders and globals, as [`Code::Builtin`] does; a partial
+//! application, a builtin passed as a value and a shadowed name stay
+//! [`Code::App`]s of a first-class builtin.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -23,6 +30,13 @@ pub(crate) enum Code {
     Int(i64),
     Bool(bool),
     App(Box<Code>, Box<Code>),
+    /// A builtin of arity one given its operand: `null`, `head`,
+    /// `tail` or `primNegInt`.
+    Prim1(Prim, Box<Code>),
+    /// A strict binary builtin given both operands.
+    Prim2(Prim, Box<[Code; 2]>),
+    /// `cons` given both fields.
+    Cons(Box<[Code; 2]>),
     /// A one-parameter function; the parameter is its body's frame 0.
     Lam(Box<Code>),
     LetRec(Box<LetRec>),
@@ -315,7 +329,7 @@ impl<'a> Scope<'a, '_> {
             CoreExpr::Var(n) => self.var(n),
             CoreExpr::Lit(Literal::Int(n)) => Code::Int(*n),
             CoreExpr::Lit(Literal::Bool(b)) => Code::Bool(*b),
-            CoreExpr::App(f, x) => Code::App(Box::new(self.lower(f)), Box::new(self.lower(x))),
+            CoreExpr::App(f, x) => self.app(f, x),
             CoreExpr::Lam(p, b) => {
                 self.bind(p);
                 let body = self.lower(b);
@@ -354,6 +368,33 @@ impl<'a> Scope<'a, '_> {
     fn bind(&mut self, name: &'a str) {
         let pos = self.locals.len() as u32;
         self.locals.push(name, pos);
+    }
+
+    /// An application: one node when it saturates a builtin.
+    fn app(&mut self, f: &'a CoreExpr, x: &'a CoreExpr) -> Code {
+        if let Some(p) = self.builtin(f, 1) {
+            return Code::Prim1(p, Box::new(self.lower(x)));
+        }
+        if let CoreExpr::App(g, a) = f {
+            if let Some(p) = self.builtin(g, 2) {
+                let ops = Box::new([self.lower(a), self.lower(x)]);
+                return match p {
+                    Prim::Cons => Code::Cons(ops),
+                    _ => Code::Prim2(p, ops),
+                };
+            }
+        }
+        Code::App(Box::new(self.lower(f)), Box::new(self.lower(x)))
+    }
+
+    /// The builtin of `arity` arguments that `e` names, if `e` is a
+    /// variable that no binder or global shadows.
+    fn builtin(&self, e: &CoreExpr, arity: usize) -> Option<Prim> {
+        let CoreExpr::Var(n) = e else { return None };
+        match self.var(n) {
+            Code::Builtin(p) if p.arity() == arity => Some(p),
+            _ => None,
+        }
     }
 
     fn var(&self, n: &str) -> Code {

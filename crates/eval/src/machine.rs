@@ -9,6 +9,12 @@
 //! same points and depths as in a direct recursive evaluator: a step
 //! that would recurse at `depth + 1` either pushes a continuation and
 //! continues at `depth + 1`, or, in tail position, just continues there.
+//!
+//! A saturated builtin call ([`Code::Prim1`], [`Code::Prim2`],
+//! [`Code::Cons`]) is one step. A strict operand that is a variable
+//! forces the thunk it names, and any other is evaluated in place, with
+//! no suspension of its own; `cons` passes its fields as arguments, so
+//! list cells stay lazy.
 
 use crate::lower::{Arm, Case, Code, LoweredProgram, Pattern, Prim, CONS, FALSE, NIL, TRUE};
 use crate::{
@@ -82,6 +88,9 @@ enum Kont<'p> {
     Case(&'p Case, EnvId, usize),
     /// A binary builtin's first operand; force the second.
     Lhs(Prim, ThunkId, usize),
+    /// A saturated binary builtin's first operand; evaluate the second,
+    /// whose code this is, as a strict operand.
+    LhsCode(Prim, &'p Code, EnvId, usize),
     /// A binary builtin's second operand, given the first.
     Rhs(Prim, i64),
     /// A unary builtin's operand.
@@ -325,6 +334,18 @@ impl<'p> Machine<'p> {
         self.push_thunk(Thunk::Done(v))
     }
 
+    /// The move that evaluates a saturated builtin's strict operand: a
+    /// variable forces the thunk it names, and anything else is
+    /// evaluated in place, with no suspension of its own.
+    #[inline(always)]
+    fn strict(&mut self, code: &'p Code, env: EnvId, depth: usize) -> Result<Ctl<'p>, EvalError> {
+        Ok(match code {
+            Code::Local(up) => Ctl::Force(self.lookup(env, *up), depth),
+            Code::Global(g) => Ctl::Force(self.global(*g)?, depth),
+            _ => Ctl::Eval(code, env, depth),
+        })
+    }
+
     /// Wrap an already-evaluated value as a thunk (a default arm's
     /// binding of the scrutinee). Counts as an allocation and a thunk,
     /// but charges no profile entry.
@@ -432,6 +453,18 @@ impl<'p> Machine<'p> {
             Code::App(f, x) => {
                 self.konts.push(Kont::Arg(x, env, depth));
                 Ctl::Eval(f, env, depth + 1)
+            }
+            Code::Prim1(p, x) => {
+                self.konts.push(Kont::Unary(*p, depth));
+                self.strict(x, env, depth + 1)?
+            }
+            Code::Prim2(p, ops) => {
+                self.konts.push(Kont::LhsCode(*p, &ops[1], env, depth));
+                self.strict(&ops[0], env, depth + 1)?
+            }
+            Code::Cons(fields) => {
+                let head = self.arg(&fields[0], env)?;
+                Ctl::Return(Value::Cons(head, self.arg(&fields[1], env)?))
             }
             Code::Lam(body) => {
                 self.alloc()?;
@@ -599,6 +632,10 @@ impl<'p> Machine<'p> {
             Kont::Lhs(p, rhs, depth) => {
                 self.konts.push(Kont::Rhs(p, operand(p, v)?));
                 Ctl::Force(rhs, depth + 1)
+            }
+            Kont::LhsCode(p, rhs, env, depth) => {
+                self.konts.push(Kont::Rhs(p, operand(p, v)?));
+                self.strict(rhs, env, depth + 1)?
             }
             Kont::Rhs(p, lhs) => Ctl::Return(binary(p, lhs, operand(p, v)?)?),
             Kont::Unary(p, depth) => match (p, v) {

@@ -9,7 +9,13 @@
 //! agrees with the machine at any depth; callers keep the depth within
 //! what their thread's stack holds. It follows the machine's argument
 //! rule: an argument or dictionary field that is a variable passes the
-//! thunk the variable names, and a literal is one evaluated cell.
+//! thunk the variable names, and a literal is one evaluated cell. It
+//! follows the machine's rule for saturated builtins too, deciding
+//! saturation at run time in its own resolution order (locals, globals,
+//! then builtins): an application that gives a builtin exactly its
+//! arity is one step, and a strict operand of it that is a variable
+//! forces the thunk it names, while any other is evaluated in place,
+//! with no suspension of its own.
 
 #![allow(dead_code)]
 
@@ -278,6 +284,13 @@ fn prim(name: &str) -> Option<(&'static str, usize)> {
         "error" => ("error", 0),
         _ => return None,
     })
+}
+
+/// A builtin's argument: the thunk it was applied to as a value, or,
+/// in a saturated call, the argument's code.
+enum Operand<'a> {
+    Thunk(ThunkRef),
+    Code(&'a Rc<RExpr>, &'a Env),
 }
 
 /// The value of a builtin named by [`prim`]: arity-0 builtins are
@@ -673,6 +686,15 @@ impl Evaluator {
             RExpr::Lit(Literal::Int(n)) => Ok(Value::Int(*n)),
             RExpr::Lit(Literal::Bool(b)) => Ok(Value::Bool(*b)),
             RExpr::App(f, x) => {
+                if let Some((name, 1)) = self.builtin(f, env) {
+                    return self.run_prim(name, vec![Operand::Code(x, env)], depth);
+                }
+                if let RExpr::App(g, a) = &**f {
+                    if let Some((name, 2)) = self.builtin(g, env) {
+                        let args = vec![Operand::Code(a, env), Operand::Code(x, env)];
+                        return self.run_prim(name, args, depth);
+                    }
+                }
                 let fv = self.eval(f, env, depth + 1)?;
                 let arg = self.arg(x, env)?;
                 self.apply(fv, arg, depth)
@@ -739,6 +761,49 @@ impl Evaluator {
                 self.eval_case(&sv, arms, env, depth)
             }
             RExpr::Fail(msg) => Err(EvalError::Failure(msg.clone())),
+        }
+    }
+
+    /// The builtin `e` names at run time, with its arity: one the closed
+    /// lowering resolved, or a variable no local or global binds.
+    fn builtin(&self, e: &RExpr, env: &Env) -> Option<(&'static str, usize)> {
+        match e {
+            RExpr::Builtin(name) => prim(name),
+            RExpr::Var(n) if env_lookup(env, n).is_none() && self.program.global(n).is_none() => {
+                prim(n)
+            }
+            _ => None,
+        }
+    }
+
+    /// A saturated builtin's strict operand: a variable bound locally or
+    /// globally forces the thunk it names, and anything else is
+    /// evaluated in place.
+    fn strict(&mut self, x: &Rc<RExpr>, env: &Env, depth: usize) -> Result<Value, EvalError> {
+        if let RExpr::Var(n) = &**x {
+            if let Some(t) = env_lookup(env, n) {
+                return self.force(&t, depth);
+            }
+            if let Some(t) = self.global_thunk(n)? {
+                return self.force(&t, depth);
+            }
+        }
+        self.eval(x, env, depth)
+    }
+
+    /// A strict operand's value, one level below the builtin's call.
+    fn operand(&mut self, op: &Operand, depth: usize) -> Result<Value, EvalError> {
+        match op {
+            Operand::Thunk(t) => self.force(t, depth + 1),
+            Operand::Code(x, env) => self.strict(x, env, depth + 1),
+        }
+    }
+
+    /// A lazy operand (a `cons` field), passed as an argument.
+    fn lazy(&mut self, op: &Operand) -> Result<ThunkRef, EvalError> {
+        match op {
+            Operand::Thunk(t) => Ok(t.clone()),
+            Operand::Code(x, env) => self.arg(x, env),
         }
     }
 
@@ -830,7 +895,8 @@ impl Evaluator {
                 applied.push(arg);
                 let arity = prim(name).map(|(_, a)| a).unwrap_or(0);
                 if applied.len() >= arity {
-                    self.run_prim(name, applied, depth)
+                    let args = applied.into_iter().map(Operand::Thunk).collect();
+                    self.run_prim(name, args, depth)
                 } else {
                     Ok(Value::Prim { name, applied })
                 }
@@ -854,15 +920,15 @@ impl Evaluator {
         }
     }
 
-    fn int_arg(&mut self, t: &ThunkRef, depth: usize) -> Result<i64, EvalError> {
-        match self.force(t, depth + 1)? {
+    fn int_arg(&mut self, op: &Operand, depth: usize) -> Result<i64, EvalError> {
+        match self.operand(op, depth)? {
             Value::Int(n) => Ok(n),
             _ => Err(EvalError::NotAnInt),
         }
     }
 
-    fn bool_arg(&mut self, t: &ThunkRef, depth: usize) -> Result<bool, EvalError> {
-        match self.force(t, depth + 1)? {
+    fn bool_arg(&mut self, op: &Operand, depth: usize) -> Result<bool, EvalError> {
+        match self.operand(op, depth)? {
             Value::Bool(b) => Ok(b),
             _ => Err(EvalError::NotABool),
         }
@@ -871,7 +937,7 @@ impl Evaluator {
     fn run_prim(
         &mut self,
         name: &'static str,
-        args: Vec<ThunkRef>,
+        args: Vec<Operand>,
         depth: usize,
     ) -> Result<Value, EvalError> {
         let arith = |r: Option<i64>| r.map(Value::Int).ok_or(EvalError::IntOverflow);
@@ -915,18 +981,18 @@ impl Evaluator {
                 self.bool_arg(a, depth)? == self.bool_arg(b, depth)?,
             )),
             // cons is lazy in both arguments.
-            ("cons", [h, t]) => Ok(Value::Cons(h.clone(), t.clone())),
-            ("null", [l]) => match self.force(l, depth + 1)? {
+            ("cons", [h, t]) => Ok(Value::Cons(self.lazy(h)?, self.lazy(t)?)),
+            ("null", [l]) => match self.operand(l, depth)? {
                 Value::Nil => Ok(Value::Bool(true)),
                 Value::Cons(_, _) => Ok(Value::Bool(false)),
                 _ => Err(EvalError::NotAList),
             },
-            ("head", [l]) => match self.force(l, depth + 1)? {
+            ("head", [l]) => match self.operand(l, depth)? {
                 Value::Cons(h, _) => self.force(&h, depth + 1),
                 Value::Nil => Err(EvalError::EmptyList("head")),
                 _ => Err(EvalError::NotAList),
             },
-            ("tail", [l]) => match self.force(l, depth + 1)? {
+            ("tail", [l]) => match self.operand(l, depth)? {
                 Value::Cons(_, t) => self.force(&t, depth + 1),
                 Value::Nil => Err(EvalError::EmptyList("tail")),
                 _ => Err(EvalError::NotAList),

@@ -308,6 +308,19 @@ const EDGE_CASES: &[(&str, &str)] = &[
         "deep data",
         "data N = Z | S N;\nmk n = if lte n 0 then Z else S (mk (sub n 1));\nmain = mk 300;",
     ),
+    (
+        "shadowed and partial builtins",
+        "head xs = 42;\ntwice f x = f (f x);\n\
+         main = let { null = \\xs -> 7 } in\n\
+         cons (head (cons 1 nil)) (cons (null nil)\n\
+         (cons ((\\primAddInt -> primAddInt 2 3) primSubInt)\n\
+         (cons (sum (map (primAddInt 1) (enumFromTo 1 3)))\n\
+         (cons (primAddInt (mul 2 3) (twice (primAddInt 1) 4)) nil))));",
+    ),
+    (
+        "over-applied builtin",
+        "main = head (cons (\\x -> add x 1) nil) (primMulInt (add 1 2) (sub 10 4));",
+    ),
 ];
 
 #[test]

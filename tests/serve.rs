@@ -598,48 +598,76 @@ fn a_deep_request_cannot_abort_the_server() {
     // more depth than a worker's native stack would hold. Trees the
     // compiler's passes recurse over are charged against the parser's
     // nesting budget (400 levels): each shape below, at the budget and
-    // at ten times it, is answered (past the budget with `E0207`
-    // instead of overflowing a worker's stack), and so is the
-    // `main = 1;` after it.
-    fn params(n: usize) -> String {
-        let xs: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+    // at ten times it, is answered, and so is the `main = 1;` after
+    // it. A shape marked `REFUSED` is answered past the budget with
+    // `E0207` instead of overflowing a worker's stack; one marked
+    // `ANSWERED` compiles and prints its `main = 1;` at both sizes.
+    const REFUSED: bool = true;
+    const ANSWERED: bool = false;
+    fn names(prefix: &str, n: usize) -> String {
+        let xs: Vec<String> = (0..n).map(|i| format!("{prefix}{i}")).collect();
         xs.join(" ")
     }
     type Program = fn(usize) -> String;
-    let shapes: [(&str, Program); 10] = [
-        ("spine", |n| {
+    let shapes: [(&str, bool, Program); 14] = [
+        ("spine", REFUSED, |n| {
             format!("g x = 1; main = g {};", vec!["1"; n].join(" "))
         }),
-        ("fields", |n| {
+        ("fields", REFUSED, |n| {
             format!(
                 "data P = P {} deriving (Eq); main = 1;",
                 vec!["Int"; n].join(" ")
             )
         }),
-        ("parentheses", |n| {
+        ("parentheses", REFUSED, |n| {
             format!("main = {}1{};", "(".repeat(n), ")".repeat(n))
         }),
-        ("arrows", |n| {
+        ("arrows", REFUSED, |n| {
             format!("f :: {}Int; f = f; main = 1;", "Int -> ".repeat(n))
         }),
-        ("lambdas", |n| format!("main = {}1;", "\\x -> ".repeat(n))),
-        ("lambda parameters", |n| {
-            format!("main = \\{} -> 1;", params(n))
+        ("lambdas", REFUSED, |n| {
+            format!("main = {}1;", "\\x -> ".repeat(n))
         }),
-        ("binding parameters", |n| {
-            format!("f {} = 1; main = 1;", params(n))
+        ("lambda parameters", REFUSED, |n| {
+            format!("main = \\{} -> 1;", names("x", n))
         }),
-        ("else if", |n| {
+        ("binding parameters", REFUSED, |n| {
+            format!("f {} = 1; main = 1;", names("x", n))
+        }),
+        ("else if", REFUSED, |n| {
             format!("main = {}1;", "if True then 1 else ".repeat(n))
         }),
-        ("nested let", |n| {
+        ("nested let", REFUSED, |n| {
             format!("main = {}1{};", "let x = ".repeat(n), " in x".repeat(n))
         }),
-        ("nested case", |n| {
+        ("nested case", REFUSED, |n| {
             format!(
                 "main = {}1{};",
                 "case 1 of { x -> ".repeat(n),
                 " }".repeat(n)
+            )
+        }),
+        ("matched fields", ANSWERED, |n| {
+            format!(
+                "data P = P {}; f p = case p of {{ P {} -> x0 }}; main = 1;",
+                vec!["Int"; n].join(" "),
+                names("x", n)
+            )
+        }),
+        ("type parameters", ANSWERED, |n| {
+            format!("data T {} = T a0; main = 1;", names("a", n))
+        }),
+        ("type arguments", ANSWERED, |n| {
+            format!(
+                "data T {} = T a0; f :: T {} -> Int; f t = 1; main = 1;",
+                names("a", n),
+                vec!["Int"; n].join(" ")
+            )
+        }),
+        ("method arrows", REFUSED, |n| {
+            format!(
+                "class C a where {{ m :: a -> {}Int; }}; main = 1;",
+                "Int -> ".repeat(n - 1)
             )
         }),
     ];
@@ -649,12 +677,12 @@ fn a_deep_request_cannot_abort_the_server() {
         req(2, "main = 1;"),
     ];
     let mut deep = Vec::new();
-    for (shape, program) in shapes {
+    for (shape, refused, program) in shapes {
         for n in [400, 4_000] {
             let id = lines.len() as u64 + 1;
             lines.push(req(id, &program(n)));
             lines.push(req(id + 1, "main = 1;"));
-            deep.push((shape, n, id));
+            deep.push((shape, refused, n, id));
         }
     }
     let cfg = ServeConfig {
@@ -672,10 +700,12 @@ fn a_deep_request_cannot_abort_the_server() {
     let value = |id: u64| by_id(id).get("value").and_then(|s| s.as_str());
     assert_eq!(value(1), Some("50005000"), "{:?}", by_id(1));
     assert_eq!(value(2), Some("1"), "{:?}", by_id(2));
-    for (shape, n, id) in deep {
+    for (shape, refused, n, id) in deep {
         assert_eq!(value(id + 1), Some("1"), "after {shape} at {n}");
-        if n > 400 {
-            let v = by_id(id);
+        let v = by_id(id);
+        if !refused {
+            assert_eq!(value(id), Some("1"), "{shape} at {n}: {v:?}");
+        } else if n > 400 {
             let detail = v.get("detail").and_then(|s| s.as_str()).unwrap_or("");
             assert!(detail.contains("E0207"), "{shape} at {n}: {v:?}");
         }
