@@ -6,12 +6,16 @@
 //! those bind lowers to [`Code::Unbound`], which fails when evaluated.
 //! Constructor names are interned, so `case` matches by integer compare.
 //!
-//! An application that gives a builtin exactly its arity lowers to one
-//! node ([`Code::Prim1`], [`Code::Prim2`], [`Code::Cons`]), which the
-//! machine runs in one step. The head must name the builtin after
-//! binders and globals, as [`Code::Builtin`] does; a partial
-//! application, a builtin passed as a value and a shadowed name stay
-//! [`Code::App`]s of a first-class builtin.
+//! An application spine `f a1 … ak` lowers to one [`Code::Call`] of its
+//! head to all k arguments, so a function of n parameters (nested
+//! lambdas, `\x -> \y -> …`) takes its n arguments in one step. A
+//! spine whose head is a builtin given at least its arity lowers first
+//! to one node for the builtin and its operands ([`Code::Prim1`],
+//! [`Code::Prim2`], [`Code::Cons`]), which the machine runs in one step;
+//! any further arguments are a call of that node. The head must name the
+//! builtin after binders and globals, as [`Code::Builtin`] does; a
+//! partial application, a builtin passed as a value and a shadowed name
+//! stay calls of a first-class builtin.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -29,7 +33,8 @@ pub(crate) enum Code {
     Unbound(Box<str>),
     Int(i64),
     Bool(bool),
-    App(Box<Code>, Box<Code>),
+    /// A function applied to one or more arguments.
+    Call(Box<Call>),
     /// A builtin of arity one given its operand: `null`, `head`,
     /// `tail` or `primNegInt`.
     Prim1(Prim, Box<Code>),
@@ -38,6 +43,9 @@ pub(crate) enum Code {
     /// `cons` given both fields.
     Cons(Box<[Code; 2]>),
     /// A one-parameter function; the parameter is its body's frame 0.
+    /// A lambda whose body is a lambda is one function of more
+    /// parameters: a call binds them in order, one frame each, so the
+    /// innermost body sees the last parameter as frame 0.
     Lam(Box<Code>),
     LetRec(Box<LetRec>),
     /// Condition, then branch, else branch.
@@ -48,6 +56,12 @@ pub(crate) enum Code {
     Con(u32),
     Case(Box<Case>),
     Fail(Box<str>),
+}
+
+/// A call: the head, then its arguments in order (at least one).
+pub(crate) struct Call {
+    pub head: Code,
+    pub args: Box<[Code]>,
 }
 
 /// Mutually recursive bindings: their frames go in binding order, so the
@@ -329,7 +343,7 @@ impl<'a> Scope<'a, '_> {
             CoreExpr::Var(n) => self.var(n),
             CoreExpr::Lit(Literal::Int(n)) => Code::Int(*n),
             CoreExpr::Lit(Literal::Bool(b)) => Code::Bool(*b),
-            CoreExpr::App(f, x) => self.app(f, x),
+            CoreExpr::App(..) => self.app(e),
             CoreExpr::Lam(p, b) => {
                 self.bind(p);
                 let body = self.lower(b);
@@ -370,29 +384,44 @@ impl<'a> Scope<'a, '_> {
         self.locals.push(name, pos);
     }
 
-    /// An application: one node when it saturates a builtin.
-    fn app(&mut self, f: &'a CoreExpr, x: &'a CoreExpr) -> Code {
-        if let Some(p) = self.builtin(f, 1) {
-            return Code::Prim1(p, Box::new(self.lower(x)));
+    /// An application spine: one call of its head to every argument,
+    /// after a builtin at the head takes the operands it saturates.
+    fn app(&mut self, e: &'a CoreExpr) -> Code {
+        let mut spine = Vec::new();
+        let mut head = e;
+        while let CoreExpr::App(f, x) = head {
+            spine.push(&**x);
+            head = f;
         }
-        if let CoreExpr::App(g, a) = f {
-            if let Some(p) = self.builtin(g, 2) {
-                let ops = Box::new([self.lower(a), self.lower(x)]);
-                return match p {
-                    Prim::Cons => Code::Cons(ops),
-                    _ => Code::Prim2(p, ops),
+        spine.reverse();
+        let (head, args) = match self.builtin(head) {
+            Some(p) if (1..=spine.len()).contains(&p.arity()) => {
+                let node = if p.arity() == 1 {
+                    Code::Prim1(p, Box::new(self.lower(spine[0])))
+                } else {
+                    let ops = Box::new([self.lower(spine[0]), self.lower(spine[1])]);
+                    match p {
+                        Prim::Cons => Code::Cons(ops),
+                        _ => Code::Prim2(p, ops),
+                    }
                 };
+                (node, &spine[p.arity()..])
             }
+            _ => (self.lower(head), &spine[..]),
+        };
+        if args.is_empty() {
+            return head;
         }
-        Code::App(Box::new(self.lower(f)), Box::new(self.lower(x)))
+        let args = args.iter().map(|x| self.lower(x)).collect();
+        Code::Call(Box::new(Call { head, args }))
     }
 
-    /// The builtin of `arity` arguments that `e` names, if `e` is a
-    /// variable that no binder or global shadows.
-    fn builtin(&self, e: &CoreExpr, arity: usize) -> Option<Prim> {
+    /// The builtin that `e` names, if `e` is a variable that no binder
+    /// or global shadows.
+    fn builtin(&self, e: &CoreExpr) -> Option<Prim> {
         let CoreExpr::Var(n) = e else { return None };
         match self.var(n) {
-            Code::Builtin(p) if p.arity() == arity => Some(p),
+            Code::Builtin(p) => Some(p),
             _ => None,
         }
     }

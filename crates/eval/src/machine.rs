@@ -4,11 +4,24 @@
 //!
 //! Thunks, environment frames, and the fields of tuples and constructor
 //! values live in session-owned arenas addressed by `u32`; nothing is
-//! freed before the session ends. Budget accounting (ticks, depth
-//! checks, allocation charges, forces, profile charges) happens at the
-//! same points and depths as in a direct recursive evaluator: a step
-//! that would recurse at `depth + 1` either pushes a continuation and
-//! continues at `depth + 1`, or, in tail position, just continues there.
+//! freed before the session ends. A session that ends hands its emptied
+//! arenas to the next session on the same thread, unless they hold more
+//! than [`SPARE_LIMIT`] bytes, so a worker that evaluates one request
+//! after another does not grow them from empty each time.
+//!
+//! Budget accounting (ticks, depth checks, allocation charges, forces,
+//! profile charges) happens at the same points and depths as in a direct
+//! recursive evaluator: a step that would recurse at `depth + 1` either
+//! pushes a continuation and continues at `depth + 1`, or, in tail
+//! position, just continues there.
+//!
+//! A call ([`Code::Call`]) is one step, and so is its head's evaluation
+//! and each apply that reaches a closure: an apply binds as many of the
+//! call's arguments as the closure takes parameters, one frame each. A
+//! partial application returns the closure that takes the rest, with no
+//! allocation of its own; arguments left over apply to the value of the
+//! body. A builtin or constructor value takes its arguments one apply
+//! step at a time.
 //!
 //! A saturated builtin call ([`Code::Prim1`], [`Code::Prim2`],
 //! [`Code::Cons`]) is one step. A strict operand that is a variable
@@ -20,8 +33,10 @@ use crate::lower::{Arm, Case, Code, LoweredProgram, Pattern, Prim, CONS, FALSE, 
 use crate::{
     BindingProfile, Budget, BudgetSnapshot, EvalError, EvalOptions, EvalProfile, EvalStats,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::mem::size_of;
 use tc_trace::{CancelToken, EventKind, EventScope, Stage};
 
 /// The cancellation token is polled when `fuel_left & MASK == 0`, i.e.
@@ -29,6 +44,11 @@ use tc_trace::{CancelToken, EventKind, EventScope, Stage};
 /// stops a runaway program within microseconds, rare enough that the
 /// clock read never shows up in profiles.
 const CANCEL_POLL_MASK: u64 = 0xFFF;
+
+/// The most arena capacity, in bytes, a thread keeps between sessions:
+/// the per-thread bound of `tc_serve::alloc::ThreadCache`, so one large
+/// evaluation cannot pin memory in a worker.
+const SPARE_LIMIT: usize = 1 << 20;
 
 type ThunkId = u32;
 type EnvId = u32;
@@ -81,8 +101,8 @@ enum Kont<'p> {
     Update(ThunkId),
     /// Likewise, and leave the global's right-hand side.
     UpdateGlobal(ThunkId),
-    /// Apply it, a function, to this argument's thunk.
-    Arg(&'p Code, EnvId, usize),
+    /// Apply it, a function, to these arguments, passed from `env`.
+    Args(&'p [Code], EnvId, usize),
     If(&'p [Code; 3], EnvId, usize),
     Proj(usize, usize),
     Case(&'p Case, EnvId, usize),
@@ -101,7 +121,6 @@ enum Kont<'p> {
 enum Ctl<'p> {
     Eval(&'p Code, EnvId, usize),
     Force(ThunkId, usize),
-    Apply(Value<'p>, ThunkId, usize),
     Return(Value<'p>),
 }
 
@@ -140,6 +159,39 @@ impl ProfileState {
     }
 }
 
+/// A session's arenas, emptied, kept for the thread's next session.
+#[derive(Default)]
+struct Arenas {
+    thunks: Vec<Thunk<'static>>,
+    frames: Vec<Frame>,
+    items: Vec<ThunkId>,
+    konts: Vec<Kont<'static>>,
+}
+
+impl Arenas {
+    /// The bytes their capacities hold.
+    fn bytes(&self) -> usize {
+        bytes(&self.thunks) + bytes(&self.frames) + bytes(&self.items) + bytes(&self.konts)
+    }
+}
+
+fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+/// `v` emptied, as a vector of another element type of the same layout
+/// (here: the same type of a shorter or longer lifetime). std collects a
+/// vector's own `into_iter` in place, so the allocation is kept.
+fn emptied<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
+}
+
+thread_local! {
+    /// The arenas the thread's last session left, if it kept them.
+    static SPARE: Cell<Option<Arenas>> = const { Cell::new(None) };
+}
+
 /// One evaluation session over a lowered program.
 pub(crate) struct Machine<'p> {
     prog: &'p LoweredProgram,
@@ -166,13 +218,18 @@ pub(crate) struct Machine<'p> {
 impl<'p> Machine<'p> {
     pub fn new(prog: &'p LoweredProgram, opts: &EvalOptions) -> Self {
         let budget = opts.budget;
+        let spare = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
         Machine {
             prog,
-            thunks: Vec::new(),
-            frames: Vec::new(),
-            items: Vec::new(),
+            thunks: spare.thunks,
+            frames: spare.frames,
+            items: spare.items,
             globals: vec![NONE; prog.global_count() as usize],
-            konts: Vec::new(),
+            konts: spare.konts,
             budget,
             fuel_left: budget.fuel,
             allocs_left: budget.max_allocs,
@@ -319,8 +376,8 @@ impl<'p> Machine<'p> {
     /// The thunk an argument or a dictionary field is passed as. An
     /// atom needs no suspension of its own: a variable passes the thunk
     /// it names (a global's is created on first use, as when it is
-    /// evaluated), and a literal is one evaluated cell, charged like a
-    /// suspension. Anything else is suspended in `env`.
+    /// evaluated), and a literal or `nil` is one evaluated cell, charged
+    /// like a suspension. Anything else is suspended in `env`.
     #[inline(always)]
     fn arg(&mut self, code: &'p Code, env: EnvId) -> Result<ThunkId, EvalError> {
         let v = match code {
@@ -328,6 +385,7 @@ impl<'p> Machine<'p> {
             Code::Global(g) => return self.global(*g),
             Code::Int(n) => Value::Int(*n),
             Code::Bool(b) => Value::Bool(*b),
+            Code::Builtin(Prim::Nil) => Value::Nil,
             _ => return self.thunk(code, env),
         };
         self.charge_thunk()?;
@@ -411,7 +469,6 @@ impl<'p> Machine<'p> {
             let step = match ctl {
                 Ctl::Eval(code, env, depth) => self.eval(code, env, depth, &mut ctl),
                 Ctl::Force(t, depth) => self.force(t, depth, &mut ctl),
-                Ctl::Apply(f, arg, depth) => self.apply(f, arg, depth, &mut ctl),
                 Ctl::Return(v) => {
                     if self.konts.len() == base {
                         break Ok(v);
@@ -450,9 +507,9 @@ impl<'p> Machine<'p> {
             Code::Unbound(n) => return Err(EvalError::UnboundVar(n.to_string())),
             Code::Int(n) => Ctl::Return(Value::Int(*n)),
             Code::Bool(b) => Ctl::Return(Value::Bool(*b)),
-            Code::App(f, x) => {
-                self.konts.push(Kont::Arg(x, env, depth));
-                Ctl::Eval(f, env, depth + 1)
+            Code::Call(call) => {
+                self.konts.push(Kont::Args(&call.args, env, depth));
+                Ctl::Eval(&call.head, env, depth + 1)
             }
             Code::Prim1(p, x) => {
                 self.konts.push(Kont::Unary(*p, depth));
@@ -557,49 +614,89 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
+    /// Apply `f` to `args`, passed from `env`: one step per closure
+    /// reached, which binds as many arguments as it takes parameters, and
+    /// one per argument a builtin or constructor takes.
     fn apply(
         &mut self,
-        f: Value<'p>,
-        arg: ThunkId,
+        mut f: Value<'p>,
+        mut args: &'p [Code],
+        env: EnvId,
         depth: usize,
         next: &mut Ctl<'p>,
     ) -> Result<(), EvalError> {
-        self.tick(depth)?;
-        *next = match f {
-            Value::Closure(body, env) => Ctl::Eval(body, self.frame(arg, env)?, depth + 1),
-            Value::Prim(p, NONE) if p.arity() == 2 => Ctl::Return(Value::Prim(p, arg)),
-            Value::Prim(Prim::Cons, head) => Ctl::Return(Value::Cons(head, arg)),
-            Value::Prim(p @ (Prim::NegInt | Prim::Null | Prim::Head | Prim::Tail), _) => {
-                self.konts.push(Kont::Unary(p, depth));
-                Ctl::Force(arg, depth + 1)
-            }
-            Value::Prim(p, lhs) if p.arity() == 2 => {
-                self.konts.push(Kont::Lhs(p, arg, depth));
-                Ctl::Force(lhs, depth + 1)
-            }
-            Value::Data { shape, start, len } if len < self.prog.shape(shape).arity => {
-                self.alloc()?;
-                // Fields only ever extend the item arena, so a value
-                // whose fields end it can grow in place.
-                let end = start as usize + len as usize;
-                let start = if end == self.items.len() {
-                    start
-                } else {
-                    let copy = self.next_id(self.items.len())?;
-                    self.items.extend_from_within(start as usize..end);
-                    copy
-                };
-                self.next_id(self.items.len())?;
-                self.items.push(arg);
-                Ctl::Return(Value::Data {
-                    shape,
-                    start,
-                    len: len + 1,
-                })
-            }
-            _ => return Err(EvalError::NotAFunction),
-        };
+        while let Some((x, rest)) = args.split_first() {
+            self.tick(depth)?;
+            args = rest;
+            f = match f {
+                Value::Closure(mut body, mut inner) => {
+                    let t = self.arg(x, env)?;
+                    inner = self.frame(t, inner)?;
+                    while let Code::Lam(more) = body {
+                        let Some((x, rest)) = args.split_first() else {
+                            *next = Ctl::Return(Value::Closure(more, inner));
+                            return Ok(());
+                        };
+                        let t = self.arg(x, env)?;
+                        inner = self.frame(t, inner)?;
+                        body = more;
+                        args = rest;
+                    }
+                    self.leftover(args, env, depth);
+                    *next = Ctl::Eval(body, inner, depth + 1);
+                    return Ok(());
+                }
+                Value::Prim(p, NONE) if p.arity() == 2 => Value::Prim(p, self.arg(x, env)?),
+                Value::Prim(Prim::Cons, head) => Value::Cons(head, self.arg(x, env)?),
+                Value::Prim(p @ (Prim::NegInt | Prim::Null | Prim::Head | Prim::Tail), _) => {
+                    let t = self.arg(x, env)?;
+                    self.leftover(args, env, depth);
+                    self.konts.push(Kont::Unary(p, depth));
+                    *next = Ctl::Force(t, depth + 1);
+                    return Ok(());
+                }
+                Value::Prim(p, lhs) if p.arity() == 2 => {
+                    let t = self.arg(x, env)?;
+                    self.leftover(args, env, depth);
+                    self.konts.push(Kont::Lhs(p, t, depth));
+                    *next = Ctl::Force(lhs, depth + 1);
+                    return Ok(());
+                }
+                Value::Data { shape, start, len } if len < self.prog.shape(shape).arity => {
+                    let t = self.arg(x, env)?;
+                    self.alloc()?;
+                    // Fields only ever extend the item arena, so a value
+                    // whose fields end it can grow in place.
+                    let end = start as usize + len as usize;
+                    let start = if end == self.items.len() {
+                        start
+                    } else {
+                        let copy = self.next_id(self.items.len())?;
+                        self.items.extend_from_within(start as usize..end);
+                        copy
+                    };
+                    self.next_id(self.items.len())?;
+                    self.items.push(t);
+                    Value::Data {
+                        shape,
+                        start,
+                        len: len + 1,
+                    }
+                }
+                _ => return Err(EvalError::NotAFunction),
+            };
+        }
+        *next = Ctl::Return(f);
         Ok(())
+    }
+
+    /// Arguments a call has left once its function's value is applied:
+    /// they apply to the value that comes back.
+    #[inline(always)]
+    fn leftover(&mut self, args: &'p [Code], env: EnvId, depth: usize) {
+        if !args.is_empty() {
+            self.konts.push(Kont::Args(args, env, depth));
+        }
     }
 
     fn resume(&mut self, k: Kont<'p>, v: Value<'p>, next: &mut Ctl<'p>) -> Result<(), EvalError> {
@@ -616,7 +713,7 @@ impl<'p> Machine<'p> {
                 self.thunks[t as usize] = Thunk::Done(v);
                 Ctl::Return(v)
             }
-            Kont::Arg(x, env, depth) => Ctl::Apply(v, self.arg(x, env)?, depth),
+            Kont::Args(args, env, depth) => return self.apply(v, args, env, depth, next),
             Kont::If(branches, env, depth) => match v {
                 Value::Bool(true) => Ctl::Eval(&branches[1], env, depth + 1),
                 Value::Bool(false) => Ctl::Eval(&branches[2], env, depth + 1),
@@ -804,6 +901,22 @@ impl<'p> Machine<'p> {
     }
 }
 
+impl Drop for Machine<'_> {
+    /// Hand the arenas, emptied, to the thread's next session, unless
+    /// they hold more than [`SPARE_LIMIT`] bytes: then they are freed.
+    fn drop(&mut self) {
+        let spare = Arenas {
+            thunks: emptied(std::mem::take(&mut self.thunks)),
+            frames: emptied(std::mem::take(&mut self.frames)),
+            items: emptied(std::mem::take(&mut self.items)),
+            konts: emptied(std::mem::take(&mut self.konts)),
+        };
+        if spare.bytes() <= SPARE_LIMIT {
+            let _ = SPARE.try_with(|s| s.set(Some(spare)));
+        }
+    }
+}
+
 /// A binary builtin's operand, checked against the builtin's type.
 fn operand(p: Prim, v: Value<'_>) -> Result<i64, EvalError> {
     match (p, v) {
@@ -943,6 +1056,169 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The spare arenas' bytes on this thread, or `None` without any.
+    fn spare_bytes() -> Option<usize> {
+        SPARE.with(|s| {
+            let spare = s.take();
+            let bytes = spare.as_ref().map(Arenas::bytes);
+            s.set(spare);
+            bytes
+        })
+    }
+
+    type Outcome = (
+        Result<String, EvalError>,
+        EvalStats,
+        Option<Vec<BindingProfile>>,
+    );
+
+    /// One session over `p`, driven directly so that a cancelled token
+    /// is seen at the in-loop poll.
+    fn session(p: &CoreProgram, opts: &EvalOptions) -> Outcome {
+        let lowered = LoweredProgram::new(p);
+        let mut m = Machine::new(&lowered, opts);
+        let result = m.eval_and_show("main");
+        (result, m.stats(), m.take_profile().map(|p| p.bindings))
+    }
+
+    /// A program that builds, shares and sums a list under a profile.
+    fn normal() -> (CoreProgram, EvalOptions) {
+        let lit = |n| CoreExpr::Lit(Literal::Int(n));
+        let xs = CoreExpr::apps(
+            var("cons"),
+            vec![
+                lit(2),
+                CoreExpr::apps(var("cons"), vec![lit(3), var("nil")]),
+            ],
+        );
+        let sum = CoreExpr::apps(
+            var("primAddInt"),
+            vec![
+                CoreExpr::app(var("head"), var("xs")),
+                CoreExpr::app(var("head"), CoreExpr::app(var("tail"), var("xs"))),
+            ],
+        );
+        let p = program(vec![
+            ("xs", xs),
+            ("main", CoreExpr::apps(var("cons"), vec![sum, var("xs")])),
+        ]);
+        let opts = EvalOptions {
+            profile: true,
+            ..EvalOptions::default()
+        };
+        (p, opts)
+    }
+
+    fn budget(fuel: u64, max_depth: usize, max_allocs: u64) -> EvalOptions {
+        EvalOptions {
+            budget: Budget {
+                fuel,
+                max_depth,
+                max_allocs,
+            },
+            ..EvalOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_session_after_a_failed_one_runs_as_on_a_fresh_thread() {
+        let fresh = std::thread::spawn(|| {
+            let (p, opts) = normal();
+            assert_eq!(spare_bytes(), None);
+            session(&p, &opts)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(fresh.0.as_deref(), Ok("[5, 2, 3]"));
+        let black_hole = program(vec![(
+            "main",
+            CoreExpr::LetRec(vec![("x".into(), var("x"))], Box::new(var("x"))),
+        )]);
+        let cancelled = EvalOptions {
+            cancel: Some(CancelToken::at(std::time::Instant::now())),
+            ..budget(100_000_000, 2_000, 100_000_000)
+        };
+        let failures = [
+            (
+                "fuel-exhausted",
+                cyclic_list(),
+                budget(5_000, 2_000, 1_000_000),
+            ),
+            (
+                "depth-exceeded",
+                counting_loop(),
+                budget(1_000_000, 300, 1_000_000),
+            ),
+            (
+                "allocation-limit",
+                counting_loop(),
+                budget(1_000_000, 1_000_000, 700),
+            ),
+            ("black-hole", black_hole, EvalOptions::default()),
+            ("cancelled", cyclic_list(), cancelled),
+        ];
+        for (code, p, opts) in failures {
+            let after = std::thread::spawn(move || {
+                let failed = session(&p, &opts);
+                assert_eq!(failed.0.map_err(|e| e.code()), Err(code));
+                assert!(spare_bytes().is_some_and(|b| b > 0), "{code}");
+                let (p, opts) = normal();
+                session(&p, &opts)
+            })
+            .join()
+            .unwrap();
+            assert_eq!(after, fresh, "after {code}");
+        }
+    }
+
+    #[test]
+    fn arenas_past_the_limit_are_freed_and_smaller_ones_kept() {
+        std::thread::spawn(|| {
+            let (p, opts) = normal();
+            let lowered = LoweredProgram::new(&p);
+            let mut m = Machine::new(&lowered, &opts);
+            m.eval_and_show("main").unwrap();
+            let caps = (
+                m.thunks.capacity(),
+                m.frames.capacity(),
+                m.items.capacity(),
+                m.konts.capacity(),
+            );
+            assert!(caps.0 > 0 && caps.3 > 0, "{caps:?}");
+            drop(m);
+            assert!(spare_bytes().is_some_and(|b| b > 0 && b <= SPARE_LIMIT));
+            // The next session starts on them, emptied.
+            let m = Machine::new(&lowered, &opts);
+            let got = (
+                m.thunks.capacity(),
+                m.frames.capacity(),
+                m.items.capacity(),
+                m.konts.capacity(),
+            );
+            assert_eq!(got, caps);
+            assert!(
+                m.thunks.is_empty()
+                    && m.frames.is_empty()
+                    && m.items.is_empty()
+                    && m.konts.is_empty()
+            );
+            assert_eq!(spare_bytes(), None, "a session takes the spare arenas");
+            drop(m);
+            // A long loop fills the thunk arena past the limit: the
+            // session's arenas are freed, not kept.
+            let p = counting_loop();
+            let big = session(&p, &budget(400_000, 1_000_000, 1_000_000));
+            assert!(
+                big.1.thunks_created * size_of::<Thunk>() as u64 > SPARE_LIMIT as u64,
+                "{:?}",
+                big.1
+            );
+            assert_eq!(spare_bytes(), None);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! agrees with the machine at any depth; callers keep the depth within
 //! what their thread's stack holds. It follows the machine's argument
 //! rule: an argument or dictionary field that is a variable passes the
-//! thunk the variable names, and a literal is one evaluated cell. It
-//! follows the machine's rule for saturated builtins too, deciding
-//! saturation at run time in its own resolution order (locals, globals,
-//! then builtins): an application that gives a builtin exactly its
-//! arity is one step, and a strict operand of it that is a variable
-//! forces the thunk it names, while any other is evaluated in place,
-//! with no suspension of its own.
+//! thunk the variable names, and a literal or `nil` is one evaluated
+//! cell. It follows the machine's rule for calls: an application spine
+//! `f a1 … ak` is one node, and one apply step binds as many of its
+//! arguments as the closure reached takes parameters (a lambda whose
+//! body is a lambda takes the next one in the same step), one frame
+//! each; a partial application returns the closure that takes the rest,
+//! with no allocation, and arguments left over apply to the body's
+//! value. A builtin or constructor value takes one argument per apply
+//! step. It follows the machine's rule for saturated builtins too,
+//! deciding saturation at run time in its own resolution order (locals,
+//! globals, then builtins): a spine that gives a builtin at least its
+//! arity runs the builtin on its operands in one step, and a strict
+//! operand of it that is a variable forces the thunk it names, while
+//! any other is evaluated in place, with no suspension of its own.
 
 #![allow(dead_code)]
 
@@ -84,7 +91,8 @@ pub enum RExpr {
     /// [`LoweredProgram::closed`]); never looked up by name.
     Builtin(&'static str),
     Lit(Literal),
-    App(Rc<RExpr>, Rc<RExpr>),
+    /// An application spine: the head and its arguments, at least one.
+    App(Rc<RExpr>, Vec<Rc<RExpr>>),
     Lam(String, Rc<RExpr>),
     LetRec(Vec<(String, Rc<RExpr>)>, Rc<RExpr>),
     If(Rc<RExpr>, Rc<RExpr>, Rc<RExpr>),
@@ -133,10 +141,21 @@ fn lower<'a>(e: &'a CoreExpr, mut scope: Option<&mut ClosedScope<'a>>) -> Rc<REx
             _ => RExpr::Var(n.clone()),
         },
         CoreExpr::Lit(l) => RExpr::Lit(*l),
-        CoreExpr::App(f, x) => RExpr::App(
-            lower(f, scope.as_deref_mut()),
-            lower(x, scope.as_deref_mut()),
-        ),
+        CoreExpr::App(..) => {
+            let mut args = Vec::new();
+            let mut head = e;
+            while let CoreExpr::App(f, x) = head {
+                args.push(&**x);
+                head = f;
+            }
+            let head = lower(head, scope.as_deref_mut());
+            let args = args
+                .into_iter()
+                .rev()
+                .map(|x| lower(x, scope.as_deref_mut()))
+                .collect();
+            RExpr::App(head, args)
+        }
         CoreExpr::Lam(p, b) => {
             let b = within(scope, [p.as_str()], |sc| lower(b, sc));
             RExpr::Lam(p.clone(), b)
@@ -563,8 +582,8 @@ impl Evaluator {
 
     /// The thunk an argument or a dictionary field is passed as: a
     /// variable bound locally or globally passes the thunk it names, a
-    /// literal is one evaluated cell, and anything else (builtins and
-    /// unbound names included) is suspended.
+    /// literal or `nil` is one evaluated cell, and anything else (other
+    /// builtins and unbound names included) is suspended.
     fn arg(&mut self, x: &Rc<RExpr>, env: &Env) -> Result<ThunkRef, EvalError> {
         match &**x {
             RExpr::Var(n) => {
@@ -574,7 +593,11 @@ impl Evaluator {
                 if let Some(t) = self.global_thunk(n)? {
                     return Ok(t);
                 }
+                if n == "nil" {
+                    return self.cell(Thunk::Evaluated(Value::Nil));
+                }
             }
+            RExpr::Builtin("nil") => return self.cell(Thunk::Evaluated(Value::Nil)),
             RExpr::Lit(Literal::Int(n)) => return self.cell(Thunk::Evaluated(Value::Int(*n))),
             RExpr::Lit(Literal::Bool(b)) => return self.cell(Thunk::Evaluated(Value::Bool(*b))),
             _ => {}
@@ -685,19 +708,24 @@ impl Evaluator {
             RExpr::Builtin(name) => builtin_value(name),
             RExpr::Lit(Literal::Int(n)) => Ok(Value::Int(*n)),
             RExpr::Lit(Literal::Bool(b)) => Ok(Value::Bool(*b)),
-            RExpr::App(f, x) => {
-                if let Some((name, 1)) = self.builtin(f, env) {
-                    return self.run_prim(name, vec![Operand::Code(x, env)], depth);
-                }
-                if let RExpr::App(g, a) = &**f {
-                    if let Some((name, 2)) = self.builtin(g, env) {
-                        let args = vec![Operand::Code(a, env), Operand::Code(x, env)];
-                        return self.run_prim(name, args, depth);
+            RExpr::App(f, xs) => {
+                if let Some((name, n)) = self.builtin(f, env) {
+                    if (1..=xs.len()).contains(&n) {
+                        let (ops, rest) = xs.split_at(n);
+                        let ops = ops.iter().map(|x| Operand::Code(x, env)).collect();
+                        if rest.is_empty() {
+                            return self.run_prim(name, ops, depth);
+                        }
+                        // The saturated call is the head of a call of
+                        // the rest: a node of its own, one level down.
+                        self.tick(depth + 1)?;
+                        self.check_depth(depth + 1)?;
+                        let v = self.run_prim(name, ops, depth + 1)?;
+                        return self.apply(v, rest, env, depth);
                     }
                 }
                 let fv = self.eval(f, env, depth + 1)?;
-                let arg = self.arg(x, env)?;
-                self.apply(fv, arg, depth)
+                self.apply(fv, xs, env, depth)
             }
             RExpr::Lam(p, b) => {
                 self.alloc()?;
@@ -884,40 +912,72 @@ impl Evaluator {
         Err(EvalError::MatchFailure)
     }
 
-    fn apply(&mut self, f: Value, arg: ThunkRef, depth: usize) -> Result<Value, EvalError> {
-        self.tick(depth)?;
-        match f {
-            Value::Closure { param, body, env } => {
-                let new_env = self.frame(param, arg, env)?;
-                self.eval(&body, &new_env, depth + 1)
-            }
-            Value::Prim { name, mut applied } => {
-                applied.push(arg);
-                let arity = prim(name).map(|(_, a)| a).unwrap_or(0);
-                if applied.len() >= arity {
-                    let args = applied.into_iter().map(Operand::Thunk).collect();
-                    self.run_prim(name, args, depth)
-                } else {
-                    Ok(Value::Prim { name, applied })
+    /// Apply `f` to `args`, passed from `env`: one step per closure
+    /// reached, which binds as many arguments as it takes parameters, and
+    /// one per argument a builtin or constructor takes.
+    fn apply(
+        &mut self,
+        mut f: Value,
+        mut args: &[Rc<RExpr>],
+        env: &Env,
+        depth: usize,
+    ) -> Result<Value, EvalError> {
+        while let Some((x, rest)) = args.split_first() {
+            self.tick(depth)?;
+            args = rest;
+            f = match f {
+                Value::Closure {
+                    param,
+                    mut body,
+                    env: closed,
+                } => {
+                    let t = self.arg(x, env)?;
+                    let mut inner = self.frame(param, t, closed)?;
+                    while let RExpr::Lam(p, b) = &*body {
+                        let Some((x, rest)) = args.split_first() else {
+                            return Ok(Value::Closure {
+                                param: p.clone(),
+                                body: b.clone(),
+                                env: inner,
+                            });
+                        };
+                        let t = self.arg(x, env)?;
+                        inner = self.frame(p.clone(), t, inner)?;
+                        body = b.clone();
+                        args = rest;
+                    }
+                    self.eval(&body, &inner, depth + 1)?
                 }
-            }
-            Value::Data {
-                name,
-                tag,
-                arity,
-                mut fields,
-            } if fields.len() < arity => {
-                self.alloc()?;
-                fields.push(arg);
-                Ok(Value::Data {
+                Value::Prim { name, mut applied } => {
+                    applied.push(self.arg(x, env)?);
+                    let arity = prim(name).map(|(_, a)| a).unwrap_or(0);
+                    if applied.len() >= arity {
+                        let ops = applied.into_iter().map(Operand::Thunk).collect();
+                        self.run_prim(name, ops, depth)?
+                    } else {
+                        Value::Prim { name, applied }
+                    }
+                }
+                Value::Data {
                     name,
                     tag,
                     arity,
-                    fields,
-                })
-            }
-            _ => Err(EvalError::NotAFunction),
+                    mut fields,
+                } if fields.len() < arity => {
+                    let t = self.arg(x, env)?;
+                    self.alloc()?;
+                    fields.push(t);
+                    Value::Data {
+                        name,
+                        tag,
+                        arity,
+                        fields,
+                    }
+                }
+                _ => return Err(EvalError::NotAFunction),
+            };
         }
+        Ok(f)
     }
 
     fn int_arg(&mut self, op: &Operand, depth: usize) -> Result<i64, EvalError> {

@@ -321,6 +321,23 @@ const EDGE_CASES: &[(&str, &str)] = &[
         "over-applied builtin",
         "main = head (cons (\\x -> add x 1) nil) (primMulInt (add 1 2) (sub 10 4));",
     ),
+    (
+        "calls of several arguments",
+        "class Three a where { three :: a -> a -> a -> a; };\n\
+         instance Three Int where { three = \\a b c -> mul a (add b c); };\n\
+         data T = MkT Int Bool Int;\n\
+         add3 a b c = add (add a b) c;\nk3 a b c = a;\napply g = g 3;\n\
+         pick b = if b then (\\x y -> x) else (\\x y -> y);\n\
+         thrice :: Three a => a -> a;\nthrice x = three x x x;\n\
+         plus = primAddInt;\n\
+         main = cons (add3 1 2 3) (cons (apply (add3 1 2)) (cons (pick False 1 2)\n\
+         (cons (three 2 3 4) (cons (thrice 5) (cons (case MkT 1 True 2 of { MkT a _ c -> add a c })\n\
+         (cons (k3 6 error (head nil)) (cons (plus 7 8) (cons ((\\f -> f 1 2) primSubInt) nil))))))));",
+    ),
+    (
+        "partial application shown",
+        "add3 a b c = add (add a b) c;\nmain = add3 1 2;",
+    ),
 ];
 
 #[test]

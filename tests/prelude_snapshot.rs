@@ -422,20 +422,23 @@ fn requests_resolve_only_their_own_goals() {
 #[test]
 fn the_prelude_is_closed() {
     // A user binding that shadows a builtin is the user's alone: the
-    // prelude's `member` keeps calling the builtin `head`. (The splice
-    // rebound it, and reported an E0401 inside `member`.)
-    let r = run_source(
-        "head xs = 42;\nmain = member 42 (cons 1 nil);",
-        &Options::default(),
-    );
+    // prelude's `sum` keeps calling the builtin `primAddInt`. (The
+    // splice rebound it, so `sum` added with the program's binding.)
+    let src = "primAddInt x y = 42;\nmain = sum (cons 1 (cons 2 nil));";
+    let r = run_source(src, &Options::default());
     assert!(
-        matches!(r.outcome, Outcome::Value(ref v) if v == "False"),
+        matches!(r.outcome, Outcome::Value(ref v) if v == "3"),
         "{:?}",
         r.outcome
     );
+    let spliced = reference(src, &Options::default(), false);
+    assert_eq!(spliced.outcome, "value 42");
     let codes: Vec<&str> = r.check.diags.iter().map(|d| d.code).collect();
     assert_eq!(codes, ["E0414"], "{}", r.check.render_diagnostics());
-    let own = run_source("head xs = 42;\nmain = head nil;", &Options::default());
+    let own = run_source(
+        "primAddInt x y = 42;\nmain = primAddInt 1 2;",
+        &Options::default(),
+    );
     assert!(matches!(own.outcome, Outcome::Value(ref v) if v == "42"));
 
     // A signature cannot retype a prelude binding: it declares a name
@@ -461,15 +464,11 @@ fn the_prelude_is_closed() {
         (&spliced.outcome, &spliced.rendered, &spliced.spans)
     );
     assert!(
-        got.core.contains("if ((#0 $ds$member$0 x) (head xs))"),
+        got.core.contains("if ((#0 $ds$member$0 x) h)"),
         "{}",
         got.core
     );
-    assert!(
-        spliced.core.contains("if ((eq x) (head xs))"),
-        "{}",
-        spliced.core
-    );
+    assert!(spliced.core.contains("if ((eq x) h)"), "{}", spliced.core);
 }
 
 #[test]
